@@ -54,7 +54,7 @@ void PaxosProposer::start_round() {
   // timer: two preempting proposers draw distinct per-process delays, so
   // one of them always gets a full phase-1+2 window to itself eventually.
   retry_timer_ = set_timer(RetryPolicy::delay(
-      retry_, static_cast<std::uint64_t>(id()) << 32, attempt_ + 1));
+      backoff_, static_cast<std::uint64_t>(id()) << 32, attempt_ + 1));
 }
 
 void PaxosProposer::on_message(ProcessId from, const sim::Message& m) {

@@ -70,16 +70,14 @@ class PaxosAcceptor final : public sim::Process {
 
 class PaxosProposer final : public sim::Process {
  public:
-  /// `retry` tunes the preemption backoff. Unlike the RQS roles this one is
-  /// always on (a send-once Paxos proposer cannot terminate once preempted);
-  /// the jittered delay keeps two concurrent proposers from duelling in
-  /// lockstep, which the old fixed 8-Delta timer did forever.
-  PaxosProposer(sim::Simulation& sim, ProcessId id, ProcessSet acceptors,
-                RetryPolicy::Config retry = {})
-      : sim::Process(sim, id), acceptors_(acceptors), retry_(retry) {
-    retry_.enabled = true;
-    if (retry_.base_delay <= 0) retry_.base_delay = 8 * sim.delta();
-  }
+  /// The preemption backoff is fixed: unlike the RQS roles it is always on
+  /// (a send-once Paxos proposer cannot terminate once preempted), from an
+  /// 8-Delta base with jitter seed 0. The jittered delay keeps two
+  /// concurrent proposers from duelling in lockstep, which a fixed 8-Delta
+  /// timer did forever.
+  PaxosProposer(sim::Simulation& sim, ProcessId id, ProcessSet acceptors)
+      : sim::Process(sim, id), acceptors_(acceptors),
+        backoff_{.enabled = true, .base_delay = 8 * sim.delta()} {}
 
   /// Starts proposing v; retries with higher ballots (after a timeout) if
   /// preempted, until some value is chosen.
@@ -99,7 +97,7 @@ class PaxosProposer final : public sim::Process {
   ProcessSet responders_;
   std::optional<Ballot> best_accepted_;
   Value best_value_{kBottom};
-  RetryPolicy::Config retry_;
+  const RetryPolicy::Config backoff_;
   std::uint32_t attempt_{0};
   sim::TimerId retry_timer_{0};
 };

@@ -8,10 +8,6 @@ ConsensusCluster::ConsensusCluster(RefinedQuorumSystem rqs,
   config_.rqs = &rqs_;
   config_.authority = &authority_;
   config_.retry = cfg.retry;
-  if (config_.retry.base_delay <= 0) {
-    // Default the backoff base to 4 * Delta, past the 3-Delta sync probe.
-    config_.retry.base_delay = 4 * cfg.delta;
-  }
   config_.acceptors = ProcessSet::universe(rqs_.universe_size());
   for (std::size_t i = 0; i < cfg.proposer_count; ++i) {
     config_.proposers.push_back(kFirstProposerId + static_cast<ProcessId>(i));

@@ -8,7 +8,8 @@ namespace rqs::consensus {
 
 RqsProposer::RqsProposer(sim::Simulation& sim, ProcessId id,
                          const ConsensusConfig& config)
-    : sim::Process(sim, id), config_(config), signer_(*config.authority, id) {}
+    : sim::Process(sim, id), config_(config), signer_(*config.authority, id),
+      retx_(sim, id, config.retry) {}
 
 void RqsProposer::propose(Value v) {
   if (halted_) return;
@@ -44,14 +45,19 @@ void RqsProposer::run_propose() {
   acks_.clear();
   faulty_.clear();
   prepared_quorums_.clear();
+  send_all(config_.acceptors, new_view_msg());
+  start_retry();
+}
+
+sim::PooledMessage<NewViewMsg> RqsProposer::new_view_msg() {
   auto msg = make_msg<NewViewMsg>();
   msg->view = view_;
   msg->view_proof = view_proof_;
-  send_all(config_.acceptors, std::move(msg));
-  if (config_.retry.enabled) {
-    attempt_ = 0;
-    arm_retry();
-  }
+  return msg;
+}
+
+void RqsProposer::start_retry() {
+  retx_.start((static_cast<std::uint64_t>(id()) << 32) ^ view_);
 }
 
 void RqsProposer::send_prepare(Value v, const VProof& vproof, ProcessSet q) {
@@ -60,10 +66,7 @@ void RqsProposer::send_prepare(Value v, const VProof& vproof, ProcessSet q) {
   prepared_quorum_ = q;
   prepare_sent_ = true;
   broadcast_prepare();
-  if (config_.retry.enabled) {
-    attempt_ = 0;
-    arm_retry();
-  }
+  start_retry();
 }
 
 void RqsProposer::broadcast_prepare() {
@@ -75,39 +78,6 @@ void RqsProposer::broadcast_prepare() {
     msg->vproof_quorum = prepared_quorum_;
     send(target, std::move(msg));
   }
-}
-
-void RqsProposer::arm_retry() {
-  if (retry_armed_) cancel_timer(retry_timer_);
-  retry_armed_ = true;
-  retry_timer_ = set_timer(RetryPolicy::delay(
-      config_.retry, (static_cast<std::uint64_t>(id()) << 32) ^ view_,
-      attempt_ + 1));
-}
-
-void RqsProposer::handle_retry() {
-  ++attempt_;
-  if (!RetryPolicy::allows(config_.retry, attempt_)) {
-    // Give-up: stop resending and let the acceptors' suspicion timers
-    // drive a view change toward the next leader (Fig. 14 lines 1-5).
-    if (auto* ob = sim().observer()) ob->count("consensus.propose.giveup");
-    return;
-  }
-  if (auto* ob = sim().observer()) ob->count("consensus.propose.retransmit");
-  if (consulting_) {
-    auto msg = make_msg<NewViewMsg>();
-    msg->view = view_;
-    msg->view_proof = view_proof_;
-    send_all(config_.acceptors, std::move(msg));
-  } else if (prepare_sent_) {
-    broadcast_prepare();
-  }
-  // Re-probe alongside every retransmission: sync re-arms stopped-clock
-  // acceptors' suspicion timers and the pull surfaces decisions this
-  // proposer missed (which is what finally halts it).
-  send_all(config_.acceptors, make_msg<SyncMsg>());
-  send_all(config_.acceptors, make_msg<DecisionPullMsg>());
-  arm_retry();
 }
 
 bool RqsProposer::ack_valid(const NewViewAckMsg& m) const {
@@ -216,10 +186,7 @@ void RqsProposer::on_message(ProcessId from, const sim::Message& m) {
       for (const Quorum& q : config_.rqs->quorums()) {
         if (q.set.subset_of(senders)) {
           halted_ = true;
-          if (retry_armed_) {
-            cancel_timer(retry_timer_);
-            retry_armed_ = false;
-          }
+          retx_.stop();
           return;
         }
       }
@@ -272,11 +239,26 @@ void RqsProposer::digest_state(Fnv64& h) const {
 
 void RqsProposer::on_timer(sim::TimerId timer) {
   if (halted_) return;
-  if (retry_armed_ && timer == retry_timer_) {
-    retry_armed_ = false;
-    if (proposed_) handle_retry();
-    return;
+  using Fired = sim::Retransmitter::Fired;
+  const Fired fired = retx_.fire(timer, [this] {
+    if (auto* ob = sim().observer()) ob->count("consensus.propose.retransmit");
+    if (consulting_) {
+      send_all(config_.acceptors, new_view_msg());
+    } else if (prepare_sent_) {
+      broadcast_prepare();
+    }
+    // Re-probe alongside every retransmission: sync re-arms stopped-clock
+    // acceptors' suspicion timers and the pull surfaces decisions this
+    // proposer missed (which is what finally halts it).
+    send_all(config_.acceptors, make_msg<SyncMsg>());
+    send_all(config_.acceptors, make_msg<DecisionPullMsg>());
+  });
+  if (fired == Fired::kGaveUp) {
+    // Go quiet and let the acceptors' suspicion timers drive a view change
+    // toward the next leader (Fig. 14 lines 1-5).
+    if (auto* ob = sim().observer()) ob->count("consensus.propose.giveup");
   }
+  if (fired != Fired::kNotMine) return;
   if (timer != sync_timer_ || !sync_pending_) return;
   sync_pending_ = false;
   send_all(config_.acceptors, make_msg<SyncMsg>());

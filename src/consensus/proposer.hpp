@@ -13,6 +13,7 @@
 #include "consensus/choose.hpp"
 #include "consensus/config.hpp"
 #include "sim/process.hpp"
+#include "sim/retransmitter.hpp"
 
 namespace rqs::consensus {
 
@@ -48,8 +49,10 @@ class RqsProposer : public sim::Process {
   void send_prepare(Value v, const VProof& vproof, ProcessSet q);
   void broadcast_prepare();
   [[nodiscard]] bool ack_valid(const NewViewAckMsg& m) const;
-  void arm_retry();
-  void handle_retry();
+  /// The consult phase's new_view, shared by the first send and every
+  /// retransmission.
+  [[nodiscard]] sim::PooledMessage<NewViewMsg> new_view_msg();
+  void start_retry();
 
   ConsensusConfig config_;
   sim::Signer signer_;
@@ -72,14 +75,12 @@ class RqsProposer : public sim::Process {
   sim::TimerId sync_timer_{0};
   bool sync_pending_{false};
 
-  // Retransmission state (dormant unless config.retry.enabled). The
-  // proposer resends its current phase's broadcast — the consult new_view
-  // or the last prepare — plus a sync/decision probe, on a backoff
-  // schedule; past max_attempts it goes quiet and the acceptors' exponen-
+  // Retransmission (dormant unless config.retry.enabled). The proposer
+  // resends its current phase's broadcast — the consult new_view or the
+  // last prepare — plus a sync/decision probe, on a backoff schedule; once
+  // the retransmitter gives up it goes quiet and the acceptors' exponen-
   // tially backed-off suspicion timers (the view-change ladder) take over.
-  sim::TimerId retry_timer_{0};
-  bool retry_armed_{false};
-  std::uint32_t attempt_{0};  // retransmissions within the current view
+  sim::Retransmitter retx_;
   Value prepared_value_{kNil};
   VProof prepared_vproof_;
   ProcessSet prepared_quorum_;

@@ -36,43 +36,10 @@ void AbdWriter::write(Value v, DoneFn done) {
   done_ = std::move(done);
   acked_ = ProcessSet{};
   ts_ = Timestamp{ts_.seq + 1, ts_.writer};
-  value_ = v;
   auto msg = make_msg<AbdWriteMsg>();
   msg->ts = ts_;
   msg->value = v;
   send_all(servers_, std::move(msg));
-  if (retry_.enabled) {
-    attempt_ = 0;
-    arm_retry();
-  }
-}
-
-void AbdWriter::arm_retry() {
-  if (retry_armed_) cancel_timer(retry_timer_);
-  retry_armed_ = true;
-  retry_timer_ = set_timer(RetryPolicy::delay(
-      retry_, (static_cast<std::uint64_t>(id()) << 32) ^ ts_.seq,
-      attempt_ + 1));
-}
-
-void AbdWriter::on_timer(sim::TimerId timer) {
-  if (!retry_armed_ || timer != retry_timer_) return;
-  retry_armed_ = false;
-  if (!busy_) return;
-  ++attempt_;
-  // ABD's timestamps dedup retransmissions at the servers; past
-  // max_attempts re-broadcast the full round (one quorum class: the fresh
-  // quorum attempt is everyone) and restart the backoff ladder.
-  ProcessSet targets = servers_ - acked_;
-  if (!RetryPolicy::allows(retry_, attempt_)) {
-    attempt_ = 0;
-    targets = servers_;
-  }
-  auto msg = make_msg<AbdWriteMsg>();
-  msg->ts = ts_;
-  msg->value = value_;
-  send_all(targets, std::move(msg));
-  arm_retry();
 }
 
 void AbdWriter::on_message(ProcessId from, const sim::Message& m) {
@@ -84,10 +51,6 @@ void AbdWriter::on_message(ProcessId from, const sim::Message& m) {
   acked_.insert(from);
   if (acked_.size() >= majority()) {
     busy_ = false;
-    if (retry_armed_) {
-      cancel_timer(retry_timer_);
-      retry_armed_ = false;
-    }
     DoneFn done = std::move(done_);
     done_ = nullptr;
     if (done) done();
@@ -101,50 +64,9 @@ void AbdReader::read(DoneFn done) {
   acked_ = ProcessSet{};
   best_ = kInitialPair;
   ++read_no_;
-  send_phase(servers_);
-  if (retry_.enabled) {
-    attempt_ = 0;
-    arm_retry();
-  }
-}
-
-/// (Re)broadcasts the current phase's request to `targets`: the query rd
-/// in kQuery, the writeback wr in kWriteback. read_no / the writeback
-/// timestamp dedup stale acks, so retransmission is idempotent.
-void AbdReader::send_phase(ProcessSet targets) {
-  if (phase_ == Phase::kQuery) {
-    auto msg = make_msg<AbdReadMsg>();
-    msg->read_no = read_no_;
-    send_all(targets, std::move(msg));
-  } else {
-    auto wb = make_msg<AbdWriteMsg>();
-    wb->ts = best_.ts;
-    wb->value = best_.val;
-    send_all(targets, std::move(wb));
-  }
-}
-
-void AbdReader::arm_retry() {
-  if (retry_armed_) cancel_timer(retry_timer_);
-  retry_armed_ = true;
-  retry_timer_ = set_timer(RetryPolicy::delay(
-      retry_, (static_cast<std::uint64_t>(id()) << 32) ^ (read_no_ << 1) ^
-                  (phase_ == Phase::kWriteback ? 1 : 0),
-      attempt_ + 1));
-}
-
-void AbdReader::on_timer(sim::TimerId timer) {
-  if (!retry_armed_ || timer != retry_timer_) return;
-  retry_armed_ = false;
-  if (phase_ == Phase::kIdle) return;
-  ++attempt_;
-  if (!RetryPolicy::allows(retry_, attempt_)) {
-    attempt_ = 0;
-    send_phase(servers_);  // fresh full-round attempt
-  } else {
-    send_phase(servers_ - acked_);
-  }
-  arm_retry();
+  auto msg = make_msg<AbdReadMsg>();
+  msg->read_no = read_no_;
+  send_all(servers_, std::move(msg));
 }
 
 void AbdReader::on_message(ProcessId from, const sim::Message& m) {
@@ -159,11 +81,10 @@ void AbdReader::on_message(ProcessId from, const sim::Message& m) {
       if (acked_.size() >= majority()) {
         phase_ = Phase::kWriteback;
         acked_ = ProcessSet{};
-        send_phase(servers_);
-        if (retry_.enabled) {
-          attempt_ = 0;
-          arm_retry();
-        }
+        auto wb = make_msg<AbdWriteMsg>();
+        wb->ts = best_.ts;
+        wb->value = best_.val;
+        send_all(servers_, std::move(wb));
       }
       return;
     }
@@ -173,10 +94,6 @@ void AbdReader::on_message(ProcessId from, const sim::Message& m) {
       acked_.insert(from);
       if (acked_.size() >= majority()) {
         phase_ = Phase::kIdle;
-        if (retry_armed_) {
-          cancel_timer(retry_timer_);
-          retry_armed_ = false;
-        }
         DoneFn done = std::move(done_);
         done_ = nullptr;
         if (done) done(best_.val);

@@ -11,7 +11,6 @@
 #include <functional>
 #include <map>
 
-#include "common/retry.hpp"
 #include "common/types.hpp"
 #include "sim/process.hpp"
 
@@ -53,71 +52,49 @@ class AbdServer final : public sim::Process {
   TsValue cell_{kInitialPair};
 };
 
-/// ABD writer: single round to a majority. With `retry` enabled the round
-/// broadcast is retransmitted to unacked servers on a backoff schedule
-/// (timestamps make the servers idempotent); past max_attempts the whole
-/// round is re-broadcast — ABD has one quorum class, so "a fresh quorum"
-/// is simply everyone again.
+/// ABD writer: single round to a majority. Send-once, like the paper's
+/// automata: the baseline runs over reliable channels only.
 class AbdWriter final : public sim::Process {
  public:
   using DoneFn = std::function<void()>;
-  AbdWriter(sim::Simulation& sim, ProcessId id, ProcessSet servers,
-            RetryPolicy::Config retry = {})
-      : sim::Process(sim, id), servers_(servers), retry_(retry) {
-    if (retry_.base_delay <= 0) retry_.base_delay = 4 * sim.delta();
-  }
+  AbdWriter(sim::Simulation& sim, ProcessId id, ProcessSet servers)
+      : sim::Process(sim, id), servers_(servers) {}
 
   void write(Value v, DoneFn done);
   [[nodiscard]] RoundNumber last_write_rounds() const noexcept { return 1; }
   void on_message(ProcessId from, const sim::Message& m) override;
-  void on_timer(sim::TimerId timer) override;
 
  private:
   [[nodiscard]] std::size_t majority() const { return servers_.size() / 2 + 1; }
-  void arm_retry();
 
   ProcessSet servers_;
-  RetryPolicy::Config retry_;
   Timestamp ts_{0};
-  Value value_{kBottom};
   ProcessSet acked_;
   bool busy_{false};
   DoneFn done_;
-  sim::TimerId retry_timer_{0};
-  bool retry_armed_{false};
-  std::uint32_t attempt_{0};
 };
 
-/// ABD reader: query round + writeback round, always two rounds.
+/// ABD reader: query round + writeback round, always two rounds. Send-once,
+/// like AbdWriter.
 class AbdReader final : public sim::Process {
  public:
   using DoneFn = std::function<void(Value)>;
-  AbdReader(sim::Simulation& sim, ProcessId id, ProcessSet servers,
-            RetryPolicy::Config retry = {})
-      : sim::Process(sim, id), servers_(servers), retry_(retry) {
-    if (retry_.base_delay <= 0) retry_.base_delay = 4 * sim.delta();
-  }
+  AbdReader(sim::Simulation& sim, ProcessId id, ProcessSet servers)
+      : sim::Process(sim, id), servers_(servers) {}
 
   void read(DoneFn done);
   [[nodiscard]] RoundNumber last_read_rounds() const noexcept { return 2; }
   void on_message(ProcessId from, const sim::Message& m) override;
-  void on_timer(sim::TimerId timer) override;
 
  private:
   [[nodiscard]] std::size_t majority() const { return servers_.size() / 2 + 1; }
-  void arm_retry();
-  void send_phase(ProcessSet targets);
 
   ProcessSet servers_;
-  RetryPolicy::Config retry_;
   std::uint64_t read_no_{0};
   enum class Phase { kIdle, kQuery, kWriteback } phase_{Phase::kIdle};
   ProcessSet acked_;
   TsValue best_{kInitialPair};
   DoneFn done_;
-  sim::TimerId retry_timer_{0};
-  bool retry_armed_{false};
-  std::uint32_t attempt_{0};
 };
 
 }  // namespace rqs::storage

@@ -11,9 +11,7 @@ RqsReader::RqsReader(sim::Simulation& sim, ProcessId id,
                      const RefinedQuorumSystem& rqs, ProcessSet servers,
                      Mode mode, ObjectId key, RetryPolicy::Config retry)
     : sim::Process(sim, id), rqs_(rqs), servers_(servers), mode_(mode),
-      key_(key), retry_(retry), history_(rqs.universe_size()) {
-  if (retry_.base_delay <= 0) retry_.base_delay = 4 * sim.delta();
-}
+      key_(key), retx_(sim, id, retry), history_(rqs.universe_size()) {}
 
 void RqsReader::read(DoneFn done) {
   assert(!busy() && "one outstanding operation per client");
@@ -192,62 +190,33 @@ void RqsReader::start_collect_round() {
   } else {
     timer_expired_ = true;
   }
-  auto msg = make_msg<RdMsg>();  // line 25
+  send_all(servers_, collect_msg());  // line 25
+  start_retry();
+}
+
+sim::PooledMessage<RdMsg> RqsReader::collect_msg() {
+  auto msg = make_msg<RdMsg>();
   msg->key = key_;
   msg->read_no = read_no_;
   msg->rnd = read_rnd_;
-  send_all(servers_, std::move(msg));
-  if (retry_.enabled) {
-    attempt_ = 0;
-    arm_retry();
-  }
+  return msg;
 }
 
-void RqsReader::arm_retry() {
-  if (retry_armed_) cancel_timer(retry_timer_);
-  retry_armed_ = true;
-  retry_timer_ = set_timer(RetryPolicy::delay(
-      retry_,
-      (static_cast<std::uint64_t>(id()) << 32) ^ (read_no_ << 16) ^
-          total_rounds_,
-      attempt_ + 1));
+sim::PooledMessage<WrMsg> RqsReader::writeback_msg() {
+  auto msg = make_msg<WrMsg>();
+  msg->key = key_;
+  msg->ts = csel_.ts;
+  msg->value = csel_.val;
+  msg->qc2_set = wb_set_;
+  msg->rnd = wb_round_;
+  msg->op = wb_op_;  // a retransmission keeps the nonce: servers re-ack
+  msg->completed = completed_;
+  return msg;
 }
 
-void RqsReader::handle_retry() {
-  ++attempt_;
-  retried_op_ = true;
-  if (!RetryPolicy::allows(retry_, attempt_)) {
-    // Give-up -> failover to a fresh quorum attempt: a new collect round
-    // (collect phase) or a fresh-nonce rebroadcast of the same writeback
-    // round (writeback phases); either resets the ack set.
-    if (auto* ob = sim().observer()) ob->count("storage.read.failover");
-    if (phase_ == Phase::kCollect) {
-      start_collect_round();
-    } else {
-      const QuorumIdSet set = wb_set_;  // copy: start_writeback reassigns it
-      start_writeback(wb_round_, set, phase_);
-    }
-    return;
-  }
-  if (auto* ob = sim().observer()) ob->count("storage.read.retransmit");
-  if (phase_ == Phase::kCollect) {
-    auto msg = make_msg<RdMsg>();
-    msg->key = key_;
-    msg->read_no = read_no_;
-    msg->rnd = read_rnd_;
-    send_all(servers_ - round_acks_, std::move(msg));
-  } else {
-    auto msg = make_msg<WrMsg>();
-    msg->key = key_;
-    msg->ts = csel_.ts;
-    msg->value = csel_.val;
-    msg->qc2_set = wb_set_;
-    msg->rnd = wb_round_;
-    msg->op = wb_op_;  // same nonce: servers re-ack idempotently
-    msg->completed = completed_;
-    send_all(servers_ - wb_acks_, std::move(msg));
-  }
-  arm_retry();
+void RqsReader::start_retry() {
+  retx_.start((static_cast<std::uint64_t>(id()) << 32) ^ (read_no_ << 16) ^
+              total_rounds_);
 }
 
 void RqsReader::on_message(ProcessId from, const sim::Message& m) {
@@ -301,9 +270,29 @@ void RqsReader::on_message(ProcessId from, const sim::Message& m) {
 }
 
 void RqsReader::on_timer(sim::TimerId timer) {
-  if (retry_armed_ && timer == retry_timer_) {
-    retry_armed_ = false;
-    if (phase_ != Phase::kIdle) handle_retry();
+  using Fired = sim::Retransmitter::Fired;
+  const Fired fired = retx_.fire(timer, [this] {
+    if (auto* ob = sim().observer()) ob->count("storage.read.retransmit");
+    if (phase_ == Phase::kCollect) {
+      send_all(servers_ - round_acks_, collect_msg());
+    } else {
+      send_all(servers_ - wb_acks_, writeback_msg());
+    }
+  });
+  if (fired != Fired::kNotMine) {
+    retried_op_ = true;
+    if (fired == Fired::kGaveUp) {
+      // Failover to a fresh quorum attempt: a new collect round (collect
+      // phase) or a fresh-nonce rebroadcast of the same writeback round
+      // (writeback phases); either resets the ack set.
+      if (auto* ob = sim().observer()) ob->count("storage.read.failover");
+      if (phase_ == Phase::kCollect) {
+        start_collect_round();
+      } else {
+        const QuorumIdSet set = wb_set_;  // copy: start_writeback reassigns it
+        start_writeback(wb_round_, set, phase_);
+      }
+    }
     return;
   }
   if (timer != timer_) return;
@@ -435,19 +424,8 @@ void RqsReader::start_writeback(RoundNumber wb_round, const QuorumIdSet& set,
   wb_acks_ = ProcessSet{};
   wb_set_ = set;
   ++total_rounds_;
-  auto msg = make_msg<WrMsg>();  // line 60
-  msg->key = key_;
-  msg->ts = csel_.ts;
-  msg->value = csel_.val;
-  msg->qc2_set = set;
-  msg->rnd = wb_round;
-  msg->op = wb_op_;
-  msg->completed = completed_;
-  send_all(servers_, std::move(msg));
-  if (retry_.enabled) {
-    attempt_ = 0;
-    arm_retry();
-  }
+  send_all(servers_, writeback_msg());  // line 60
+  start_retry();
 }
 
 void RqsReader::maybe_finish_writeback() {
@@ -506,15 +484,12 @@ void RqsReader::finish(Value v) {
     ob->quorum_class(now(), id(), obs::kPhaseReadDone, cls, total_rounds_);
     ob->phase(now(), id(), obs::kPhaseReadDone, key_, read_no_,
               static_cast<std::uint8_t>(total_rounds_));
-    if (retry_.enabled) {
+    if (retx_.enabled()) {
       ob->count(retried_op_ ? "storage.read.retried"
                             : "storage.read.first_try");
     }
   }
-  if (retry_armed_) {
-    cancel_timer(retry_timer_);
-    retry_armed_ = false;
-  }
+  retx_.stop();
   // An atomic read's csel is complete once the read returns (the
   // writeback — or the BCD fast-path proof — made it so); remember it for
   // the compaction piggyback. A regular read's csel may be a concurrent,
@@ -552,7 +527,7 @@ void RqsReader::digest_state(Fnv64& h) const {
   digest_into(h, wb_acks_);
   digest_into(h, wb_target_);
   h.mix(total_rounds_);
-  h.mix(attempt_);
+  h.mix(retx_.attempt());
 }
 
 }  // namespace rqs::storage

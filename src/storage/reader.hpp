@@ -28,6 +28,7 @@
 #include "common/retry.hpp"
 #include "core/rqs.hpp"
 #include "sim/process.hpp"
+#include "sim/retransmitter.hpp"
 #include "storage/messages.hpp"
 
 namespace rqs::storage {
@@ -43,11 +44,12 @@ class RqsReader final : public sim::Process {
   /// concurrent write's value, but new-old read inversions are possible.
   enum class Mode { kAtomic, kRegular };
 
-  /// `retry` (disabled by default) arms per-round retransmission of the
-  /// collect rd and writeback wr broadcasts to unacked servers; past
-  /// max_attempts the phase fails over (a fresh collect round / a fresh
-  /// writeback nonce — i.e. a fresh quorum attempt). Disabled, the reader
-  /// is byte-identical to the send-once Figure 7 automaton.
+  /// `retry` (disabled by default) drives a sim::Retransmitter: the
+  /// current round's collect rd or writeback wr is re-sent to unacked
+  /// servers on a backoff schedule; once it gives up the phase fails over
+  /// (a fresh collect round / a fresh writeback nonce — i.e. a fresh
+  /// quorum attempt). Disabled, the reader is byte-identical to the
+  /// send-once Figure 7 automaton.
   RqsReader(sim::Simulation& sim, ProcessId id, const RefinedQuorumSystem& rqs,
             ProcessSet servers, Mode mode = Mode::kAtomic, ObjectId key = 0,
             RetryPolicy::Config retry = {});
@@ -108,14 +110,17 @@ class RqsReader final : public sim::Process {
   void start_writeback(RoundNumber wb_round, const QuorumIdSet& set, Phase next_phase);
   void maybe_finish_writeback();
   void finish(Value v);
-  void arm_retry();
-  void handle_retry();
+  /// Round messages, shared by the first send and every retransmission:
+  /// the collect rd (line 25) and the writeback wr (line 60).
+  [[nodiscard]] sim::PooledMessage<RdMsg> collect_msg();
+  [[nodiscard]] sim::PooledMessage<WrMsg> writeback_msg();
+  void start_retry();
 
   const RefinedQuorumSystem& rqs_;
   ProcessSet servers_;
   Mode mode_;
   ObjectId key_;
-  RetryPolicy::Config retry_;
+  sim::Retransmitter retx_;
 
   DoneFn done_;
   Phase phase_{Phase::kIdle};
@@ -149,12 +154,7 @@ class RqsReader final : public sim::Process {
   RoundNumber total_rounds_{0};
   RoundNumber last_rounds_{0};
   sim::SimTime read_started_{0};
-
-  // Retransmission state (dormant unless retry_.enabled).
-  sim::TimerId retry_timer_{0};
-  bool retry_armed_{false};
-  std::uint32_t attempt_{0};   // retransmissions of the current phase round
-  bool retried_op_{false};     // any retransmit during the current read
+  bool retried_op_{false};  // any retry timer fired during the current read
 };
 
 }  // namespace rqs::storage

@@ -11,11 +11,7 @@ RqsWriter::RqsWriter(sim::Simulation& sim, ProcessId id,
                      ObjectId key, std::uint32_t rank,
                      RetryPolicy::Config retry)
     : sim::Process(sim, id), rqs_(rqs), servers_(servers), key_(key),
-      rank_(rank), retry_(retry), ts_(0, rank) {
-  // Protocols pass delays in simulation ticks; default the backoff base
-  // to 4 * Delta (double the round-gate timeout) when unconfigured.
-  if (retry_.base_delay <= 0) retry_.base_delay = 4 * sim.delta();
-}
+      rank_(rank), retx_(sim, id, retry), ts_(0, rank) {}
 
 void RqsWriter::write(Value v, DoneFn done) {
   assert(!busy() && "one outstanding operation per client");
@@ -38,6 +34,17 @@ void RqsWriter::start_round() {
   }
   acked_ = ProcessSet{};
   op_ = ++op_seq_;
+  send_all(servers_, round_msg());
+  if (round_ < 3) {  // line 11: trigger(timeout) only in rounds 1 and 2
+    timer_expired_ = false;
+    timer_ = set_timer(2 * sim().delta());
+  } else {
+    timer_expired_ = true;
+  }
+  retx_.start((static_cast<std::uint64_t>(id()) << 32) ^ op_);
+}
+
+sim::PooledMessage<WrMsg> RqsWriter::round_msg() {
   auto msg = make_msg<WrMsg>();
   msg->key = key_;
   msg->ts = ts_;
@@ -46,48 +53,7 @@ void RqsWriter::start_round() {
   msg->rnd = round_;
   msg->op = op_;
   msg->completed = completed_;
-  send_all(servers_, std::move(msg));
-  if (round_ < 3) {  // line 11: trigger(timeout) only in rounds 1 and 2
-    timer_expired_ = false;
-    timer_ = set_timer(2 * sim().delta());
-  } else {
-    timer_expired_ = true;
-  }
-  if (retry_.enabled) {
-    attempt_ = 0;
-    arm_retry();
-  }
-}
-
-void RqsWriter::arm_retry() {
-  if (retry_armed_) cancel_timer(retry_timer_);
-  retry_armed_ = true;
-  retry_timer_ = set_timer(RetryPolicy::delay(
-      retry_, (static_cast<std::uint64_t>(id()) << 32) ^ op_, attempt_ + 1));
-}
-
-void RqsWriter::handle_retry() {
-  ++attempt_;
-  retried_op_ = true;
-  if (!RetryPolicy::allows(retry_, attempt_)) {
-    // Give-up -> failover: restart the round with a fresh nonce, which
-    // resets the ack set and courts a fresh quorum.
-    if (auto* ob = sim().observer()) ob->count("storage.write.failover");
-    start_round();
-    return;
-  }
-  if (auto* ob = sim().observer()) ob->count("storage.write.retransmit");
-  const ProcessSet pending = servers_ - acked_;
-  auto msg = make_msg<WrMsg>();
-  msg->key = key_;
-  msg->ts = ts_;
-  msg->value = value_;
-  msg->qc2_set = (round_ == 2) ? qc2_prime_ : QuorumIdSet{};
-  msg->rnd = round_;
-  msg->op = op_;  // same nonce: servers re-ack idempotently
-  msg->completed = completed_;
-  send_all(pending, std::move(msg));
-  arm_retry();
+  return msg;
 }
 
 void RqsWriter::on_message(ProcessId from, const sim::Message& m) {
@@ -104,9 +70,19 @@ void RqsWriter::on_message(ProcessId from, const sim::Message& m) {
 }
 
 void RqsWriter::on_timer(sim::TimerId timer) {
-  if (retry_armed_ && timer == retry_timer_) {
-    retry_armed_ = false;
-    if (round_ != 0) handle_retry();
+  using Fired = sim::Retransmitter::Fired;
+  const Fired fired = retx_.fire(timer, [this] {
+    if (auto* ob = sim().observer()) ob->count("storage.write.retransmit");
+    send_all(servers_ - acked_, round_msg());
+  });
+  if (fired != Fired::kNotMine) {
+    retried_op_ = true;
+    if (fired == Fired::kGaveUp) {
+      // Failover: restart the round with a fresh nonce, which resets the
+      // ack set and courts a fresh quorum.
+      if (auto* ob = sim().observer()) ob->count("storage.write.failover");
+      start_round();
+    }
     return;
   }
   if (timer != timer_) return;
@@ -178,7 +154,7 @@ void RqsWriter::complete() {
     ob->phase(now(), id(), obs::kPhaseWriteDone, key_,
               static_cast<std::uint64_t>(ts_.seq),
               static_cast<std::uint8_t>(round_));
-    if (retry_.enabled) {
+    if (retx_.enabled()) {
       ob->count(retried_op_ ? "storage.write.retried"
                             : "storage.write.first_try");
     }
@@ -187,10 +163,7 @@ void RqsWriter::complete() {
   round_ = 0;
   completed_ = TsValue{ts_, value_};
   if (!timer_expired_) cancel_timer(timer_);
-  if (retry_armed_) {
-    cancel_timer(retry_timer_);
-    retry_armed_ = false;
-  }
+  retx_.stop();
   DoneFn done = std::move(done_);
   done_ = nullptr;
   if (done) done();
@@ -208,7 +181,7 @@ void RqsWriter::digest_state(Fnv64& h) const {
   digest_into(h, acked_);
   digest_into(h, qc2_prime_);
   h.mix(timer_expired_ ? 1 : 0);
-  h.mix(attempt_);
+  h.mix(retx_.attempt());
 }
 
 }  // namespace rqs::storage

@@ -23,6 +23,7 @@
 #include "common/retry.hpp"
 #include "core/rqs.hpp"
 #include "sim/process.hpp"
+#include "sim/retransmitter.hpp"
 #include "storage/messages.hpp"
 
 namespace rqs::storage {
@@ -34,11 +35,11 @@ class RqsWriter final : public sim::Process {
   /// `servers` are the processes forming the quorum system; RQS element i
   /// must be the process with id i. `key` selects the register; `rank` is
   /// the writer component of every timestamp this writer emits.
-  /// `retry` (disabled by default) arms per-round retransmission: unacked
-  /// servers are re-sent the same-nonce wr on a backoff schedule; past
-  /// max_attempts the round fails over to a fresh broadcast (new nonce,
-  /// fresh quorum attempt). Disabled, the writer is byte-identical to the
-  /// send-once Figure 5 automaton.
+  /// `retry` (disabled by default) drives a sim::Retransmitter: unacked
+  /// servers are re-sent the round's same-nonce wr on a backoff schedule;
+  /// once it gives up the round fails over to a fresh broadcast (new
+  /// nonce, fresh quorum attempt). Disabled, the writer is byte-identical
+  /// to the send-once Figure 5 automaton.
   RqsWriter(sim::Simulation& sim, ProcessId id, const RefinedQuorumSystem& rqs,
             ProcessSet servers, ObjectId key = 0, std::uint32_t rank = 0,
             RetryPolicy::Config retry = {});
@@ -62,16 +63,17 @@ class RqsWriter final : public sim::Process {
 
  private:
   void start_round();
+  /// The current round's wr, shared by the first send and every same-nonce
+  /// retransmission (servers re-ack it idempotently).
+  [[nodiscard]] sim::PooledMessage<WrMsg> round_msg();
   void maybe_finish_round();
   void complete();
-  void arm_retry();
-  void handle_retry();
 
   const RefinedQuorumSystem& rqs_;
   ProcessSet servers_;
   ObjectId key_;
   std::uint32_t rank_;
-  RetryPolicy::Config retry_;
+  sim::Retransmitter retx_;
 
   Timestamp ts_;
   Value value_{kBottom};
@@ -87,12 +89,7 @@ class RqsWriter final : public sim::Process {
   sim::TimerId timer_{0};
   RoundNumber last_rounds_{0};
   sim::SimTime write_started_{0};
-
-  // Retransmission state (dormant unless retry_.enabled).
-  sim::TimerId retry_timer_{0};
-  bool retry_armed_{false};
-  std::uint32_t attempt_{0};   // retransmissions of the current round
-  bool retried_op_{false};     // any retransmit during the current write
+  bool retried_op_{false};  // any retry timer fired during the current write
 };
 
 }  // namespace rqs::storage
