@@ -6,8 +6,7 @@
 // id-derived salts instead of duelling in lockstep.
 //
 // Lives in common/ (no sim/ dependency): delays are plain tick counts the
-// caller scales by whatever clock it owns (simulated Δ today, wall-clock
-// milliseconds when ROADMAP item 3 swaps in a real transport).
+// caller scales by whatever clock it owns.
 #pragma once
 
 #include <algorithm>
@@ -60,11 +59,12 @@ struct RetryPolicy {
       const Config& c, std::uint64_t salt, std::uint32_t attempt) noexcept {
     const std::int64_t base = c.base_delay > 0 ? c.base_delay : 1;
     const std::int64_t cap = c.max_delay > 0 ? c.max_delay : 8 * base;
-    // Cap the exponent before shifting: past the ceiling the shift result
-    // is irrelevant and would otherwise overflow for large attempts.
+    // Cap the exponent: shift only while base << exp stays below the
+    // ceiling, tested as base <= (cap - 1) >> exp so the shift can never
+    // overflow. Past the ceiling the backoff is the cap itself.
     const std::uint32_t exp = attempt > 0 ? attempt - 1 : 0;
     std::int64_t backoff = cap;
-    if (exp < 62 && (base << exp) < cap) backoff = base << exp;
+    if (exp < 62 && base <= ((cap - 1) >> exp)) backoff = base << exp;
     const auto jitter = static_cast<std::int64_t>(
         mix(stream(c, salt) ^ attempt) % static_cast<std::uint64_t>(base));
     return std::max<std::int64_t>(1, backoff + jitter);

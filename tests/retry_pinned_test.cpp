@@ -13,11 +13,15 @@
 // The clusters are built directly (no scenario generator), so the values
 // depend only on the network's counter-hash loss streams and the
 // RetryPolicy jitter — not on any std::*_distribution.
+//
+// RetryBackoffTest checks the backoff ladder itself over every attempt a
+// retry-forever policy (max_attempts = 0) can reach.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -261,6 +265,29 @@ TEST(RetryPinnedTest, LossyWriteReadPairs3t1) {
                   0x68b2a89f2fc8f625ull, 0x9061d44dba1dea03ull, 0x68b2a89f2fc8f625ull},
                  {26, 5, 11, 1, 0, 0},
                  0xd468121bf253ac7full});
+}
+
+TEST(RetryBackoffTest, EveryAttemptStaysOnItsBackoffStep) {
+  // delay(a) = min(base * 2^(a-1), 8 * base) + jitter, jitter in [0, base),
+  // for every attempt — including those past the point where base << (a-1)
+  // no longer fits in 64 bits.
+  std::vector<std::uint32_t> attempts;
+  for (std::uint32_t a = 1; a <= 10'000; ++a) attempts.push_back(a);
+  attempts.push_back(std::numeric_limits<std::uint32_t>::max());
+  for (const sim::SimTime base : {sim::SimTime{1}, 4 * kDelta, 8 * kDelta}) {
+    RetryPolicy::Config cfg;
+    cfg.enabled = true;
+    cfg.base_delay = base;
+    std::vector<std::uint32_t> off_step;
+    for (const std::uint32_t a : attempts) {
+      const sim::SimTime step = a <= 3 ? base << (a - 1) : 8 * base;
+      const sim::SimTime d = RetryPolicy::delay(cfg, std::uint64_t{30} << 32, a);
+      if (d < step || d >= step + base) off_step.push_back(a);
+    }
+    EXPECT_TRUE(off_step.empty())
+        << "base " << base << ": " << off_step.size()
+        << " attempts off their step, first at attempt " << off_step.front();
+  }
 }
 
 }  // namespace
