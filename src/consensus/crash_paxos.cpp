@@ -2,6 +2,18 @@
 
 namespace rqs::consensus {
 
+namespace {
+
+/// PaxosProposer's preemption backoff: always on, 8-Delta base, seed 0.
+RetryPolicy::Config preemption_backoff(sim::SimTime delta) {
+  RetryPolicy::Config backoff;
+  backoff.enabled = true;
+  backoff.base_delay = 8 * delta;
+  return backoff;
+}
+
+}  // namespace
+
 void PaxosAcceptor::on_message(ProcessId from, const sim::Message& m) {
   switch (m.type()) {
     case P1aMsg::kType: {
@@ -53,8 +65,9 @@ void PaxosProposer::start_round() {
   // Jittered capped-exponential backoff instead of the old fixed 8-Delta
   // timer: two preempting proposers draw distinct per-process delays, so
   // one of them always gets a full phase-1+2 window to itself eventually.
-  retry_timer_ = set_timer(RetryPolicy::delay(
-      backoff_, static_cast<std::uint64_t>(id()) << 32, attempt_ + 1));
+  retry_timer_ = set_timer(
+      RetryPolicy::delay(preemption_backoff(sim().delta()),
+                         static_cast<std::uint64_t>(id()) << 32, attempt_ + 1));
 }
 
 void PaxosProposer::on_message(ProcessId from, const sim::Message& m) {

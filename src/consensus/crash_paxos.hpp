@@ -72,12 +72,10 @@ class PaxosProposer final : public sim::Process {
  public:
   /// The preemption backoff is fixed: unlike the RQS roles it is always on
   /// (a send-once Paxos proposer cannot terminate once preempted), from an
-  /// 8-Delta base with jitter seed 0. The jittered delay keeps two
-  /// concurrent proposers from duelling in lockstep, which a fixed 8-Delta
-  /// timer did forever.
+  /// 8-Delta base with jitter seed 0. Per-process jitter keeps two
+  /// concurrent proposers from duelling in lockstep.
   PaxosProposer(sim::Simulation& sim, ProcessId id, ProcessSet acceptors)
-      : sim::Process(sim, id), acceptors_(acceptors),
-        backoff_{.enabled = true, .base_delay = 8 * sim.delta()} {}
+      : sim::Process(sim, id), acceptors_(acceptors) {}
 
   /// Starts proposing v; retries with higher ballots (after a timeout) if
   /// preempted, until some value is chosen.
@@ -97,7 +95,6 @@ class PaxosProposer final : public sim::Process {
   ProcessSet responders_;
   std::optional<Ballot> best_accepted_;
   Value best_value_{kBottom};
-  const RetryPolicy::Config backoff_;
   std::uint32_t attempt_{0};
   sim::TimerId retry_timer_{0};
 };
