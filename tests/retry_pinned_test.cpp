@@ -5,10 +5,13 @@
 // of delivered messages, every process's digest_state, the six retry
 // counters (write/read retransmit and failover, propose retransmit and
 // give-up) and the digest of the full trace (every send, delivery and
-// timer firing, with its time and TimerId). Any refactor of the retry path
-// that reorders set_timer or cancel_timer calls, or changes a jitter salt,
-// a retransmission target set or an attempt count, moves at least one of
-// these numbers.
+// timer firing, with its time and TimerId). Any change to the retry path
+// that arms timers in another order, or changes a jitter salt, a
+// retransmission target set or an attempt count, moves at least one of
+// these numbers. (Moving a set_timer across a send_all, or a cancel_timer
+// across a set_timer, leaves every execution identical: timers and
+// deliveries sit in separate phases of the event order, and a cancel
+// frees no timer slot.)
 //
 // The clusters are built directly (no scenario generator), so the values
 // depend only on the network's counter-hash loss streams and the
