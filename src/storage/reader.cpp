@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 #include "obs/observer.hpp"
 
@@ -48,21 +49,12 @@ bool RqsReader::read_pred(const TsValue& c, ProcessId i) const {
   return slot(i, c.ts, 1).pair == c || slot(i, c.ts, 2).pair == c;
 }
 
-bool RqsReader::valid1(const TsValue& c, ProcessSet q) const {
-  // exists T subset of Q, T not in B, all of T report c in slot 1. The
-  // maximal such T is the set of matching servers; B downward closed makes
-  // checking it alone sound and complete.
-  ProcessSet t;
-  for (const ProcessId i : q) {
-    if (slot(i, c.ts, 1).pair == c) t.insert(i);
+ProcessSet RqsReader::responded_holders(const TsValue& c, RoundNumber rnd) const {
+  ProcessSet out;
+  for (const ProcessId i : responded_servers_) {
+    if (slot(i, c.ts, rnd).pair == c) out.insert(i);
   }
-  return rqs_.adversary().is_basic(t);
-}
-
-bool RqsReader::valid2(const TsValue& c, ProcessSet q) const {
-  return std::any_of(q.begin(), q.end(), [&](ProcessId i) {
-    return slot(i, c.ts, 2).pair == c;
-  });
+  return out;
 }
 
 bool RqsReader::valid3(const TsValue& c, ProcessSet q) const {
@@ -89,9 +81,23 @@ bool RqsReader::valid3(const TsValue& c, ProcessSet q) const {
 
 bool RqsReader::invalid(const TsValue& c) const {
   if (c.ts > highest_ts_) return true;
+  // Every quorum in Responded lies inside responded_servers_, so valid1
+  // and valid2 of a quorum Q only need Q's intersection with the holder
+  // sets S1 / S2 (the responded servers reporting c in slot 1 / slot 2):
+  // each history is probed once per candidate, not once per quorum. S2 is
+  // built only once some quorum fails valid1.
+  const ProcessSet s1 = responded_holders(c, 1);
+  std::optional<ProcessSet> s2;
   for (const QuorumId qid : responded_) {
     const ProcessSet q = rqs_.quorum_set(qid);
-    if (!valid1(c, q) && !valid2(c, q) && !valid3(c, q)) return true;
+    // Line 3, valid1: some T subset of Q, T not in B, reports c in slot 1.
+    // The maximal such T is Q n S1; B downward closed makes checking it
+    // alone sound and complete.
+    if (rqs_.adversary().is_basic(q & s1)) continue;
+    // Line 4, valid2: some server of Q reports c in slot 2.
+    if (!s2) s2 = responded_holders(c, 2);
+    if (q.intersects(*s2)) continue;
+    if (!valid3(c, q)) return true;  // line 5
   }
   return false;
 }
@@ -116,12 +122,14 @@ std::vector<TsValue> RqsReader::candidate_pairs() const {
   return out;
 }
 
-std::vector<QuorumId> RqsReader::class_ids(RoundNumber r) const {
-  switch (r) {
-    case 1: return rqs_.class1_ids();
-    case 2: return rqs_.class2_ids();
-    default: return rqs_.all_ids();
+template <class Pred>
+bool RqsReader::any_of_class(RoundNumber r, Pred pred) const {
+  if (r == 1) return std::any_of(rqs_.class1_ids().begin(), rqs_.class1_ids().end(), pred);
+  if (r == 2) return std::any_of(rqs_.class2_ids().begin(), rqs_.class2_ids().end(), pred);
+  for (QuorumId qid = 0; qid < rqs_.quorum_count(); ++qid) {
+    if (pred(qid)) return true;
   }
+  return false;
 }
 
 bool RqsReader::bcd1(const TsValue& c, RoundNumber r) const {
@@ -130,24 +138,19 @@ bool RqsReader::bcd1(const TsValue& c, RoundNumber r) const {
   // (R != 2 or QR in Set).
   for (const QuorumId q1id : rqs_.class1_ids()) {
     const ProcessSet q1 = rqs_.quorum_set(q1id);
-    for (const QuorumId qrid : class_ids(r)) {
+    const bool found = any_of_class(r, [&](QuorumId qrid) {
       const ProcessSet inter = q1 & rqs_.quorum_set(qrid);
-      if (inter.empty()) continue;
+      if (inter.empty()) return false;
       // All members must hold slot <c, Set> for one common Set.
       const HistorySlot& first = slot(inter.first(), c.ts, r);
-      if (first.pair != c) continue;
-      bool uniform = true;
+      if (first.pair != c) return false;
       for (const ProcessId i : inter) {
         const HistorySlot& s = slot(i, c.ts, r);
-        if (s.pair != c || s.sets != first.sets) {
-          uniform = false;
-          break;
-        }
+        if (s.pair != c || s.sets != first.sets) return false;
       }
-      if (!uniform) continue;
-      if (r == 2 && first.sets.find(qrid) == first.sets.end()) continue;
-      return true;
-    }
+      return r != 2 || first.sets.find(qrid) != first.sets.end();
+    });
+    if (found) return true;
   }
   return false;
 }
@@ -158,16 +161,13 @@ QuorumIdSet RqsReader::bcd2(const TsValue& c, RoundNumber r) const {
   QuorumIdSet out;
   for (const QuorumId q2id : qc2_prime_) {
     const ProcessSet q2 = rqs_.quorum_set(q2id);
-    for (const QuorumId qrid : class_ids(r)) {
+    const bool covered = any_of_class(r, [&](QuorumId qrid) {
       const ProcessSet inter = q2 & rqs_.quorum_set(qrid);
-      const bool all_match = std::all_of(inter.begin(), inter.end(), [&](ProcessId i) {
+      return std::all_of(inter.begin(), inter.end(), [&](ProcessId i) {
         return slot(i, c.ts, r).pair == c;
       });
-      if (all_match) {
-        out.insert(q2id);
-        break;
-      }
-    }
+    });
+    if (covered) out.insert(q2id);
   }
   return out;
 }

@@ -84,10 +84,11 @@ class RqsReader final : public sim::Process {
   [[nodiscard]] const HistorySlot& slot(ProcessId i, Timestamp ts, RoundNumber rnd) const;
   /// read(c, i): server i reported pair c in slot 1 or 2 (line 7).
   [[nodiscard]] bool read_pred(const TsValue& c, ProcessId i) const;
-  [[nodiscard]] bool valid1(const TsValue& c, ProcessSet q) const;  // line 3
-  [[nodiscard]] bool valid2(const TsValue& c, ProcessSet q) const;  // line 4
+  /// The responded servers reporting pair c in slot `rnd`.
+  [[nodiscard]] ProcessSet responded_holders(const TsValue& c, RoundNumber rnd) const;
   [[nodiscard]] bool valid3(const TsValue& c, ProcessSet q) const;  // line 5
-  [[nodiscard]] bool invalid(const TsValue& c) const;               // line 6
+  /// Line 6; evaluates valid1 (line 3) and valid2 (line 4) inline.
+  [[nodiscard]] bool invalid(const TsValue& c) const;
   [[nodiscard]] bool safe(const TsValue& c) const;                  // line 8
   /// BCD(c, 1, R) (line 1).
   [[nodiscard]] bool bcd1(const TsValue& c, RoundNumber r) const;
@@ -98,9 +99,11 @@ class RqsReader final : public sim::Process {
   /// (the candidate universe; always includes the initial pair).
   [[nodiscard]] std::vector<TsValue> candidate_pairs() const;
 
-  /// Quorum ids of class exactly <= r used by BCD's QC_R lookup
-  /// (r = 1 -> QC1, r = 2 -> QC2, r = 3 -> all quorums).
-  [[nodiscard]] std::vector<QuorumId> class_ids(RoundNumber r) const;
+  /// BCD's QC_R lookup: true iff `pred` holds for some quorum id of class
+  /// <= r (r = 1 -> QC1, r = 2 -> QC2, r = 3 -> all quorums), visited in
+  /// place in ascending id order up to the first hit.
+  template <class Pred>
+  [[nodiscard]] bool any_of_class(RoundNumber r, Pred pred) const;
 
   // --- state machine ---
   void start_collect_round();
