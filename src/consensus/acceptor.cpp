@@ -87,6 +87,8 @@ void RqsAcceptor::handle_prepare(ProcessId from, const PrepareMsg& m) {
     // prepares precisely because the update1 echoes it provoked may have
     // been lost, and receivers dedup update senders, so re-echoing is
     // idempotent. (Send-once mode drops duplicates silently, as before.)
+    // Its payload is in Old already: it was archived when prep_ was
+    // prepared in this view.
     if (config_.retry.enabled && prep_ == m.value &&
         prepview_.find(view_) != prepview_.end() &&
         (view_ == 0 || from == config_.leader_of(view_))) {
@@ -110,6 +112,7 @@ void RqsAcceptor::handle_prepare(ProcessId from, const PrepareMsg& m) {
   }
   // Line 33: echo with update1.
   send_update(1, m.value, view_, kInvalidQuorum);
+  old_.insert(SignedUpdate::payload(m.value, view_, 1));
 }
 
 void RqsAcceptor::handle_update(ProcessId from, const UpdateMsg& m) {
@@ -122,46 +125,60 @@ void RqsAcceptor::handle_update(ProcessId from, const UpdateMsg& m) {
   ProcessSet& senders = update_senders_[{m.step, m.view, m.value}];
   senders.insert(from);
 
-  // "received from some quorum Q": act on every quorum newly covered.
+  // "received from some quorum Q": act on every covered quorum; the
+  // Updateq test of lines 36-38 picks the ones that still owe an
+  // update<step+1>. Lines 34-35 and the Updateq lookup give the same
+  // result for every covered quorum of one call, so they run once, at the
+  // first one.
+  const RoundNumber step = m.step;
+  std::set<QuorumId>* known = nullptr;  // Updateq[step, view]
+  bool sent = false;
   for (QuorumId qid = 0; qid < config_.rqs->quorum_count(); ++qid) {
     if (!config_.rqs->quorum_set(qid).subset_of(senders)) continue;
-    const RoundNumber step = m.step;
-    // Lines 34-35.
-    if (update_[step] == m.value) {
-      updateview_[step].insert(view_);
-    } else {
-      update_[step] = m.value;
-      updateview_[step] = {view_};
-      for (auto it = updateq_.begin(); it != updateq_.end();) {
-        it = (it->first.first == step) ? updateq_.erase(it) : std::next(it);
+    if (known == nullptr) {
+      // Lines 34-35.
+      if (update_[step] == m.value) {
+        updateview_[step].insert(view_);
+      } else {
+        update_[step] = m.value;
+        updateview_[step] = {view_};
+        for (auto it = updateq_.begin(); it != updateq_.end();) {
+          it = (it->first.first == step) ? updateq_.erase(it) : std::next(it);
+        }
+        for (auto it = updateproof_.begin(); it != updateproof_.end();) {
+          it = (it->first.first == step) ? updateproof_.erase(it) : std::next(it);
+        }
       }
-      for (auto it = updateproof_.begin(); it != updateproof_.end();) {
-        it = (it->first.first == step) ? updateproof_.erase(it) : std::next(it);
-      }
+      known = &updateq_[{step, view_}];
     }
     // Lines 36-38.
-    std::set<QuorumId>& known = updateq_[{step, view_}];
     const bool fresh_quorum =
-        (step == 1 && known.find(qid) == known.end()) ||
-        (step == 2 && known.empty());
+        (step == 1 && known->find(qid) == known->end()) ||
+        (step == 2 && known->empty());
     if (fresh_quorum) {
-      known.insert(qid);
+      known->insert(qid);
       send_update(step + 1, m.value, view_, qid);
+      sent = true;
     }
   }
+  if (sent) old_.insert(SignedUpdate::payload(m.value, view_, step + 1));
 }
 
 void RqsAcceptor::send_update(RoundNumber step, Value v, ViewNumber view,
                               QuorumId quorum) {
-  for (const ProcessId target : config_.acceptors_and_learners()) {
+  const auto build = [&](Value value) {
     auto msg = make_msg<UpdateMsg>();
     msg->step = step;
-    msg->value = update_value_for(v, target, step);
+    msg->value = value;
     msg->view = view;
     msg->quorum = quorum;
-    send(target, std::move(msg));
+    return msg;
+  };
+  const sim::MessagePtr genuine = build(v);
+  for (const ProcessId target : config_.acceptors_and_learners()) {
+    const Value value = update_value_for(v, target, step);
+    send(target, value == v ? genuine : sim::MessagePtr(build(value)));
   }
-  old_.insert(SignedUpdate::payload(v, view, step));
 }
 
 void RqsAcceptor::handle_new_view(ProcessId from, const NewViewMsg& m) {

@@ -52,6 +52,10 @@ class RqsAcceptor : public sim::Process {
   void begin_new_view_ack(ProcessId from, ViewNumber view);
   void handle_sign_req(ProcessId from, const SignReqMsg& m);
   void handle_sign_ack(ProcessId from, const SignAckMsg& m);
+  /// Sends update<step>(v, view, quorum) to every acceptor and learner as
+  /// one message shared by all targets that get the genuine value (each
+  /// value a Byzantine subclass substitutes goes out as its own message).
+  /// Callers archive the signed payload in Old.
   void send_update(RoundNumber step, Value v, ViewNumber view, QuorumId quorum);
   void try_complete_pending_ack();
   void on_decided(Value v);
