@@ -79,13 +79,13 @@ void print_tables() {
 
 // Each iteration accumulates into a bench-owned observer; afterwards the
 // sim-time learn latency (each cluster proposes at t=0) is reported as
-// histogram percentiles. Observation is passive, so attaching the
-// observer cannot change what the iterations do.
+// histogram percentiles in sim ticks (Delta = 1000). Observation is
+// passive, so attaching the observer cannot change what the iterations do.
 void report_learn_latency(benchmark::State& state, const rqs::obs::Observer& ob) {
   const rqs::obs::MetricsSnapshot snap = ob.snapshot();
   if (const auto* h = snap.histogram("consensus.learn.sim_time")) {
-    state.counters["sim_p50_us"] = static_cast<double>(h->percentile(50.0));
-    state.counters["sim_p99_us"] = static_cast<double>(h->percentile(99.0));
+    state.counters["sim_p50_ticks"] = static_cast<double>(h->percentile(50.0));
+    state.counters["sim_p99_ticks"] = static_cast<double>(h->percentile(99.0));
   }
 }
 

@@ -56,22 +56,25 @@ void print_tables() {
                   make_disseminating(5, 1, 1), {}, "3/3"});
 }
 
-// Sim-time percentiles of the operation latency histograms the protocol
-// instrumentation records (reader/writer measure start-to-finish per op).
+// Sim-time percentiles, in sim ticks (Delta = 1000), of the operation
+// latency histograms the protocol instrumentation records (reader/writer
+// measure start-to-finish per op).
 void report_op_latency(benchmark::State& state, const rqs::obs::Observer& ob) {
   const rqs::obs::MetricsSnapshot snap = ob.snapshot();
   if (const auto* h = snap.histogram("storage.write.sim_time")) {
-    state.counters["write_sim_p50_us"] = static_cast<double>(h->percentile(50.0));
-    state.counters["write_sim_p99_us"] = static_cast<double>(h->percentile(99.0));
+    state.counters["write_sim_p50_ticks"] = static_cast<double>(h->percentile(50.0));
+    state.counters["write_sim_p99_ticks"] = static_cast<double>(h->percentile(99.0));
   }
   if (const auto* h = snap.histogram("storage.read.sim_time")) {
-    state.counters["read_sim_p50_us"] = static_cast<double>(h->percentile(50.0));
-    state.counters["read_sim_p99_us"] = static_cast<double>(h->percentile(99.0));
+    state.counters["read_sim_p50_ticks"] = static_cast<double>(h->percentile(50.0));
+    state.counters["read_sim_p99_ticks"] = static_cast<double>(h->percentile(99.0));
   }
 }
 
-// Fresh cluster per iteration (10 op pairs each): servers keep the whole
-// history (Section 5), so a shared cluster would slow down over time.
+// Fresh cluster per iteration (10 op pairs each), so every iteration runs
+// the same execution from the initial state. (Servers compact their
+// histories below the latest complete pair, so a shared cluster would not
+// slow down; it would only start each iteration from a different state.)
 void BM_WriteReadBestCase(benchmark::State& state) {
   rqs::obs::Observer ob;
   RoundNumber write_rounds = 0;

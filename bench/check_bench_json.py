@@ -14,6 +14,9 @@ actually rely on:
     time_unit from the google-benchmark set
   * error entries (error_occurred) fail validation loudly
   * no duplicate (name, repetition_index) pairs
+  * no counter named like `sim_..._us`: simulated time is counted in sim
+    ticks, never in microseconds, so such a name mislabels its unit
+    (name sim-time counters `..._ticks`)
 
 Usage: check_bench_json.py FILE [FILE...]   — exit 1 on the first bad file.
 """
@@ -22,10 +25,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
 TIME_UNITS = {"ns", "us", "ms", "s"}
+# A sim-time counter with a microsecond suffix: sim time is in ticks.
+SIM_TIME_AS_US = re.compile(r"sim_.*_us$")
 
 
 def fail(path: Path, msg: str) -> None:
@@ -86,6 +92,10 @@ def check_file(path: Path) -> int:
         if entry.get("time_unit") not in TIME_UNITS:
             fail(path, f"benchmark '{name}': time_unit "
                        f"{entry.get('time_unit')!r} not in {sorted(TIME_UNITS)}")
+        for counter in entry:
+            if SIM_TIME_AS_US.search(counter):
+                fail(path, f"benchmark '{name}': counter '{counter}' labels "
+                           f"sim ticks as microseconds (name it '..._ticks')")
         key = (name, entry.get("repetition_index"))
         if key in seen:
             fail(path, f"duplicate benchmark entry {key!r}")
