@@ -7,17 +7,23 @@
 // are nearly trivial, so only larger systems show whether a change to them
 // keeps every execution as it was.
 //
+// On 3t+1 every quorum is class 2, so a check that wrongly skips class 3
+// quorums behaves the same there. The graded7 rows (graded threshold
+// n = 7, k = 1, t = 2, r = 1, q = 0: the same 29 quorums, split 1 / 7 / 21
+// over classes 1 / 2 / 3) pin executions whose progress needs a class 3
+// quorum: two crashed servers leave only class 3 quorums alive.
+//
 // Each run is compared to values recorded once: the simulated end time,
 // the sent and delivered message counts, one FNV over every process's
 // digest_state, the per-tag send counts, and the operation outcomes (read
 // values and rounds; learned value and learn delays). Storage cells run 20
-// write+read pairs with all servers up, servers 0..t-1 crashed, or servers
-// 0..t-1 Byzantine (fabricating one pair, or equivocating between two).
+// write+read pairs with all servers up, some servers crashed, or some
+// servers Byzantine (fabricating one pair, or equivocating between two).
 // Consensus cells follow the repo benchmark's ladder cells (2 proposers, 1
-// learner): all up, a Byzantine leader, acceptors 0..t-1 Byzantine, and
-// acceptors 0..t-1 crashed. Each consensus cell runs once stopped as soon
-// as the learner learns, leaving thousands of messages in flight when the
-// cluster is destroyed, and once drained to idle.
+// learner): all up, a Byzantine leader, some acceptors Byzantine, and some
+// acceptors crashed. Each consensus cell runs once stopped as soon as the
+// learner learns, leaving thousands of messages in flight when the cluster
+// is destroyed, and once drained to idle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -90,9 +96,11 @@ bool run_until(sim::Simulation& s, const std::function<bool()>& done) {
   return done();
 }
 
+RefinedQuorumSystem graded7() { return make_graded_threshold(7, 1, 2, 1, 0); }
+
 // --- storage ---------------------------------------------------------------
 
-enum class StorageCell { kUp, kCrash, kFabricate, kEquivocate };
+enum class Lie { kFabricate, kEquivocate };
 
 /// "a x2, b x1" for {a, a, b}.
 std::string run_length(const std::vector<std::string>& items) {
@@ -104,24 +112,24 @@ std::string run_length(const std::vector<std::string>& items) {
   return out;
 }
 
-/// 20 write+read pairs on key 0, alternating between two readers (ids 41
-/// and 42, so an equivocating server shows each reader a different lie).
-/// The outcome lists "write rounds/read rounds" per pair, run-length
-/// encoded.
-Fingerprint storage_run(std::size_t t, StorageCell cell) {
+/// 20 write+read pairs on key 0 of `sys`, alternating between two readers
+/// (ids 41 and 42, so an equivocating server shows each reader a different
+/// lie). Servers 0..crashed-1 crash before the first write; servers
+/// 0..byzantine-1 are Byzantine and tell `lie`. The outcome lists "write
+/// rounds/read rounds" per pair, run-length encoded.
+Fingerprint storage_run(RefinedQuorumSystem sys, std::size_t crashed,
+                        std::size_t byzantine, Lie lie = Lie::kFabricate) {
   storage::StorageClusterConfig cfg;
   cfg.reader_count = 2;
-  if (cell == StorageCell::kFabricate || cell == StorageCell::kEquivocate) {
-    cfg.byzantine = ProcessSet::universe(t);
-    cfg.forge = cell == StorageCell::kFabricate
+  if (byzantine > 0) {
+    cfg.byzantine = ProcessSet::universe(byzantine);
+    cfg.forge = lie == Lie::kFabricate
                     ? storage::ByzantineStorageServer::fabricate({1000, -7})
                     : storage::ByzantineStorageServer::equivocate({1000, -7},
                                                                   {1001, -8});
   }
-  storage::StorageCluster c(make_3t1_instantiation(t), cfg);
-  if (cell == StorageCell::kCrash) {
-    for (ProcessId id = 0; id < t; ++id) c.crash(id);
-  }
+  storage::StorageCluster c(std::move(sys), cfg);
+  for (ProcessId id = 0; id < crashed; ++id) c.crash(id);
   std::vector<std::string> rounds;
   for (Value v = 1; v <= kPairs; ++v) {
     const std::size_t r = static_cast<std::size_t>(v % 2);
@@ -146,72 +154,93 @@ Fingerprint storage_run(std::size_t t, StorageCell cell) {
 }
 
 TEST(QuorumScalingPinnedTest, StorageUp) {
-  expect_pinned(storage_run(2, StorageCell::kUp),
+  expect_pinned(storage_run(make_3t1_instantiation(2), 0, 0),
                 {80000, 560, 560, 0xa991f447d9b2c651ull,
                  "RD=140 RD_ACK=140 WR=140 WR_ACK=140",
                  "1/1 x20"});
-  expect_pinned(storage_run(3, StorageCell::kUp),
+  expect_pinned(storage_run(make_3t1_instantiation(3), 0, 0),
                 {80000, 800, 800, 0x978740280580ee13ull,
                  "RD=200 RD_ACK=200 WR=200 WR_ACK=200",
                  "1/1 x20"});
 }
 
 TEST(QuorumScalingPinnedTest, StorageCrash) {
-  expect_pinned(storage_run(2, StorageCell::kCrash),
+  expect_pinned(storage_run(make_3t1_instantiation(2), 2, 0),
                 {120000, 720, 600, 0xebc0b8c6f9f53a39ull,
                  "RD=140 RD_ACK=100 WR=280 WR_ACK=200",
                  "2/1 x20"});
-  expect_pinned(storage_run(3, StorageCell::kCrash),
+  expect_pinned(storage_run(make_3t1_instantiation(3), 3, 0),
                 {120000, 1020, 840, 0x3648149347037b58ull,
                  "RD=200 RD_ACK=140 WR=400 WR_ACK=280",
                  "2/1 x20"});
 }
 
 TEST(QuorumScalingPinnedTest, StorageFabricate) {
-  expect_pinned(storage_run(2, StorageCell::kFabricate),
+  expect_pinned(storage_run(make_3t1_instantiation(2), 0, 2),
                 {80000, 560, 560, 0xa8b666344988b33eull,
                  "RD=140 RD_ACK=140 WR=140 WR_ACK=140",
                  "1/1 x20"});
-  expect_pinned(storage_run(3, StorageCell::kFabricate),
+  expect_pinned(storage_run(make_3t1_instantiation(3), 0, 3),
                 {80000, 800, 800, 0xea892162314b5450ull,
                  "RD=200 RD_ACK=200 WR=200 WR_ACK=200",
                  "1/1 x20"});
 }
 
 TEST(QuorumScalingPinnedTest, StorageEquivocate) {
-  expect_pinned(storage_run(2, StorageCell::kEquivocate),
+  expect_pinned(storage_run(make_3t1_instantiation(2), 0, 2, Lie::kEquivocate),
                 {80000, 560, 560, 0x52c6a38698322dcfull,
                  "RD=140 RD_ACK=140 WR=140 WR_ACK=140",
                  "1/1 x20"});
-  expect_pinned(storage_run(3, StorageCell::kEquivocate),
+  expect_pinned(storage_run(make_3t1_instantiation(3), 0, 3, Lie::kEquivocate),
                 {80000, 800, 800, 0x49a4e08538762bb9ull,
                  "RD=200 RD_ACK=200 WR=200 WR_ACK=200",
                  "1/1 x20"});
 }
 
+TEST(QuorumScalingPinnedTest, Graded7Storage) {
+  expect_pinned(storage_run(graded7(), 0, 0),
+                {80000, 560, 560, 0xbe6df5762cfc8e91ull,
+                 "RD=140 RD_ACK=140 WR=140 WR_ACK=140",
+                 "1/1 x20"});
+  expect_pinned(storage_run(graded7(), 2, 0),
+                {160000, 960, 800, 0x4ce2d410745f45c7ull,
+                 "RD=140 RD_ACK=100 WR=420 WR_ACK=300",
+                 "3/1 x20"});
+  expect_pinned(storage_run(graded7(), 0, 1),
+                {80000, 560, 560, 0x2075a8c1f3f9fa96ull,
+                 "RD=140 RD_ACK=140 WR=140 WR_ACK=140",
+                 "1/1 x20"});
+  expect_pinned(storage_run(graded7(), 0, 1, Lie::kEquivocate),
+                {80000, 560, 560, 0x194276bce52cea2full,
+                 "RD=140 RD_ACK=140 WR=140 WR_ACK=140",
+                 "1/1 x20"});
+}
+
 // --- consensus -------------------------------------------------------------
 
-enum class ConsensusCell { kFast, kByzLeader, kByzAcceptors, kCrash };
+enum class Leader { kHonest, kByzantine };
 enum class Stop { kLearned, kIdle };
 
 constexpr Value kProposal = 7;
 constexpr std::size_t kProposers = 2;
 
-/// One single-shot instance. The outcome is "learned value@learn delays".
-Fingerprint consensus_run(std::size_t t, ConsensusCell cell, Stop stop) {
+/// One single-shot instance on `sys`: acceptors 0..crashed-1 crash before
+/// the proposal, acceptors 0..byzantine-1 are Byzantine, and `leader` says
+/// whether the leader of view 0 is. The outcome is "learned value@learn
+/// delays".
+Fingerprint consensus_run(RefinedQuorumSystem sys, std::size_t crashed,
+                          std::size_t byzantine, Leader leader, Stop stop) {
   consensus::ClusterConfig cfg;
   cfg.proposer_count = kProposers;
   cfg.learner_count = 1;
-  cfg.byzantine_proposer = cell == ConsensusCell::kByzLeader;
-  if (cell == ConsensusCell::kByzAcceptors) cfg.byzantine_acceptors = ProcessSet::universe(t);
-  consensus::ConsensusCluster c(make_3t1_instantiation(t), cfg);
-  if (cell == ConsensusCell::kCrash) {
-    for (ProcessId id = 0; id < t; ++id) c.sim().crash(id);
-  }
+  cfg.byzantine_proposer = leader == Leader::kByzantine;
+  cfg.byzantine_acceptors = ProcessSet::universe(byzantine);
+  consensus::ConsensusCluster c(std::move(sys), cfg);
+  for (ProcessId id = 0; id < crashed; ++id) c.sim().crash(id);
   c.propose(0, kProposal);
   // The honest proposer 1 takes over once the Byzantine leader's view is
   // suspected.
-  if (cell == ConsensusCell::kByzLeader) c.propose(1, kProposal);
+  if (leader == Leader::kByzantine) c.propose(1, kProposal);
   EXPECT_TRUE(c.run_until_learned(kDeadlineDeltas));
   if (stop == Stop::kIdle) run_until(c.sim(), [&] { return c.sim().idle(); });
   EXPECT_EQ(c.agreed_value(), std::optional<Value>{kProposal});
@@ -230,19 +259,19 @@ Fingerprint consensus_run(std::size_t t, ConsensusCell cell, Stop stop) {
 }
 
 TEST(QuorumScalingPinnedTest, ConsensusFast) {
-  expect_pinned(consensus_run(2, ConsensusCell::kFast, Stop::kLearned),
+  expect_pinned(consensus_run(make_3t1_instantiation(2), 0, 0, Leader::kHonest, Stop::kLearned),
                 {2000, 1736, 63, 0x98c2453f9b177e10ull,
                  "DECISION=49 PREPARE=7 UPDATE1=56 UPDATE2=1624",
                  "7@2"});
-  expect_pinned(consensus_run(2, ConsensusCell::kFast, Stop::kIdle),
+  expect_pinned(consensus_run(make_3t1_instantiation(2), 0, 0, Leader::kHonest, Stop::kIdle),
                 {10000, 1862, 1862, 0xbc79a9087854bdd3ull,
                  "DECISION=105 DECISION_PULL=7 PREPARE=7 SYNC=7 UPDATE1=56 UPDATE2=1624 UPDATE3=56",
                  "7@2"});
-  expect_pinned(consensus_run(3, ConsensusCell::kFast, Stop::kLearned),
+  expect_pinned(consensus_run(make_3t1_instantiation(3), 0, 0, Leader::kHonest, Stop::kLearned),
                 {2000, 19580, 120, 0xcd7dff9f6e77b97cull,
                  "DECISION=100 PREPARE=10 UPDATE1=110 UPDATE2=19360",
                  "7@2"});
-  expect_pinned(consensus_run(3, ConsensusCell::kFast, Stop::kIdle),
+  expect_pinned(consensus_run(make_3t1_instantiation(3), 0, 0, Leader::kHonest, Stop::kIdle),
                 {10000, 19820, 19820, 0x3d0df38cd411ce20ull,
                  "DECISION=210 DECISION_PULL=10 PREPARE=10 SYNC=10 UPDATE1=110 UPDATE2=19360 "
                  "UPDATE3=110",
@@ -250,22 +279,22 @@ TEST(QuorumScalingPinnedTest, ConsensusFast) {
 }
 
 TEST(QuorumScalingPinnedTest, ConsensusByzLeader) {
-  expect_pinned(consensus_run(2, ConsensusCell::kByzLeader, Stop::kLearned),
+  expect_pinned(consensus_run(make_3t1_instantiation(2), 0, 0, Leader::kByzantine, Stop::kLearned),
                 {11000, 1862, 182, 0xd6a6352017f9c504ull,
                  "DECISION=49 DECISION_PULL=21 NEW_VIEW=7 NEW_VIEW_ACK=7 PREPARE=21 SYNC=14 "
                  "UPDATE1=112 UPDATE2=1624 VIEW_CHANGE=7",
                  "7@11"});
-  expect_pinned(consensus_run(2, ConsensusCell::kByzLeader, Stop::kIdle),
+  expect_pinned(consensus_run(make_3t1_instantiation(2), 0, 0, Leader::kByzantine, Stop::kIdle),
                 {20000, 1974, 1974, 0xd4e226f353bd38fbull,
                  "DECISION=105 DECISION_PULL=21 NEW_VIEW=7 NEW_VIEW_ACK=7 PREPARE=21 SYNC=14 "
                  "UPDATE1=112 UPDATE2=1624 UPDATE3=56 VIEW_CHANGE=7",
                  "7@11"});
-  expect_pinned(consensus_run(3, ConsensusCell::kByzLeader, Stop::kLearned),
+  expect_pinned(consensus_run(make_3t1_instantiation(3), 0, 0, Leader::kByzantine, Stop::kLearned),
                 {11000, 19790, 320, 0x3f8e92c4c517352full,
                  "DECISION=100 DECISION_PULL=30 NEW_VIEW=10 NEW_VIEW_ACK=10 PREPARE=30 SYNC=20 "
                  "UPDATE1=220 UPDATE2=19360 VIEW_CHANGE=10",
                  "7@11"});
-  expect_pinned(consensus_run(3, ConsensusCell::kByzLeader, Stop::kIdle),
+  expect_pinned(consensus_run(make_3t1_instantiation(3), 0, 0, Leader::kByzantine, Stop::kIdle),
                 {20000, 20010, 20010, 0xd8a6b14ae697367ull,
                  "DECISION=210 DECISION_PULL=30 NEW_VIEW=10 NEW_VIEW_ACK=10 PREPARE=30 SYNC=20 "
                  "UPDATE1=220 UPDATE2=19360 UPDATE3=110 VIEW_CHANGE=10",
@@ -273,19 +302,19 @@ TEST(QuorumScalingPinnedTest, ConsensusByzLeader) {
 }
 
 TEST(QuorumScalingPinnedTest, ConsensusByzAcceptors) {
-  expect_pinned(consensus_run(2, ConsensusCell::kByzAcceptors, Stop::kLearned),
+  expect_pinned(consensus_run(make_3t1_instantiation(2), 0, 2, Leader::kHonest, Stop::kLearned),
                 {2000, 812, 63, 0x6bd3b6daf0a52b10ull,
                  "DECISION=21 PREPARE=7 UPDATE1=56 UPDATE2=728",
                  "7@2"});
-  expect_pinned(consensus_run(2, ConsensusCell::kByzAcceptors, Stop::kIdle),
+  expect_pinned(consensus_run(make_3t1_instantiation(2), 0, 2, Leader::kHonest, Stop::kIdle),
                 {10000, 966, 966, 0xacbb69258189c32ull,
                  "DECISION=105 DECISION_PULL=7 PREPARE=7 SYNC=7 UPDATE1=56 UPDATE2=728 UPDATE3=56",
                  "7@2"});
-  expect_pinned(consensus_run(3, ConsensusCell::kByzAcceptors, Stop::kLearned),
+  expect_pinned(consensus_run(make_3t1_instantiation(3), 0, 3, Leader::kHonest, Stop::kLearned),
                 {2000, 9905, 120, 0x9a5cbf005207838full,
                  "DECISION=50 PREPARE=10 UPDATE1=110 UPDATE2=9735",
                  "7@2"});
-  expect_pinned(consensus_run(3, ConsensusCell::kByzAcceptors, Stop::kIdle),
+  expect_pinned(consensus_run(make_3t1_instantiation(3), 0, 3, Leader::kHonest, Stop::kIdle),
                 {10000, 10195, 10195, 0x579d76bcb836c685ull,
                  "DECISION=210 DECISION_PULL=10 PREPARE=10 SYNC=10 UPDATE1=110 UPDATE2=9735 "
                  "UPDATE3=110",
@@ -293,23 +322,70 @@ TEST(QuorumScalingPinnedTest, ConsensusByzAcceptors) {
 }
 
 TEST(QuorumScalingPinnedTest, ConsensusCrash) {
-  expect_pinned(consensus_run(2, ConsensusCell::kCrash, Stop::kLearned),
+  expect_pinned(consensus_run(make_3t1_instantiation(2), 2, 0, Leader::kHonest, Stop::kLearned),
                 {3000, 162, 65, 0xd2896fd958e6f6dbull,
                  "DECISION=35 PREPARE=7 UPDATE1=40 UPDATE2=40 UPDATE3=40",
                  "7@3"});
-  expect_pinned(consensus_run(2, ConsensusCell::kCrash, Stop::kIdle),
+  expect_pinned(consensus_run(make_3t1_instantiation(2), 2, 0, Leader::kHonest, Stop::kIdle),
                 {10000, 216, 160, 0xb85740074b10ad9bull,
                  "DECISION=75 DECISION_PULL=7 PREPARE=7 SYNC=7 UPDATE1=40 UPDATE2=40 UPDATE3=40",
                  "7@3"});
-  expect_pinned(consensus_run(3, ConsensusCell::kCrash, Stop::kLearned),
+  expect_pinned(consensus_run(make_3t1_instantiation(3), 3, 0, Leader::kHonest, Stop::kLearned),
                 {3000, 311, 119, 0x7dcfc5abf4bc135dull,
                  "DECISION=70 PREPARE=10 UPDATE1=77 UPDATE2=77 UPDATE3=77",
                  "7@3"});
-  expect_pinned(consensus_run(3, ConsensusCell::kCrash, Stop::kIdle),
+  expect_pinned(consensus_run(make_3t1_instantiation(3), 3, 0, Leader::kHonest, Stop::kIdle),
                 {10000, 408, 294, 0x1c0d444dbf261c25ull,
                  "DECISION=147 DECISION_PULL=10 PREPARE=10 SYNC=10 UPDATE1=77 UPDATE2=77 "
                  "UPDATE3=77",
                  "7@3"});
+}
+
+TEST(QuorumScalingPinnedTest, Graded7Consensus) {
+  expect_pinned(consensus_run(graded7(), 0, 0, Leader::kHonest, Stop::kLearned),
+                {2000, 1736, 63, 0x98c2453f9b177e10ull,
+                 "DECISION=49 PREPARE=7 UPDATE1=56 UPDATE2=1624",
+                 "7@2"});
+  expect_pinned(consensus_run(graded7(), 0, 0, Leader::kHonest, Stop::kIdle),
+                {10000, 1862, 1862, 0xbc79a9087854bdd3ull,
+                 "DECISION=105 DECISION_PULL=7 PREPARE=7 SYNC=7 UPDATE1=56 UPDATE2=1624 UPDATE3=56",
+                 "7@2"});
+  expect_pinned(consensus_run(graded7(), 0, 0, Leader::kByzantine, Stop::kLearned),
+                {11000, 1862, 182, 0xd6a6352017f9c504ull,
+                 "DECISION=49 DECISION_PULL=21 NEW_VIEW=7 NEW_VIEW_ACK=7 PREPARE=21 SYNC=14 "
+                 "UPDATE1=112 UPDATE2=1624 VIEW_CHANGE=7",
+                 "7@11"});
+  expect_pinned(consensus_run(graded7(), 0, 0, Leader::kByzantine, Stop::kIdle),
+                {20000, 1974, 1974, 0xd4e226f353bd38fbull,
+                 "DECISION=105 DECISION_PULL=21 NEW_VIEW=7 NEW_VIEW_ACK=7 PREPARE=21 SYNC=14 "
+                 "UPDATE1=112 UPDATE2=1624 UPDATE3=56 VIEW_CHANGE=7",
+                 "7@11"});
+  expect_pinned(consensus_run(graded7(), 0, 1, Leader::kHonest, Stop::kLearned),
+                {2000, 1004, 63, 0x48fb9ccca2be7d90ull,
+                 "DECISION=21 PREPARE=7 UPDATE1=56 UPDATE2=920",
+                 "7@2"});
+  expect_pinned(consensus_run(graded7(), 0, 1, Leader::kHonest, Stop::kIdle),
+                {10000, 1158, 1158, 0x64c96696232917b2ull,
+                 "DECISION=105 DECISION_PULL=7 PREPARE=7 SYNC=7 UPDATE1=56 UPDATE2=920 UPDATE3=56",
+                 "7@2"});
+  expect_pinned(consensus_run(graded7(), 2, 0, Leader::kHonest, Stop::kLearned),
+                {4000, 176, 95, 0xd2896fd958e6f6dbull,
+                 "DECISION=35 DECISION_PULL=7 PREPARE=7 SYNC=7 UPDATE1=40 UPDATE2=40 UPDATE3=40",
+                 "7@4"});
+  expect_pinned(consensus_run(graded7(), 2, 0, Leader::kHonest, Stop::kIdle),
+                {10000, 216, 160, 0xb85740074b10ad9bull,
+                 "DECISION=75 DECISION_PULL=7 PREPARE=7 SYNC=7 UPDATE1=40 UPDATE2=40 UPDATE3=40",
+                 "7@4"});
+  expect_pinned(consensus_run(graded7(), 2, 0, Leader::kByzantine, Stop::kLearned),
+                {13000, 268, 175, 0xea3a0c68a8df2e1ull,
+                 "DECISION=35 DECISION_PULL=21 NEW_VIEW=7 NEW_VIEW_ACK=5 PREPARE=21 SYNC=14 "
+                 "UPDATE1=80 UPDATE2=40 UPDATE3=40 VIEW_CHANGE=5",
+                 "7@13"});
+  expect_pinned(consensus_run(graded7(), 2, 0, Leader::kByzantine, Stop::kIdle),
+                {20000, 268, 200, 0x58244d49923553baull,
+                 "DECISION=35 DECISION_PULL=21 NEW_VIEW=7 NEW_VIEW_ACK=5 PREPARE=21 SYNC=14 "
+                 "UPDATE1=80 UPDATE2=40 UPDATE3=40 VIEW_CHANGE=5",
+                 "7@13"});
 }
 
 }  // namespace
