@@ -301,27 +301,8 @@ bool RqsAcceptor::vproof_valid(const VProof& vproof, ProcessSet q) const {
   for (const ProcessId a : q) {
     const auto it = vproof.find(a);
     if (it == vproof.end()) return false;
-    if (!ack_signatures_valid(it->second)) return false;
-  }
-  return true;
-}
-
-bool RqsAcceptor::ack_signatures_valid(const NewViewAckData& ack) const {
-  for (RoundNumber step = 1; step <= 2; ++step) {
-    for (const ViewNumber w : ack.updateview[step]) {
-      const auto it = ack.updateproof.find(StepView{step, w});
-      if (it == ack.updateproof.end()) return false;
-      ProcessSet signers;
-      for (const SignedUpdate& su : it->second) {
-        if (su.value != ack.update[step] || su.view != w || su.step != step) {
-          return false;
-        }
-        if (!config_.authority->verify(su.signature, su.signer, su.payload())) {
-          return false;
-        }
-        signers.insert(su.signer);
-      }
-      if (!config_.rqs->adversary().is_basic(signers)) return false;
+    if (!updateproof_valid(it->second, *config_.authority, config_.rqs->adversary())) {
+      return false;
     }
   }
   return true;

@@ -62,7 +62,6 @@ class RqsAcceptor : public sim::Process {
   [[nodiscard]] bool vproof_valid(const VProof& vproof, ProcessSet q) const;
   [[nodiscard]] bool view_proof_valid(const std::vector<SignedViewChange>& proof,
                                       ViewNumber view) const;
-  [[nodiscard]] bool ack_signatures_valid(const NewViewAckData& ack) const;
 
   // --- Election module ---
   void arm_suspect_timer();

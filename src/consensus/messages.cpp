@@ -23,4 +23,25 @@ std::string NewViewAckData::payload() const {
   return out;
 }
 
+bool updateproof_valid(const NewViewAckData& ack,
+                       const sim::SignatureAuthority& authority,
+                       const Adversary& adversary) {
+  for (RoundNumber step = 1; step <= 2; ++step) {
+    for (const ViewNumber w : ack.updateview[step]) {
+      const auto it = ack.updateproof.find(StepView{step, w});
+      if (it == ack.updateproof.end()) return false;
+      ProcessSet signers;
+      for (const SignedUpdate& su : it->second) {
+        if (su.value != ack.update[step] || su.view != w || su.step != step) {
+          return false;
+        }
+        if (!authority.verify(su.signature, su.signer, su.payload())) return false;
+        signers.insert(su.signer);
+      }
+      if (!adversary.is_basic(signers)) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace rqs::consensus

@@ -64,6 +64,13 @@ struct NewViewAckData {
   [[nodiscard]] std::string payload() const;
 };
 
+/// Figure 12 line 4 ("valid acks"): every update the ack claims carries
+/// an Updateproof set of correctly signed update<step> messages with the
+/// claimed value and view, signed by a basic subset (not in B).
+[[nodiscard]] bool updateproof_valid(const NewViewAckData& ack,
+                                     const sim::SignatureAuthority& authority,
+                                     const Adversary& adversary);
+
 /// vProof: new_view_ack data per acceptor (from some quorum Q).
 using VProof = std::map<ProcessId, NewViewAckData>;
 

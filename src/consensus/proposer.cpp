@@ -85,26 +85,8 @@ bool RqsProposer::ack_valid(const NewViewAckMsg& m) const {
   if (!config_.authority->verify(m.signature, m.signer, m.data.payload())) {
     return false;
   }
-  // Line 4 ("valid acks"): every claimed update must carry Updateproof
-  // signatures from a basic subset.
-  for (RoundNumber step = 1; step <= 2; ++step) {
-    for (const ViewNumber w : m.data.updateview[step]) {
-      const auto it = m.data.updateproof.find(StepView{step, w});
-      if (it == m.data.updateproof.end()) return false;
-      ProcessSet signers;
-      for (const SignedUpdate& su : it->second) {
-        if (su.value != m.data.update[step] || su.view != w || su.step != step) {
-          return false;
-        }
-        if (!config_.authority->verify(su.signature, su.signer, su.payload())) {
-          return false;
-        }
-        signers.insert(su.signer);
-      }
-      if (!config_.rqs->adversary().is_basic(signers)) return false;
-    }
-  }
-  return true;
+  // Line 4 ("valid acks").
+  return updateproof_valid(m.data, *config_.authority, config_.rqs->adversary());
 }
 
 void RqsProposer::try_choose_and_prepare() {
