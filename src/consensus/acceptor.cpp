@@ -48,12 +48,9 @@ void RqsAcceptor::on_message(ProcessId from, const sim::Message& m) {
       // Fig. 14 line 8: a quorum of decision messages stops the timer.
       ProcessSet& senders = decision_senders_[dec.value];
       if (config_.acceptors.contains(from)) senders.insert(from);
-      for (const Quorum& q : config_.rqs->quorums()) {
-        if (q.set.subset_of(senders)) {
-          suspect_stopped_ = true;
-          if (suspect_armed_) cancel_timer(suspect_timer_);
-          break;
-        }
+      if (config_.rqs->has_quorum_in(senders)) {
+        suspect_stopped_ = true;
+        if (suspect_armed_) cancel_timer(suspect_timer_);
       }
       return;
     }
@@ -133,8 +130,8 @@ void RqsAcceptor::handle_update(ProcessId from, const UpdateMsg& m) {
   const RoundNumber step = m.step;
   std::set<QuorumId>* known = nullptr;  // Updateq[step, view]
   bool sent = false;
-  for (QuorumId qid = 0; qid < config_.rqs->quorum_count(); ++qid) {
-    if (!config_.rqs->quorum_set(qid).subset_of(senders)) continue;
+  config_.rqs->any_quorum(QuorumClass::Class3, [&](QuorumId qid) {
+    if (!config_.rqs->quorum_set(qid).subset_of(senders)) return false;
     if (known == nullptr) {
       // Lines 34-35.
       if (update_[step] == m.value) {
@@ -160,7 +157,8 @@ void RqsAcceptor::handle_update(ProcessId from, const UpdateMsg& m) {
       send_update(step + 1, m.value, view_, qid);
       sent = true;
     }
-  }
+    return false;  // act on every covered quorum
+  });
   if (sent) old_.insert(SignedUpdate::payload(m.value, view_, step + 1));
 }
 
@@ -316,10 +314,7 @@ bool RqsAcceptor::view_proof_valid(const std::vector<SignedViewChange>& proof,
     if (!config_.authority->verify(vc.signature, vc.signer, vc.payload())) continue;
     if (config_.acceptors.contains(vc.signer)) signers.insert(vc.signer);
   }
-  for (const Quorum& q : config_.rqs->quorums()) {
-    if (q.set.subset_of(signers)) return true;
-  }
-  return false;
+  return config_.rqs->has_quorum_in(signers);
 }
 
 void RqsAcceptor::on_decided(Value v) {

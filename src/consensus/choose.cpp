@@ -42,19 +42,17 @@ bool cand2(Value v, ViewNumber w, const VProof& vproof, ProcessSet q,
   // with miss = the members of Q1 n Q failing the report, any B works iff
   // B contains miss, and B downward closed makes miss itself the smallest
   // such element — so cand2 iff miss is in the adversary.
-  for (const QuorumId q1id : rqs.class1_ids()) {
-    const ProcessSet q1 = rqs.quorum_set(q1id);
+  return rqs.any_quorum(QuorumClass::Class1, [&](QuorumId q1id) {
     ProcessSet miss;
-    for (const ProcessId a : q1 & q) {
+    for (const ProcessId a : rqs.quorum_set(q1id) & q) {
       const NewViewAckData* ack = ack_of(vproof, a);
       if (ack == nullptr || ack->prep != v ||
           ack->prepview.find(w) == ack->prepview.end()) {
         miss.insert(a);
       }
     }
-    if (rqs.adversary().contains(miss)) return true;
-  }
-  return false;
+    return rqs.adversary().contains(miss);
+  });
 }
 
 bool c3(Value v, ViewNumber w, char variant, QuorumId q2id, ProcessSet b,
@@ -111,19 +109,20 @@ bool c3_some_b(Value v, ViewNumber w, char variant, QuorumId q2id,
 
 bool cand3(Value v, ViewNumber w, char variant, const VProof& vproof,
            ProcessSet q, const RefinedQuorumSystem& rqs) {
-  for (const QuorumId q2id : rqs.class2_ids()) {
-    if (c3_some_b(v, w, variant, q2id, vproof, q, rqs)) return true;
-  }
-  return false;
+  return rqs.any_quorum(QuorumClass::Class2, [&](QuorumId q2id) {
+    return c3_some_b(v, w, variant, q2id, vproof, q, rqs);
+  });
 }
 
 bool valid3(Value v, ViewNumber w, char variant, const VProof& vproof,
             ProcessSet q, const RefinedQuorumSystem& rqs) {
-  for (const QuorumId q2id : rqs.class2_ids()) {
+  // valid3 fails iff C3 holds for some class 2 quorum Q2 and an acceptor
+  // of Q2 n Q neither confirms (v, w) nor has every Prepview view above w.
+  return !rqs.any_quorum(QuorumClass::Class2, [&](QuorumId q2id) {
     // The per-acceptor consequent below does not depend on B, so "for all
     // B where C3 holds, the consequent holds" reduces to "if C3 holds for
     // SOME B (the collapsed witness), the consequent holds".
-    if (!c3_some_b(v, w, variant, q2id, vproof, q, rqs)) continue;
+    if (!c3_some_b(v, w, variant, q2id, vproof, q, rqs)) return false;
     for (const ProcessId a : rqs.quorum_set(q2id) & q) {
       const NewViewAckData* ack = ack_of(vproof, a);
       if (ack == nullptr) continue;  // not part of the proof quorum
@@ -132,10 +131,10 @@ bool valid3(Value v, ViewNumber w, char variant, const VProof& vproof,
       const bool all_above = std::all_of(
           ack->prepview.begin(), ack->prepview.end(),
           [w](ViewNumber wp) { return wp > w; });
-      if (!confirms && !all_above) return false;
+      if (!confirms && !all_above) return true;
     }
-  }
-  return true;
+    return false;
+  });
 }
 
 bool cand4(Value v, ViewNumber w, const VProof& vproof, ProcessSet q) {

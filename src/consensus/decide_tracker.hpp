@@ -26,10 +26,8 @@ class DecideTracker {
       case 1: {
         ProcessSet& senders = update1_[{m.view, m.value}];
         senders.insert(sender);
-        for (const QuorumId q1 : rqs_->class1_ids()) {
-          if (rqs_->quorum_set(q1).subset_of(senders)) {
-            return decide(m.value, 1, m.view);
-          }
+        if (rqs_->has_quorum_in(senders, QuorumClass::Class1)) {
+          return decide(m.value, 1, m.view);
         }
         return std::nullopt;
       }
@@ -51,9 +49,7 @@ class DecideTracker {
       case 3: {
         ProcessSet& senders = update3_[{m.view, m.value}];
         senders.insert(sender);
-        for (const Quorum& q : rqs_->quorums()) {
-          if (q.set.subset_of(senders)) return decide(m.value, 3, m.view);
-        }
+        if (rqs_->has_quorum_in(senders)) return decide(m.value, 3, m.view);
         return std::nullopt;
       }
       default:

@@ -93,27 +93,28 @@ void RqsProposer::try_choose_and_prepare() {
   // Lines 3-8: look for a quorum of valid acks not yet known faulty.
   ProcessSet acked;
   for (const auto& [a, data] : acks_) acked.insert(a);
-  for (const Quorum& quorum : config_.rqs->quorums()) {
-    if (!quorum.set.subset_of(acked)) continue;
-    if (faulty_.find(quorum.set) != faulty_.end()) continue;
-    if (prepared_quorums_.find(quorum.set) != prepared_quorums_.end()) continue;
+  config_.rqs->any_quorum(QuorumClass::Class3, [&](QuorumId qid) {
+    const ProcessSet quorum = config_.rqs->quorum_set(qid);
+    if (!quorum.subset_of(acked)) return false;
+    if (faulty_.find(quorum) != faulty_.end()) return false;
+    if (prepared_quorums_.find(quorum) != prepared_quorums_.end()) return false;
     // Restrict the proof to exactly Q's members.
     VProof vproof;
-    for (const ProcessId a : quorum.set) vproof[a] = acks_[a];
-    const ChooseResult chosen = choose(value_, vproof, quorum.set, *config_.rqs);
+    for (const ProcessId a : quorum) vproof[a] = acks_[a];
+    const ChooseResult chosen = choose(value_, vproof, quorum, *config_.rqs);
     if (chosen.abort) {
       if (auto* ob = sim().observer()) {
         ob->count("consensus.choose.abort");
         ob->phase(now(), id(), obs::kPhaseChooseAbort, view_);
       }
-      faulty_.insert(quorum.set);  // line 7
-      continue;
+      faulty_.insert(quorum);  // line 7
+      return false;
     }
-    prepared_quorums_.insert(quorum.set);
+    prepared_quorums_.insert(quorum);
     consulting_ = false;
-    send_prepare(chosen.value, vproof, quorum.set);  // line 9
-    return;
-  }
+    send_prepare(chosen.value, vproof, quorum);  // line 9
+    return true;
+  });
 }
 
 void RqsProposer::on_message(ProcessId from, const sim::Message& m) {
@@ -142,20 +143,17 @@ void RqsProposer::on_message(ProcessId from, const sim::Message& m) {
       if (next <= view_ || config_.leader_of(next) != id()) return;
       ProcessSet senders;
       for (const auto& [a, change] : view_changes_[next]) senders.insert(a);
-      for (const Quorum& q : config_.rqs->quorums()) {
-        if (!q.set.subset_of(senders)) continue;
-        view_proof_.clear();
-        for (const auto& [a, change] : view_changes_[next]) {
-          view_proof_.push_back(change);
-        }
-        view_ = next;  // line 12
-        if (auto* ob = sim().observer()) {
-          ob->count("consensus.view_change");
-          ob->phase(now(), id(), obs::kPhaseViewChange, next);
-        }
-        if (proposed_) run_propose();  // line 13/10: elected => propose
-        return;
+      if (!config_.rqs->has_quorum_in(senders)) return;
+      view_proof_.clear();
+      for (const auto& [a, change] : view_changes_[next]) {
+        view_proof_.push_back(change);
       }
+      view_ = next;  // line 12
+      if (auto* ob = sim().observer()) {
+        ob->count("consensus.view_change");
+        ob->phase(now(), id(), obs::kPhaseViewChange, next);
+      }
+      if (proposed_) run_propose();  // line 13/10: elected => propose
       return;
     }
     case DecisionMsg::kType: {
@@ -165,12 +163,9 @@ void RqsProposer::on_message(ProcessId from, const sim::Message& m) {
       if (!config_.acceptors.contains(from)) return;
       ProcessSet& senders = decision_senders_[dec.value];
       senders.insert(from);
-      for (const Quorum& q : config_.rqs->quorums()) {
-        if (q.set.subset_of(senders)) {
-          halted_ = true;
-          retx_.stop();
-          return;
-        }
+      if (config_.rqs->has_quorum_in(senders)) {
+        halted_ = true;
+        retx_.stop();
       }
       return;
     }

@@ -54,13 +54,6 @@ BasicRefinedQuorumSystem<Set>::BasicRefinedQuorumSystem(
 }
 
 template <class Set>
-std::vector<QuorumId> BasicRefinedQuorumSystem<Set>::all_ids() const {
-  std::vector<QuorumId> ids(quorum_count());
-  for (QuorumId id = 0; id < ids.size(); ++id) ids[id] = id;
-  return ids;
-}
-
-template <class Set>
 std::optional<QuorumId> BasicRefinedQuorumSystem<Set>::find(Set s) const {
   for (QuorumId id = 0; id < quorums_.size(); ++id) {
     if (quorums_[id].set == s) return id;

@@ -29,8 +29,10 @@
 // hierarchical-construction paths.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <ranges>
 #include <span>
 #include <string>
 #include <vector>
@@ -121,7 +123,36 @@ class BasicRefinedQuorumSystem {
   /// quorums are class 3 quorums).
   [[nodiscard]] const std::vector<QuorumId>& class1_ids() const noexcept { return qc1_; }
   [[nodiscard]] const std::vector<QuorumId>& class2_ids() const noexcept { return qc2_; }
-  [[nodiscard]] std::vector<QuorumId> all_ids() const;
+
+  /// The containment query the protocols ask: does some quorum of class
+  /// <= `c` satisfy `pred(QuorumId)`? Visits ids in ascending order (all
+  /// quorums by index for class 3) and stops at the first hit, so a caller
+  /// that acts on the first acceptable quorum gets the lowest id. A `pred`
+  /// that never returns true visits every quorum of class <= `c`.
+  template <class Pred>
+  bool any_quorum(QuorumClass c, Pred pred) const {
+    if (c == QuorumClass::Class3) {
+      for (QuorumId id = 0; id < quorums_.size(); ++id) {
+        if (pred(id)) return true;
+      }
+      return false;
+    }
+    const std::vector<QuorumId>& ids = c == QuorumClass::Class1 ? qc1_ : qc2_;
+    return std::any_of(ids.begin(), ids.end(), pred);
+  }
+
+  /// Is some quorum of class <= `c` inside `s`? ("acks from a class 1
+  /// quorum", "received from some quorum Q", ...)
+  [[nodiscard]] bool has_quorum_in(Set s, QuorumClass c = QuorumClass::Class3) const {
+    return any_quorum(c, [&](QuorumId id) { return quorums_[id].set.subset_of(s); });
+  }
+
+  /// Is some quorum named in `ids` inside `s`? For id lists the caller
+  /// holds, like the paper's QC'2 and X.
+  template <std::ranges::input_range Ids>
+  [[nodiscard]] bool has_quorum_in(Set s, const Ids& ids) const {
+    return std::ranges::any_of(ids, [&](QuorumId id) { return quorum_set(id).subset_of(s); });
+  }
 
   [[nodiscard]] bool has_class1() const noexcept { return !qc1_.empty(); }
   [[nodiscard]] bool has_class2() const noexcept { return !qc2_.empty(); }

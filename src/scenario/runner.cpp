@@ -392,7 +392,7 @@ ScenarioResult ScenarioRunner::run_storage(const ScenarioSpec& spec) const {
       const ProcessSet vis =
           client_reachable(entries, servers, client_id, op.kind, op.client,
                            op.key, op.entry_pos, op.invoked);
-      if (!sys.best_available(vis & correct)) continue;  // nothing promised
+      if (!sys.has_quorum_in(vis & correct)) continue;  // nothing promised
       ++res.liveness_checked;
       if (!op.completed) {
         res.violations.push_back(
@@ -539,7 +539,7 @@ ScenarioResult ScenarioRunner::run_consensus(const ScenarioSpec& spec) const {
       !has_unrecoverable_loss(entries) &&
       !has_permanent_window(entries, ScheduleEntry::Kind::kPartition) &&
       !has_permanent_window(entries, ScheduleEntry::Kind::kAsynchrony) &&
-      sys.best_available(correct)) {
+      sys.has_quorum_in(correct)) {
     for (std::size_t i = 0; i < spec.learner_count; ++i) {
       ++res.liveness_checked;
       if (!cluster.learner(i).learned()) {

@@ -67,16 +67,15 @@ bool RqsReader::valid3(const TsValue& c, ProcessSet q) const {
   // P3b(Q2, Q, B) implies P3b(Q2, Q, miss)). Conversely b = miss is a
   // valid witness. So: valid3 iff miss in B and P3b(Q2, Q, miss) — no
   // enumeration of adversary elements.
-  for (const QuorumId q2id : rqs_.class2_ids()) {
+  return rqs_.any_quorum(QuorumClass::Class2, [&](QuorumId q2id) {
     const ProcessSet q2 = rqs_.quorum_set(q2id);
     ProcessSet miss;
     for (const ProcessId i : q2 & q) {
       const HistorySlot& s = slot(i, c.ts, 1);
       if (s.pair != c || !s.sets.contains(q2id)) miss.insert(i);
     }
-    if (rqs_.adversary().contains(miss) && rqs_.p3b(q2, q, miss)) return true;
-  }
-  return false;
+    return rqs_.adversary().contains(miss) && rqs_.p3b(q2, q, miss);
+  });
 }
 
 bool RqsReader::invalid(const TsValue& c) const {
@@ -122,23 +121,13 @@ std::vector<TsValue> RqsReader::candidate_pairs() const {
   return out;
 }
 
-template <class Pred>
-bool RqsReader::any_of_class(RoundNumber r, Pred pred) const {
-  if (r == 1) return std::any_of(rqs_.class1_ids().begin(), rqs_.class1_ids().end(), pred);
-  if (r == 2) return std::any_of(rqs_.class2_ids().begin(), rqs_.class2_ids().end(), pred);
-  for (QuorumId qid = 0; qid < rqs_.quorum_count(); ++qid) {
-    if (pred(qid)) return true;
-  }
-  return false;
-}
-
 bool RqsReader::bcd1(const TsValue& c, RoundNumber r) const {
   // line 1: exists Q1 in QC1, QR in QC_R, a common Set, with
   // Q1 n QR subset of {s_i : history[i, c.ts, R] = <c, Set>} and
   // (R != 2 or QR in Set).
-  for (const QuorumId q1id : rqs_.class1_ids()) {
+  return rqs_.any_quorum(QuorumClass::Class1, [&](QuorumId q1id) {
     const ProcessSet q1 = rqs_.quorum_set(q1id);
-    const bool found = any_of_class(r, [&](QuorumId qrid) {
+    return rqs_.any_quorum(static_cast<QuorumClass>(r), [&](QuorumId qrid) {
       const ProcessSet inter = q1 & rqs_.quorum_set(qrid);
       if (inter.empty()) return false;
       // All members must hold slot <c, Set> for one common Set.
@@ -150,9 +139,7 @@ bool RqsReader::bcd1(const TsValue& c, RoundNumber r) const {
       }
       return r != 2 || first.sets.find(qrid) != first.sets.end();
     });
-    if (found) return true;
-  }
-  return false;
+  });
 }
 
 QuorumIdSet RqsReader::bcd2(const TsValue& c, RoundNumber r) const {
@@ -161,7 +148,7 @@ QuorumIdSet RqsReader::bcd2(const TsValue& c, RoundNumber r) const {
   QuorumIdSet out;
   for (const QuorumId q2id : qc2_prime_) {
     const ProcessSet q2 = rqs_.quorum_set(q2id);
-    const bool covered = any_of_class(r, [&](QuorumId qrid) {
+    const bool covered = rqs_.any_quorum(static_cast<QuorumClass>(r), [&](QuorumId qrid) {
       const ProcessSet inter = q2 & rqs_.quorum_set(qrid);
       return std::all_of(inter.begin(), inter.end(), [&](ProcessId i) {
         return slot(i, c.ts, r).pair == c;
@@ -308,13 +295,7 @@ void RqsReader::maybe_finish_collect_round() {
   // Line 26: acks of this round from some quorum; line 28: in round 1,
   // additionally the 2*Delta timer.
   if (!timer_expired_) return;
-  const bool some_quorum = [&] {
-    for (const Quorum& q : rqs_.quorums()) {
-      if (q.set.subset_of(round_acks_)) return true;
-    }
-    return false;
-  }();
-  if (!some_quorum) return;
+  if (!rqs_.has_quorum_in(round_acks_)) return;
   end_collect_round();
 }
 
@@ -333,9 +314,10 @@ void RqsReader::end_collect_round() {
     }
     // Lines 30-31: QC'2 = class 2 quorums that acked round 1.
     qc2_prime_.clear();
-    for (const QuorumId q2 : rqs_.class2_ids()) {
+    rqs_.any_quorum(QuorumClass::Class2, [&](QuorumId q2) {
       if (rqs_.quorum_set(q2).subset_of(round_acks_)) qc2_prime_.insert(q2);
-    }
+      return false;
+    });
   }
   // Line 9: highCand(c) iff no candidate with a higher timestamp is
   // not-invalid. One invalid() evaluation per candidate (instead of the
@@ -430,13 +412,7 @@ void RqsReader::start_writeback(RoundNumber wb_round, const QuorumIdSet& set,
 
 void RqsReader::maybe_finish_writeback() {
   // Line 61: acks from some quorum.
-  const bool some_quorum = [&] {
-    for (const Quorum& q : rqs_.quorums()) {
-      if (q.set.subset_of(wb_acks_)) return true;
-    }
-    return false;
-  }();
-  if (!some_quorum) return;
+  if (!rqs_.has_quorum_in(wb_acks_)) return;
 
   switch (phase_) {
     case Phase::kWriteback2:
@@ -446,11 +422,9 @@ void RqsReader::maybe_finish_writeback() {
       // Line 45: also wait for the timer before the line 46 check.
       if (!timer_expired_) return;
       // Line 46: acks from some quorum of X => the read completes.
-      for (const QuorumId qid : wb_target_) {
-        if (rqs_.quorum_set(qid).subset_of(wb_acks_)) {
-          finish(csel_.val);
-          return;
-        }
+      if (rqs_.has_quorum_in(wb_acks_, wb_target_)) {
+        finish(csel_.val);
+        return;
       }
       // Line 47.
       start_writeback(2, QuorumIdSet{}, Phase::kWriteback2);

@@ -99,12 +99,6 @@ class RqsReader final : public sim::Process {
   /// (the candidate universe; always includes the initial pair).
   [[nodiscard]] std::vector<TsValue> candidate_pairs() const;
 
-  /// BCD's QC_R lookup: true iff `pred` holds for some quorum id of class
-  /// <= r (r = 1 -> QC1, r = 2 -> QC2, r = 3 -> all quorums), visited in
-  /// place in ascending id order up to the first hit.
-  template <class Pred>
-  [[nodiscard]] bool any_of_class(RoundNumber r, Pred pred) const;
-
   // --- state machine ---
   void start_collect_round();
   void maybe_finish_collect_round();

@@ -93,39 +93,30 @@ void RqsWriter::on_timer(sim::TimerId timer) {
 void RqsWriter::maybe_finish_round() {
   // Line 12: wait for acks from some quorum AND timeout expiration.
   if (!timer_expired_) return;
-  const bool some_quorum_acked = [&] {
-    for (const Quorum& q : rqs_.quorums()) {
-      if (q.set.subset_of(acked_)) return true;
-    }
-    return false;
-  }();
-  if (!some_quorum_acked) return;
+  if (!rqs_.has_quorum_in(acked_)) return;
 
   switch (round_) {
     case 1: {
       // Line 3: a class 1 quorum acked => single-round write.
-      for (const QuorumId q1 : rqs_.class1_ids()) {
-        if (rqs_.quorum_set(q1).subset_of(acked_)) {
-          complete();
-          return;
-        }
+      if (rqs_.has_quorum_in(acked_, QuorumClass::Class1)) {
+        complete();
+        return;
       }
       // Lines 4-5: remember the class 2 quorums that acked round 1.
       qc2_prime_.clear();
-      for (const QuorumId q2 : rqs_.class2_ids()) {
+      rqs_.any_quorum(QuorumClass::Class2, [&](QuorumId q2) {
         if (rqs_.quorum_set(q2).subset_of(acked_)) qc2_prime_.insert(q2);
-      }
+        return false;
+      });
       round_ = 2;
       start_round();  // line 6
       return;
     }
     case 2: {
       // Line 7: acks from some quorum of QC'2 => two-round write.
-      for (const QuorumId q2 : qc2_prime_) {
-        if (rqs_.quorum_set(q2).subset_of(acked_)) {
-          complete();
-          return;
-        }
+      if (rqs_.has_quorum_in(acked_, qc2_prime_)) {
+        complete();
+        return;
       }
       qc2_prime_.clear();  // line 8
       round_ = 3;

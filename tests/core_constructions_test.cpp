@@ -153,7 +153,7 @@ TEST(ConstructionsTest, QuorumLookupHelpers) {
   ASSERT_TRUE(id.has_value());
   EXPECT_EQ(rqs.quorum(*id).cls, QuorumClass::Class1);
   EXPECT_FALSE(rqs.find(ProcessSet{0, 1}).has_value());
-  EXPECT_EQ(rqs.all_ids().size(), 3u);
+  EXPECT_EQ(rqs.quorum_count(), 3u);
 }
 
 }  // namespace

@@ -145,6 +145,55 @@ TEST_P(CoreRandomTest, ThresholdVsGeneralAgreeOnRandomClassifications) {
   EXPECT_EQ(analytic.check_property3(ra, 1), enumerated.check_property3(rb, 1));
 }
 
+TEST_P(CoreRandomTest, ContainmentQueryMatchesBruteForce) {
+  // has_quorum_in and any_quorum against a brute-force scan of quorums()
+  // filtered by class, on random class labels and random sets S.
+  Rng rng(GetParam() * 13);
+  const std::size_t n = 6 + static_cast<std::size_t>(rng.uniform(0, 2));
+  std::vector<Quorum> annotated;
+  for (const ProcessSet& q : random_quorums(rng, n, 10, 2)) {
+    annotated.push_back(Quorum{q, static_cast<QuorumClass>(rng.uniform(1, 3))});
+  }
+  const RefinedQuorumSystem sys{Adversary::threshold(n, 1), std::move(annotated)};
+  const auto inside = [&](QuorumId id, ProcessSet s) {
+    return sys.quorums()[id].set.subset_of(s);
+  };
+  for (int trial = 0; trial < 50; ++trial) {
+    ProcessSet s;
+    for (ProcessId i = 0; i < n; ++i) {
+      if (rng.chance(0.75)) s.insert(i);
+    }
+    for (const QuorumClass c :
+         {QuorumClass::Class1, QuorumClass::Class2, QuorumClass::Class3}) {
+      // The visitor sees the ids of class <= c in ascending order and stops
+      // at the first one inside S.
+      std::vector<QuorumId> want_visits;
+      bool want = false;
+      for (QuorumId id = 0; id < sys.quorum_count() && !want; ++id) {
+        if (sys.quorums()[id].cls > c) continue;
+        want_visits.push_back(id);
+        want = inside(id, s);
+      }
+      std::vector<QuorumId> visits;
+      const bool got = sys.any_quorum(c, [&](QuorumId id) {
+        visits.push_back(id);
+        return inside(id, s);
+      });
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(visits, want_visits);
+      EXPECT_EQ(sys.has_quorum_in(s, c), want) << "class " << static_cast<int>(c);
+    }
+    // The id-list overload scans exactly the caller's list.
+    std::vector<QuorumId> ids;
+    for (QuorumId id = 0; id < sys.quorum_count(); ++id) {
+      if (rng.chance(0.3)) ids.push_back(id);
+    }
+    bool want = false;
+    for (const QuorumId id : ids) want = want || inside(id, s);
+    EXPECT_EQ(sys.has_quorum_in(s, ids), want);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CoreRandomTest,
                          ::testing::Range<std::uint64_t>(1, 21));
 
