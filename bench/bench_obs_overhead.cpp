@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "bench/echo_mesh.hpp"
 #include "obs/observer.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/runner.hpp"
@@ -23,37 +24,6 @@
 
 namespace rqs::sim {
 namespace {
-
-struct HopMsg final : TypedMessage<HopMsg> {
-  int hops_left{0};
-  [[nodiscard]] std::string_view tag() const override { return "HOP"; }
-};
-
-/// Forwards each received message to the next ring member until the hop
-/// budget dies out (the E18 echo-mesh process).
-class RingProc final : public Process {
- public:
-  RingProc(Simulation& sim, ProcessId id, ProcessId next)
-      : Process(sim, id), next_(next) {}
-
-  void on_message(ProcessId, const Message& m) override {
-    if (m.type() != HopMsg::kType) return;
-    const auto& hop = static_cast<const HopMsg&>(m);
-    if (hop.hops_left == 0) return;
-    auto fwd = make_msg<HopMsg>();
-    fwd->hops_left = hop.hops_left - 1;
-    send(next_, std::move(fwd));
-  }
-
-  void seed(int hops) {
-    auto msg = make_msg<HopMsg>();
-    msg->hops_left = hops;
-    send(next_, std::move(msg));
-  }
-
- private:
-  ProcessId next_;
-};
 
 constexpr ProcessId kProcs = 40;
 constexpr int kHops = 200;
@@ -63,11 +33,7 @@ constexpr int kHops = 200;
 void run_mesh_bench(benchmark::State& state, obs::Observer* ob) {
   Simulation sim;
   sim.set_observer(ob);
-  std::vector<std::unique_ptr<RingProc>> procs;
-  procs.reserve(kProcs);
-  for (ProcessId id = 0; id < kProcs; ++id) {
-    procs.push_back(std::make_unique<RingProc>(sim, id, (id + 1) % kProcs));
-  }
+  auto procs = bench::make_ring(sim, kProcs);
   std::uint64_t last = 0;
   std::uint64_t delivered = 0;
   for (auto _ : state) {

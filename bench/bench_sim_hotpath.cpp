@@ -16,42 +16,16 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "bench/echo_mesh.hpp"
 #include "sim/network.hpp"
 #include "sim/process.hpp"
 
 namespace rqs::sim {
 namespace {
 
-struct HopMsg final : TypedMessage<HopMsg> {
-  int hops_left{0};
-  [[nodiscard]] std::string_view tag() const override { return "HOP"; }
-};
-
-/// Forwards each received message to the next ring member until the hop
-/// budget dies out.
-class RingProc final : public Process {
- public:
-  RingProc(Simulation& sim, ProcessId id, ProcessId next)
-      : Process(sim, id), next_(next) {}
-
-  void on_message(ProcessId, const Message& m) override {
-    if (m.type() != HopMsg::kType) return;
-    const auto& hop = static_cast<const HopMsg&>(m);
-    if (hop.hops_left == 0) return;
-    auto fwd = make_msg<HopMsg>();
-    fwd->hops_left = hop.hops_left - 1;
-    send(next_, std::move(fwd));
-  }
-
-  void seed(int hops) {
-    auto msg = make_msg<HopMsg>();
-    msg->hops_left = hops;
-    send(next_, std::move(msg));
-  }
-
- private:
-  ProcessId next_;
-};
+using bench::HopMsg;
+using bench::make_ring;
+using bench::RingProc;
 
 /// Ring driver shared by the table and the micro.
 std::uint64_t run_echo_mesh(Simulation& sim, std::vector<std::unique_ptr<RingProc>>& procs,
@@ -69,11 +43,7 @@ void BM_EchoMeshMessage(benchmark::State& state) {
   std::uint64_t delivered = 0;
   for (auto _ : state) {
     Simulation sim;
-    std::vector<std::unique_ptr<RingProc>> procs;
-    procs.reserve(kProcs);
-    for (ProcessId id = 0; id < kProcs; ++id) {
-      procs.push_back(std::make_unique<RingProc>(sim, id, (id + 1) % kProcs));
-    }
+    auto procs = make_ring(sim, kProcs);
     delivered += run_echo_mesh(sim, procs, kHops);
     benchmark::DoNotOptimize(sim.messages_delivered());
   }
@@ -87,11 +57,7 @@ void BM_EchoMeshSteadyState(benchmark::State& state) {
   constexpr ProcessId kProcs = 40;
   constexpr int kHops = 200;
   Simulation sim;
-  std::vector<std::unique_ptr<RingProc>> procs;
-  procs.reserve(kProcs);
-  for (ProcessId id = 0; id < kProcs; ++id) {
-    procs.push_back(std::make_unique<RingProc>(sim, id, (id + 1) % kProcs));
-  }
+  auto procs = make_ring(sim, kProcs);
   std::uint64_t last = 0;
   std::uint64_t delivered = 0;
   for (auto _ : state) {
@@ -198,10 +164,7 @@ void print_tables() {
   // while the delivered-message volume grows 100x.
   {
     Simulation sim;
-    std::vector<std::unique_ptr<RingProc>> procs;
-    for (ProcessId id = 0; id < 40; ++id) {
-      procs.push_back(std::make_unique<RingProc>(sim, id, (id + 1) % 40));
-    }
+    auto procs = make_ring(sim, 40);
     run_echo_mesh(sim, procs, 2);
     const std::size_t warm = sim.msg_pool().reserved_bytes();
     const std::uint64_t before = sim.messages_delivered();

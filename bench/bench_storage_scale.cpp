@@ -9,8 +9,7 @@
 // writes, compacted vs. the retained full-history reference mode;
 // BM_MultiKeyThroughput drives disjoint-key client sessions over one
 // server fleet; BM_KeyedSwarmThroughput runs generated multi-key
-// scenarios; BM_EchoMesh is the simulator message hot path (the
-// string_view tag counters of PR 4 land here).
+// scenarios.
 #include <memory>
 
 #include "bench/bench_util.hpp"
@@ -150,58 +149,6 @@ BENCHMARK(BM_KeyedSwarmThroughput)
     ->Arg(1)->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-
-// Simulator message hot path: a ring of processes, each delivery forwarded
-// until a hop budget is exhausted. Every send crosses Network::send's
-// per-tag counter, which PR 4 switched from a per-message std::string
-// allocation to string_view keys.
-class EchoProc final : public sim::Process {
- public:
-  struct HopMsg final : sim::TypedMessage<HopMsg> {
-    int hops_left{0};
-    [[nodiscard]] std::string_view tag() const override { return "HOP"; }
-  };
-
-  EchoProc(sim::Simulation& sim, ProcessId id, ProcessId next)
-      : sim::Process(sim, id), next_(next) {}
-
-  void on_message(ProcessId, const sim::Message& m) override {
-    if (m.type() != HopMsg::kType) return;
-    const auto& hop = static_cast<const HopMsg&>(m);
-    if (hop.hops_left == 0) return;
-    auto fwd = make_msg<HopMsg>();
-    fwd->hops_left = hop.hops_left - 1;
-    send(next_, std::move(fwd));
-  }
-
-  void seed(int hops) {
-    auto msg = make_msg<HopMsg>();
-    msg->hops_left = hops;
-    send(next_, std::move(msg));
-  }
-
- private:
-  ProcessId next_;
-};
-
-void BM_EchoMesh(benchmark::State& state) {
-  constexpr ProcessId kProcs = 40;
-  constexpr int kHops = 200;
-  std::uint64_t delivered = 0;
-  for (auto _ : state) {
-    sim::Simulation sim;
-    std::vector<std::unique_ptr<EchoProc>> procs;
-    for (ProcessId id = 0; id < kProcs; ++id) {
-      procs.push_back(std::make_unique<EchoProc>(sim, id, (id + 1) % kProcs));
-    }
-    for (ProcessId id = 0; id < kProcs; ++id) procs[id]->seed(kHops);
-    sim.run();
-    delivered += sim.messages_delivered();
-    benchmark::DoNotOptimize(sim.messages_delivered());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
-}
-BENCHMARK(BM_EchoMesh);
 
 }  // namespace
 }  // namespace rqs::storage
