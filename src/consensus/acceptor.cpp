@@ -173,9 +173,15 @@ void RqsAcceptor::send_update(RoundNumber step, Value v, ViewNumber view,
     return msg;
   };
   const sim::MessagePtr genuine = build(v);
-  for (const ProcessId target : config_.acceptors_and_learners()) {
-    const Value value = update_value_for(v, target, step);
-    send(target, value == v ? genuine : sim::MessagePtr(build(value)));
+  const ProcessSet targets = config_.acceptors_and_learners();
+  const UpdateLie lie = update_lie(v, targets, step);
+  if (lie.targets.empty() || lie.value == v) {
+    send_all(targets, genuine);
+    return;
+  }
+  for (const ProcessId target : targets) {
+    send(target, lie.targets.contains(target) ? sim::MessagePtr(build(lie.value))
+                                              : genuine);
   }
 }
 

@@ -33,13 +33,21 @@ class RqsAcceptor : public sim::Process {
   [[nodiscard]] virtual NewViewAckData ack_to_send(const NewViewAckData& genuine) {
     return genuine;
   }
-  /// Hook for Byzantine subclasses: the update value actually broadcast
-  /// toward `target` (benign acceptors are not equivocators).
-  [[nodiscard]] virtual Value update_value_for(Value genuine, ProcessId target,
-                                               RoundNumber step) {
-    (void)target;
+  /// A lie told in one update broadcast: `targets` get `value` instead of
+  /// the genuine value.
+  struct UpdateLie {
+    ProcessSet targets;
+    Value value{kNil};
+  };
+  /// Hook for Byzantine subclasses: the lie, if any, in an update<step>
+  /// broadcast of `genuine` to `targets` (benign acceptors are not
+  /// equivocators). Asked once per broadcast, not once per target.
+  [[nodiscard]] virtual UpdateLie update_lie(Value genuine, ProcessSet targets,
+                                             RoundNumber step) {
+    (void)genuine;
+    (void)targets;
     (void)step;
-    return genuine;
+    return {};
   }
 
   [[nodiscard]] const ConsensusConfig& config() const noexcept { return config_; }
@@ -54,8 +62,8 @@ class RqsAcceptor : public sim::Process {
   void handle_sign_ack(ProcessId from, const SignAckMsg& m);
   /// Sends update<step>(v, view, quorum) to every acceptor and learner as
   /// one message shared by all targets that get the genuine value (each
-  /// value a Byzantine subclass substitutes goes out as its own message).
-  /// Callers archive the signed payload in Old.
+  /// lie a Byzantine subclass tells goes out as its own message). Without
+  /// a lie that is one send_all. Callers archive the signed payload in Old.
   void send_update(RoundNumber step, Value v, ViewNumber view, QuorumId quorum);
   void try_complete_pending_ack();
   void on_decided(Value v);
@@ -162,11 +170,16 @@ class ByzantineAcceptor final : public RqsAcceptor {
     forged.prepview.insert(genuine.view == 0 ? 0 : genuine.view - 1);
     return forged;
   }
-  [[nodiscard]] Value update_value_for(Value genuine, ProcessId target,
-                                       RoundNumber step) override {
-    // Equivocate toward half of the targets in update1.
-    if (step == 1 && target % 2 == 0) return fake_value_;
-    return genuine;
+  [[nodiscard]] UpdateLie update_lie(Value genuine, ProcessSet targets,
+                                     RoundNumber step) override {
+    // Equivocate toward the even-numbered half of the targets in update1.
+    (void)genuine;
+    if (step != 1) return {};
+    UpdateLie lie{{}, fake_value_};
+    for (const ProcessId target : targets) {
+      if (target % 2 == 0) lie.targets.insert(target);
+    }
+    return lie;
   }
 
  private:

@@ -8,7 +8,8 @@
 //
 // When no rules are installed and loss is zero — the steady state of every
 // latency bench and of most scenario time — send() takes a fast path that
-// skips the rule scan and the loss draw entirely.
+// skips the rule scan and the loss draw entirely, and send_all() queues a
+// broadcast as one fan-out event instead of one event per target.
 #pragma once
 
 #include <algorithm>
@@ -36,12 +37,12 @@ class TagCounts {
   using const_iterator = std::vector<value_type>::const_iterator;
 
   // rqs-hot-path
-  void bump(std::string_view tag) {
+  void bump(std::string_view tag, std::uint64_t n = 1) {
     const auto it = lower(tag);
     if (it != v_.end() && it->first == tag) {
-      ++it->second;
+      it->second += n;
     } else {
-      v_.insert(it, {tag, 1});  // rqs-lint: allow(hot-path-alloc) cold — once per distinct tag, a dozen static literals per protocol
+      v_.insert(it, {tag, n});  // rqs-lint: allow(hot-path-alloc) cold — once per distinct tag, a dozen static literals per protocol
     }
   }
 
@@ -98,13 +99,30 @@ class Network {
     if (sim_.crashed(from)) return;
     ++sent_;
     sent_by_tag_.bump(msg->tag());
-    if (rules_.empty() && loss_probability_ <= 0.0 && dup_probability_ <= 0.0) {
-      // Fast path: synchronous fault-free steady state — no rule scan, no
-      // loss draw, straight into the event queue.
+    if (fast_path()) {
+      // Synchronous fault-free steady state: no rule scan, no loss draw,
+      // straight into the event queue.
       sim_.deliver_at(sim_.now() + default_delay_, from, to, std::move(msg));
       return;
     }
     send_slow(from, to, std::move(msg));
+  }
+
+  /// Sends msg from `from` to every member of `targets`, in ascending id
+  /// order; called by Process::send_all. Counters, the observer and the
+  /// delivery order are those of one send() per target. On the fast path
+  /// the broadcast is one queued fan-out; otherwise rules, loss and
+  /// duplication decide each target separately.
+  // rqs-hot-path
+  void send_all(ProcessId from, ProcessSet targets, MessagePtr msg) {
+    if (!fast_path()) {
+      for (const ProcessId to : targets) send(from, to, msg);
+      return;
+    }
+    if (sim_.crashed(from) || targets.empty()) return;
+    sent_ += targets.size();
+    sent_by_tag_.bump(msg->tag(), targets.size());
+    sim_.fan_out(sim_.now() + default_delay_, from, targets, std::move(msg));
   }
 
   /// Installs a rule (consulted before older rules). Returns an id usable
@@ -166,6 +184,9 @@ class Network {
   }
 
  private:
+  [[nodiscard]] bool fast_path() const noexcept {
+    return rules_.empty() && loss_probability_ <= 0.0 && dup_probability_ <= 0.0;
+  }
   void send_slow(ProcessId from, ProcessId to, MessagePtr msg);
 
   /// Uniform [0, 1) draw for the k-th event on link (from, to) — a pure

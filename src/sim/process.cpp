@@ -13,9 +13,7 @@ void Process::send(ProcessId to, MessagePtr msg) {
 }
 
 void Process::send_all(ProcessSet targets, MessagePtr msg) {
-  for (const ProcessId to : targets) {
-    sim_.network().send(id_, to, msg);
-  }
+  sim_.network().send_all(id_, targets, std::move(msg));
 }
 
 }  // namespace rqs::sim

@@ -47,7 +47,8 @@ class Process {
   /// Sends a message (no-op if this process crashed).
   void send(ProcessId to, MessagePtr msg);
 
-  /// Sends a copy of msg to every member of `targets`.
+  /// Sends msg to every member of `targets` (one shared message; see
+  /// Network::send_all).
   void send_all(ProcessSet targets, MessagePtr msg);
 
   /// Arms a timer firing after `delay` virtual time units.

@@ -1,5 +1,6 @@
 #include "sim/simulation.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "obs/observer.hpp"
@@ -13,7 +14,8 @@ Simulation::Simulation(SimTime delta)
 
 Simulation::~Simulation() {
   // Undelivered messages still hold one reference each; drop them so the
-  // pool (destroyed after the queue) gets every block back.
+  // pool (destroyed after the queue) gets every block back. A pending
+  // fan-out's single reference lives in its slot and goes with fanouts_.
   for (const Event& ev : queue_.raw()) {
     if (ev.kind() == Event::kDelivery) MessagePtr::release(ev.delivery.msg);
   }
@@ -74,6 +76,69 @@ void Simulation::deliver_at(SimTime at, ProcessId from, ProcessId to,
   queue_.push(ev);
 }
 
+// rqs-hot-path
+void Simulation::fan_out(SimTime at, ProcessId from, ProcessSet targets,
+                         MessagePtr msg) {
+  assert(!targets.empty());
+  if (at < now_) at = now_;
+  if (obs_ != nullptr) {
+    const MessageType type = msg->type();
+    const std::string_view tag = msg->tag();
+    for (const ProcessId to : targets) obs_->on_send(now_, at, from, to, type, tag);
+  }
+  std::uint32_t slot;
+  if (!fanout_free_.empty()) {
+    slot = fanout_free_.back();
+    fanout_free_.pop_back();
+    fanouts_[slot] = {std::move(msg), targets, from};
+  } else {
+    slot = static_cast<std::uint32_t>(fanouts_.size());
+    fanouts_.push_back({std::move(msg), targets, from});  // rqs-lint: allow(hot-path-alloc) bounded by the peak in-flight fan-out count, then recycled
+  }
+  Event ev;
+  ev.at = at;
+  // One sequence number per target: the i-th target's delivery takes the
+  // key its own deliver_at() would have had.
+  ev.key = next_key(kDeliveryPhase, Event::kFanout);
+  next_seq_ += targets.size() - 1;
+  ev.fanout.slot = slot;
+  queue_.push(ev);
+}
+
+// rqs-hot-path
+bool Simulation::peel(const Event& fan, Event& delivery) {
+  const std::uint32_t slot = fan.fanout.slot;
+  FanoutSlot& f = fanouts_[slot];
+  const ProcessId to = f.targets.first();
+  f.targets.erase(to);
+  delivery.at = fan.at;
+  delivery.key = fan.key - Event::kFanout + Event::kDelivery;
+  if (!f.targets.empty()) {
+    delivery.delivery = {f.from, to, MessagePtr(f.msg).detach()};
+    return true;
+  }
+  delivery.delivery = {f.from, to, f.msg.detach()};
+  fanout_free_.push_back(slot);  // rqs-lint: allow(hot-path-alloc) bounded by the peak in-flight fan-out count, then recycled
+  return false;
+}
+
+void Simulation::expand_pending_fanouts() {
+  while (fanout_free_.size() < fanouts_.size()) {
+    const std::vector<Event>& raw = queue_.raw();
+    const auto it = std::find_if(raw.begin(), raw.end(), [](const Event& e) {
+      return e.kind() == Event::kFanout;
+    });
+    Event fan = queue_.remove_at(static_cast<std::size_t>(it - raw.begin()));
+    Event delivery;
+    bool more = true;
+    while (more) {
+      more = peel(fan, delivery);
+      queue_.push(delivery);
+      fan.key += Event::kSeqStep;
+    }
+  }
+}
+
 TimerId Simulation::arm_timer(ProcessId owner, SimTime delay) {
   std::uint32_t slot;
   if (!timer_free_.empty()) {
@@ -124,6 +189,8 @@ ProcessId Simulation::event_target(const Event& ev) const {
       return ev.timer.owner;
     case Event::kCallback:
       return kNoProcess;
+    case Event::kFanout:  // its next delivery
+      return fanouts_[ev.fanout.slot].targets.first();
   }
   return kNoProcess;
 }
@@ -141,11 +208,16 @@ bool Simulation::event_live(const Event& ev) const {
     }
     case Event::kCallback:
       return true;
+    case Event::kFanout: {  // its next delivery
+      const ProcessId to = fanouts_[ev.fanout.slot].targets.first();
+      return !crashed(to) && process(to) != nullptr;
+    }
   }
   return false;
 }
 
 bool Simulation::fire_queued(std::size_t i) {
+  expand_fanouts();
   if (i >= queue_.size()) return false;
   const Event ev = queue_.remove_at(i);
   // Out-of-order firing never rewinds the clock; mc runs with delta = 0,
@@ -204,16 +276,33 @@ void Simulation::dispatch(const Event& ev) {
       fn();
       return;
     }
+    case Event::kFanout:
+      // step() peels fan-outs one target at a time and fire_queued()
+      // expands them first, so neither passes one here.
+      assert(false && "fan-out reached dispatch()");
+      return;
   }
 }
 
 // rqs-hot-path
 bool Simulation::step() {
   if (queue_.empty()) return false;
-  const Event ev = queue_.pop();
-  assert(ev.at >= now_);
-  now_ = ev.at;
-  dispatch(ev);
+  const Event& top = queue_.top();
+  assert(top.at >= now_);
+  now_ = top.at;
+  if (top.kind() != Event::kFanout) {
+    dispatch(queue_.pop());
+    return true;
+  }
+  // One target per step. The fan-out stays on top until its last target:
+  // every other queued key lies outside its reserved range.
+  Event delivery;
+  if (peel(top, delivery)) {
+    queue_.advance_top();
+  } else {
+    queue_.pop();
+  }
+  dispatch(delivery);
   return true;
 }
 

@@ -9,13 +9,20 @@
 // at equal times fire in FIFO schedule order, making runs reproducible.
 //
 // Hot-path design: the event queue is a hand-rolled 4-ary min-heap of POD
-// tagged-union events (delivery / timer / callback). Deliveries park a raw
-// refcounted message pointer, timers carry their id inline, and only the
-// rare schedule_at() callbacks touch a std::function (stored in a slot
-// vector on the side, so heap nodes stay trivially copyable). Steady-state
-// message delivery therefore allocates nothing and never copies a closure.
+// tagged-union events (delivery / timer / callback / fan-out). Deliveries
+// park a raw refcounted message pointer, timers carry their id inline, and
+// the rare schedule_at() callbacks touch a std::function (stored in a slot
+// vector on the side, so heap nodes stay trivially copyable). A broadcast on
+// the network's fast path is one fan-out entry whose side slot holds the
+// message, the sender and the targets still to deliver. It reserves one
+// sequence number per target, so step() hands it out one target per call,
+// each under the key its own delivery event would have had: a broadcast to
+// n targets costs one heap push, not n. Steady-state message delivery
+// allocates nothing and never copies a closure.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -23,6 +30,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/process_set.hpp"
 #include "common/types.hpp"
 #include "sim/message.hpp"
 
@@ -49,13 +57,19 @@ using TimerId = std::uint64_t;
 
 /// One queued event: exactly 32 bytes of POD. Heap sift operations are
 /// plain copies, and the pop in step() moves this struct instead of a
-/// std::function (the old queue copied a closure per event).
+/// std::function (the old queue copied a closure per event). A fan-out is
+/// one broadcast's pending deliveries. It reserves one sequence number per
+/// target at send time, so no other event sorts between its deliveries;
+/// its key names the next target's number and advances by kSeqStep per
+/// delivered target.
 struct Event {
-  enum Kind : std::uint64_t { kDelivery = 0, kTimer = 1, kCallback = 2 };
+  enum Kind : std::uint64_t { kDelivery = 0, kTimer = 1, kCallback = 2, kFanout = 3 };
+  /// One sequence number, in key units.
+  static constexpr std::uint64_t kSeqStep = 4;
 
   SimTime at;
   /// Composite tie-break AND discriminant:
-  ///   bit 63      phase (0 = delivery/callback, 1 = timer)
+  ///   bit 63      phase (0 = delivery/callback/fan-out, 1 = timer)
   ///   bits 62..2  sequence number (FIFO within a phase)
   ///   bits 1..0   Kind (below the sequence bits: never affects ordering)
   /// Timers fire *after* message deliveries and callbacks scheduled for
@@ -83,6 +97,9 @@ struct Event {
     struct {
       std::uint32_t slot;  // index into Simulation::callbacks_
     } callback;
+    struct {
+      std::uint32_t slot;  // index into Simulation::fanouts_
+    } fanout;
   };
 
   [[nodiscard]] Kind kind() const noexcept { return static_cast<Kind>(key & 3); }
@@ -132,6 +149,14 @@ class EventHeap {
     v_[i] = e;
   }
 
+  /// Raises the top event's key by one sequence number in place. Only for
+  /// a fan-out moving to its next reserved number: no other queued event
+  /// sorts in between, so the top stays the minimum and nothing sifts.
+  void advance_top() noexcept {
+    v_.front().key += Event::kSeqStep;
+    assert(top_is_min());
+  }
+
   // rqs-hot-path
   Event pop() {
     const Event out = v_.front();
@@ -169,6 +194,13 @@ class EventHeap {
  private:
   [[nodiscard]] static bool before(const Event& a, const Event& b) noexcept {
     return a.at != b.at ? a.at < b.at : a.key < b.key;
+  }
+
+  [[nodiscard]] bool top_is_min() const noexcept {
+    for (std::size_t c = 1; c < std::min<std::size_t>(5, v_.size()); ++c) {
+      if (before(v_[c], v_.front())) return false;
+    }
+    return true;
   }
 
   // rqs-hot-path
@@ -229,6 +261,12 @@ class Simulation {
   /// Schedules message delivery to `to` at time `at` (used by Network).
   void deliver_at(SimTime at, ProcessId from, ProcessId to, MessagePtr msg);
 
+  /// Schedules delivery of `msg` to every member of the non-empty
+  /// `targets` at time `at` as one queued fan-out (used by
+  /// Network::send_all). Ordering, observer sends and delivery counts are
+  /// those of one deliver_at() per target in ascending id order.
+  void fan_out(SimTime at, ProcessId from, ProcessSet targets, MessagePtr msg);
+
   /// Arms a timer for process `owner` firing at now()+delay; returns an id
   /// passed back to Process::on_timer.
   TimerId arm_timer(ProcessId owner, SimTime delay);
@@ -256,11 +294,16 @@ class Simulation {
   /// process (schedule_at callbacks mutate arbitrary state).
   static constexpr ProcessId kNoProcess = ~ProcessId{0};
 
-  [[nodiscard]] std::size_t queued_count() const noexcept {
+  // queued_count(), queued_event() and fire_queued() first expand every
+  // pending fan-out into per-target deliveries under their reserved keys,
+  // so the explorer only ever sees one delivery per target.
+  [[nodiscard]] std::size_t queued_count() {
+    expand_fanouts();
     return queue_.size();
   }
   /// The i-th queued event, heap order (no ordering guarantee).
-  [[nodiscard]] const Event& queued_event(std::size_t i) const noexcept {
+  [[nodiscard]] const Event& queued_event(std::size_t i) {
+    expand_fanouts();
     return queue_.raw()[i];
   }
   /// True iff dispatching `ev` now would invoke a handler: a delivery to a
@@ -301,6 +344,11 @@ class Simulation {
   [[nodiscard]] std::size_t callback_slot_capacity() const noexcept {
     return callbacks_.size();
   }
+  /// Fan-out bookkeeping capacity, bounded the same way: a slot is freed
+  /// when its last target is delivered.
+  [[nodiscard]] std::size_t fanout_slot_capacity() const noexcept {
+    return fanouts_.size();
+  }
 
  private:
   // Phase bit of Event::key; see Event.
@@ -312,12 +360,28 @@ class Simulation {
     bool active;        // false once cancelled (event still queued)
   };
 
+  struct FanoutSlot {
+    MessagePtr msg;     // one reference, shared by the remaining targets
+    ProcessSet targets; // not yet delivered; the lowest id goes next
+    ProcessId from;
+  };
+
   [[nodiscard]] std::uint64_t next_key(std::uint64_t phase,
                                        Event::Kind kind) noexcept {
     return phase | (next_seq_++ << 2) | kind;
   }
 
   void dispatch(const Event& ev);
+  /// Takes the lowest remaining target off fan-out `fan` as a delivery
+  /// event with that target's reserved key and its own message reference.
+  /// Returns false when it was the last target; the slot is then free.
+  bool peel(const Event& fan, Event& delivery);
+  /// Inline so the model checker's per-event accessor calls stay cheap
+  /// when nothing is pending; every occupied slot is one queued fan-out.
+  void expand_fanouts() {
+    if (fanout_free_.size() != fanouts_.size()) expand_pending_fanouts();
+  }
+  void expand_pending_fanouts();
 
   SimTime now_{0};
   SimTime delta_;
@@ -344,6 +408,10 @@ class Simulation {
   // events reference them by slot so Event stays POD.
   std::vector<std::function<void()>> callbacks_;
   std::vector<std::uint32_t> callback_free_;
+  // Pending broadcasts, recycled the same way. Declared after pool_, so
+  // the references they still hold are released before the pool goes.
+  std::vector<FanoutSlot> fanouts_;
+  std::vector<std::uint32_t> fanout_free_;
   std::unique_ptr<Network> network_;
 };
 

@@ -24,6 +24,11 @@
 // acceptors crashed. Each consensus cell runs once stopped as soon as the
 // learner learns, leaving thousands of messages in flight when the cluster
 // is destroyed, and once drained to idle.
+//
+// On the network's fast path a broadcast is one queued fan-out. The
+// differential test at the end reruns t = 2 cells with a rule installed
+// that sends every broadcast as one event per target, and checks that the
+// two runs cannot be told apart.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -35,6 +40,8 @@
 #include "common/fnv.hpp"
 #include "consensus/harness.hpp"
 #include "core/constructions.hpp"
+#include "obs/observer.hpp"
+#include "sim/network.hpp"
 #include "storage/harness.hpp"
 
 namespace rqs {
@@ -50,6 +57,7 @@ struct Fingerprint {
   std::uint64_t state{0};  // FNV over every process's digest_state
   std::string tags;        // sent_by_tag, "TAG=count" in tag order
   std::string outcome;     // per-op results, see the run functions
+  std::size_t fanout_slots{0};  // not pinned; the differential test reads it
 };
 
 std::string to_cpp(const Fingerprint& f) {
@@ -80,6 +88,7 @@ Fingerprint network_fingerprint(sim::Simulation& s) {
   f.end_time = s.now();
   f.sent = s.network().messages_sent();
   f.delivered = s.messages_delivered();
+  f.fanout_slots = s.fanout_slot_capacity();
   std::ostringstream tags;
   for (const auto& [tag, count] : s.network().sent_by_tag()) {
     tags << (tags.tellp() > 0 ? " " : "") << tag << "=" << count;
@@ -97,6 +106,9 @@ bool run_until(sim::Simulation& s, const std::function<bool()>& done) {
 }
 
 RefinedQuorumSystem graded7() { return make_graded_threshold(7, 1, 2, 1, 0); }
+
+/// Runs on the fresh cluster's simulation before the first operation.
+using Prepare = std::function<void(sim::Simulation&)>;
 
 // --- storage ---------------------------------------------------------------
 
@@ -118,7 +130,8 @@ std::string run_length(const std::vector<std::string>& items) {
 /// 0..byzantine-1 are Byzantine and tell `lie`. The outcome lists "write
 /// rounds/read rounds" per pair, run-length encoded.
 Fingerprint storage_run(RefinedQuorumSystem sys, std::size_t crashed,
-                        std::size_t byzantine, Lie lie = Lie::kFabricate) {
+                        std::size_t byzantine, Lie lie = Lie::kFabricate,
+                        const Prepare& prepare = {}) {
   storage::StorageClusterConfig cfg;
   cfg.reader_count = 2;
   if (byzantine > 0) {
@@ -129,6 +142,7 @@ Fingerprint storage_run(RefinedQuorumSystem sys, std::size_t crashed,
                                                                   {1001, -8});
   }
   storage::StorageCluster c(std::move(sys), cfg);
+  if (prepare) prepare(c.sim());
   for (ProcessId id = 0; id < crashed; ++id) c.crash(id);
   std::vector<std::string> rounds;
   for (Value v = 1; v <= kPairs; ++v) {
@@ -229,13 +243,15 @@ constexpr std::size_t kProposers = 2;
 /// whether the leader of view 0 is. The outcome is "learned value@learn
 /// delays".
 Fingerprint consensus_run(RefinedQuorumSystem sys, std::size_t crashed,
-                          std::size_t byzantine, Leader leader, Stop stop) {
+                          std::size_t byzantine, Leader leader, Stop stop,
+                          const Prepare& prepare = {}) {
   consensus::ClusterConfig cfg;
   cfg.proposer_count = kProposers;
   cfg.learner_count = 1;
   cfg.byzantine_proposer = leader == Leader::kByzantine;
   cfg.byzantine_acceptors = ProcessSet::universe(byzantine);
   consensus::ConsensusCluster c(std::move(sys), cfg);
+  if (prepare) prepare(c.sim());
   for (ProcessId id = 0; id < crashed; ++id) c.sim().crash(id);
   c.propose(0, kProposal);
   // The honest proposer 1 takes over once the Byzantine leader's view is
@@ -386,6 +402,48 @@ TEST(QuorumScalingPinnedTest, Graded7Consensus) {
                  "DECISION=35 DECISION_PULL=21 NEW_VIEW=7 NEW_VIEW_ACK=5 PREPARE=21 SYNC=14 "
                  "UPDATE1=80 UPDATE2=40 UPDATE3=40 VIEW_CHANGE=5",
                  "7@13"});
+}
+
+// --- fan-out versus per-target sends ----------------------------------------
+
+/// Runs `run` twice, each with a tracing observer attached: on the
+/// network's fast path, where a broadcast is one queued fan-out, and with
+/// fixed_delay(all, all, Delta) installed, which sends every broadcast as
+/// one event per target with the same delays. The runs must agree on every
+/// fingerprint field and on the order of every send, delivery and timer.
+void expect_same_on_both_paths(const std::function<Fingerprint(const Prepare&)>& run) {
+  constexpr std::size_t kTraceCapacity = std::size_t{1} << 16;
+  obs::Observer fanout_obs(kTraceCapacity);
+  obs::Observer per_target_obs(kTraceCapacity);
+  const Fingerprint fanout = run([&](sim::Simulation& s) { s.set_observer(&fanout_obs); });
+  const Fingerprint per_target = run([&](sim::Simulation& s) {
+    s.set_observer(&per_target_obs);
+    const ProcessSet all = ProcessSet::universe(ProcessSet::kMaxProcesses);
+    s.network().fixed_delay(all, all, s.delta());
+  });
+  EXPECT_GT(fanout.fanout_slots, 0u);
+  EXPECT_EQ(per_target.fanout_slots, 0u);
+  EXPECT_EQ(fanout.end_time, per_target.end_time);
+  EXPECT_EQ(fanout.sent, per_target.sent);
+  EXPECT_EQ(fanout.delivered, per_target.delivered);
+  EXPECT_EQ(fanout.tags, per_target.tags);
+  EXPECT_EQ(fanout.state, per_target.state);
+  EXPECT_EQ(fanout.outcome, per_target.outcome);
+  EXPECT_EQ(fanout_obs.ring()->dropped(), 0u);
+  EXPECT_EQ(fanout_obs.events_digest(), per_target_obs.events_digest());
+}
+
+TEST(QuorumScalingPinnedTest, FanoutMatchesPerTargetSends) {
+  const RefinedQuorumSystem sys = make_3t1_instantiation(2);
+  expect_same_on_both_paths(
+      [&](const Prepare& prepare) { return storage_run(sys, 0, 0, Lie::kFabricate, prepare); });
+  for (const Leader leader : {Leader::kHonest, Leader::kByzantine}) {
+    for (const Stop stop : {Stop::kLearned, Stop::kIdle}) {
+      expect_same_on_both_paths([&](const Prepare& prepare) {
+        return consensus_run(sys, 0, 0, leader, stop, prepare);
+      });
+    }
+  }
 }
 
 }  // namespace

@@ -14,7 +14,11 @@
 // total ever armed (the old engine kept one byte per timer forever).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/network.hpp"
@@ -247,6 +251,172 @@ TEST(SimOrderingTest, MessagePoolRecyclesBlocksAcrossARun) {
   x.kick(3, 100000);
   sim.run();
   EXPECT_EQ(sim.msg_pool().reserved_bytes(), warm);
+}
+
+// --- Broadcasts -------------------------------------------------------------
+// On the network's fast path a send_all is one queued fan-out. It must be
+// indistinguishable from one delivery event per target: same order, same
+// steps, same counts, the same view for the model checker, and no message
+// reference left behind.
+
+/// Logs "<receiver>:m<note>" per delivery and "t" per timer fire, then
+/// runs `hook` once if one is set.
+class Recorder final : public Process {
+ public:
+  Recorder(Simulation& sim, ProcessId id, std::vector<std::string>& log)
+      : Process(sim, id), log_(log) {}
+
+  void on_message(ProcessId, const Message& m) override {
+    const auto* n = msg_cast<NoteMsg>(m);
+    ASSERT_NE(n, nullptr);
+    log_.push_back(std::to_string(id()) + ":m" + std::to_string(n->note));
+    if (hook) std::exchange(hook, nullptr)();
+  }
+  void on_timer(TimerId) override { log_.push_back("t"); }
+
+  using Process::send;
+  using Process::send_all;
+  using Process::set_timer;
+
+  std::function<void()> hook;
+
+ private:
+  std::vector<std::string>& log_;
+};
+
+/// Processes 0..n-1, each logging to `log`.
+std::vector<std::unique_ptr<Recorder>> recorders(Simulation& sim, ProcessId n,
+                                                 std::vector<std::string>& log) {
+  std::vector<std::unique_ptr<Recorder>> out;
+  for (ProcessId id = 0; id < n; ++id) {
+    out.push_back(std::make_unique<Recorder>(sim, id, log));
+  }
+  return out;
+}
+
+TEST(SimOrderingTest, FanoutDeliversOneTargetPerStepInIdOrder) {
+  Simulation sim(10);
+  std::vector<std::string> log;
+  auto sinks = recorders(sim, 5, log);
+  Recorder src(sim, 9, log);
+  src.send(0, note(1));                           // unicast just before
+  src.send_all(ProcessSet::universe(5), note(2)); // all due t = 10
+  src.send(0, note(3));                           // unicast just after
+  std::vector<std::uint64_t> delivered;
+  while (sim.step()) {
+    EXPECT_EQ(log.size(), delivered.size() + 1);  // one target per step
+    delivered.push_back(sim.messages_delivered());
+  }
+  EXPECT_EQ(log, (std::vector<std::string>{"0:m1", "0:m2", "1:m2", "2:m2",
+                                           "3:m2", "4:m2", "0:m3"}));
+  EXPECT_EQ(delivered, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(SimOrderingTest, SameInstantTimerFiresAfterEveryFanoutTarget) {
+  Simulation sim(10);
+  std::vector<std::string> log;
+  auto sinks = recorders(sim, 4, log);
+  (void)sinks[2]->set_timer(10);  // armed first, due with the broadcast
+  sinks[0]->send_all(ProcessSet::universe(4), note(1));
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"0:m1", "1:m1", "2:m1", "3:m1", "t"}));
+}
+
+TEST(SimOrderingTest, CallbackScheduledByFirstTargetFiresAfterTheRest) {
+  Simulation sim(10);
+  std::vector<std::string> log;
+  auto sinks = recorders(sim, 3, log);
+  sinks[0]->hook = [&] { sim.schedule_at(sim.now(), [&] { log.push_back("cb"); }); };
+  sinks[0]->send_all(ProcessSet::universe(3), note(1));
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"0:m1", "1:m1", "2:m1", "cb"}));
+}
+
+TEST(SimOrderingTest, FanoutSkipsTargetCrashedAfterSend) {
+  Simulation sim(10);
+  std::vector<std::string> log;
+  auto sinks = recorders(sim, 3, log);
+  Recorder src(sim, 9, log);
+  src.send_all(ProcessSet::universe(3), note(1));
+  sim.crash(1);
+  std::size_t steps = 0;
+  while (sim.step()) ++steps;
+  EXPECT_EQ(steps, 3u);  // the dead target still takes its step
+  EXPECT_EQ(log, (std::vector<std::string>{"0:m1", "2:m1"}));
+  EXPECT_EQ(sim.messages_delivered(), 2u);
+}
+
+TEST(SimOrderingTest, ModelCheckerHooksSeeOneDeliveryPerPendingTarget) {
+  Simulation sim(10);
+  std::vector<std::string> log;
+  auto sinks = recorders(sim, 4, log);
+  Recorder src(sim, 9, log);
+  src.send_all(ProcessSet::universe(4), note(1));
+  ASSERT_TRUE(sim.step());  // target 0; targets 1..3 pending
+
+  ASSERT_EQ(sim.queued_count(), 3u);
+  std::vector<Event> pending;
+  for (std::size_t i = 0; i < sim.queued_count(); ++i) {
+    const Event& ev = sim.queued_event(i);
+    ASSERT_EQ(ev.kind(), Event::kDelivery);
+    EXPECT_EQ(ev.delivery.from, 9u);
+    EXPECT_EQ(sim.event_target(ev), ev.delivery.to);
+    EXPECT_TRUE(sim.event_live(ev));
+    pending.push_back(ev);
+  }
+  // Consecutive keys in target order: the ones per-target sends get.
+  std::sort(pending.begin(), pending.end(),
+            [](const Event& a, const Event& b) { return a.key < b.key; });
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    EXPECT_EQ(pending[i].delivery.to, static_cast<ProcessId>(i + 1));
+    EXPECT_EQ(pending[i].key, pending[0].key + i * Event::kSeqStep);
+  }
+
+  // Fire target 3 out of order, as the explorer may.
+  std::size_t last = sim.queued_count();
+  for (std::size_t i = 0; i < sim.queued_count(); ++i) {
+    if (sim.queued_event(i).delivery.to == 3) last = i;
+  }
+  ASSERT_TRUE(sim.fire_queued(last));
+  EXPECT_EQ(sim.queued_count(), 2u);
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"0:m1", "3:m1", "1:m1", "2:m1"}));
+  EXPECT_EQ(sim.messages_delivered(), 4u);
+}
+
+TEST(SimOrderingTest, DestroyingHalfDispatchedFanoutReturnsEveryBlock) {
+  MessagePool pool;  // outlives the simulation
+  (void)pool.make<NoteMsg>();  // reserve a slab; the block returns at once
+  const std::size_t all = pool.free_blocks();
+  {
+    Simulation sim(10);
+    std::vector<std::string> log;
+    auto sinks = recorders(sim, 5, log);
+    Recorder src(sim, 9, log);
+    for (int i = 0; i < 2; ++i) {
+      auto msg = pool.make<NoteMsg>();
+      msg->note = i;
+      src.send_all(ProcessSet::universe(5), std::move(msg));
+    }
+    ASSERT_TRUE(sim.step());
+    ASSERT_TRUE(sim.step());
+    EXPECT_EQ(pool.free_blocks(), all - 2);  // both still referenced
+  }
+  EXPECT_EQ(pool.free_blocks(), all);
+}
+
+TEST(SimOrderingTest, FanoutSlotsStayBoundedUnderChurn) {
+  Simulation sim(10);
+  std::vector<std::string> log;
+  auto sinks = recorders(sim, 4, log);
+  for (int round = 0; round < 10000; ++round) {
+    sinks[0]->send_all(ProcessSet::universe(4), note(round));
+    sinks[1]->send_all(ProcessSet::universe(4), note(round));
+    sim.run();
+    log.clear();
+  }
+  EXPECT_EQ(sim.messages_delivered(), 80000u);
+  EXPECT_LE(sim.fanout_slot_capacity(), 2u);  // peak in-flight, not 20000
 }
 
 }  // namespace
