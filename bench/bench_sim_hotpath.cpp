@@ -4,14 +4,16 @@
 // protocol logic: the echo-mesh ns/message figure (a ring of processes
 // forwarding one-hop messages — every delivery is one pool allocation
 // cycle, one heap push/pop, one static dispatch), a broadcast fan-out
-// (send_all amortization: one message block, N refcount bumps and queue
-// entries), and a timer-churn micro (arm/cancel/fire with recycled slots;
-// the old engine grew a byte per timer ever armed and allocated a
-// std::function per arm).
+// (send_all amortization: one message block and one queue entry per
+// broadcast, one step and one refcount bump per target), and a timer-churn
+// micro (arm/cancel/fire with recycled slots; the old engine grew a byte
+// per timer ever armed and allocated a std::function per arm).
 //
-// The experiment table shows the zero-allocation property directly: pool
-// slab bytes reserved after warm-up stay flat while the run's message
-// count grows 100x, and timer slots track the in-flight peak.
+// The experiment table checks the zero-allocation property directly, and
+// the binary exits non-zero when a row fails: pool slab bytes reserved
+// after warm-up stay flat while the run's message count grows 100x, timer
+// slots track the in-flight peak, and 10,000 broadcasts leave slab bytes
+// and fan-out slots where one broadcast left them.
 #include <memory>
 #include <vector>
 
@@ -95,7 +97,8 @@ class BroadcasterProc final : public Process {
 
 void BM_BroadcastFanout(benchmark::State& state) {
   // One send_all to `fanout` sinks per round: the message block is shared
-  // (refcount bumps, no copies), each target costs one queue entry.
+  // (refcount bumps, no copies) and the broadcast is one queue entry, a
+  // fan-out that step() delivers one target at a time.
   const auto fanout = static_cast<ProcessId>(state.range(0));
   Simulation sim;
   ProcessSet targets;
@@ -169,13 +172,13 @@ void print_tables() {
     const std::size_t warm = sim.msg_pool().reserved_bytes();
     const std::uint64_t before = sim.messages_delivered();
     run_echo_mesh(sim, procs, 200);
-    bench::print_row(
+    const std::size_t after = sim.msg_pool().reserved_bytes();
+    bench::check_row(
         "pool slab bytes, warm-up vs +" +
             std::to_string(sim.messages_delivered() - before) + " messages",
-        std::to_string(warm) + " -> " +
-            std::to_string(sim.msg_pool().reserved_bytes()) +
-            (sim.msg_pool().reserved_bytes() == warm ? " (flat: steady state allocates nothing)"
-                                                     : " (GREW)"));
+        std::to_string(warm) + " -> " + std::to_string(after) +
+            (after == warm ? " (flat: steady state allocates nothing)" : " (GREW)"),
+        after == warm);
   }
 
   // Timer bookkeeping bound: slots track the in-flight peak, not the
@@ -185,10 +188,46 @@ void print_tables() {
     TimerChurnProc p(sim, 0);
     p.kick();
     sim.run(200000);
-    bench::print_row(
+    // Each fire arms a live timer due in 2 and a cancelled one due in 3, so
+    // at most 3 are in flight.
+    bench::check_row(
         "timer slots after " + std::to_string(p.fired) + " fires (+1 cancel each)",
         std::to_string(sim.timer_slot_capacity()) +
-            " slots (in-flight peak; was one byte per timer ever armed)");
+            " slots (in-flight peak; was one byte per timer ever armed)",
+        sim.timer_slot_capacity() <= 3);
+  }
+
+  // Fan-out bookkeeping bound: a broadcast is one queue entry whose slot
+  // is recycled once its last target is delivered.
+  {
+    constexpr ProcessId kSinks = 63;
+    constexpr int kBroadcasts = 10000;
+    Simulation sim;
+    std::vector<std::unique_ptr<SinkProc>> sinks;
+    for (ProcessId id = 0; id < kSinks; ++id) {
+      sinks.push_back(std::make_unique<SinkProc>(sim, id));
+    }
+    BroadcasterProc src(sim, kSinks, ProcessSet::universe(kSinks));
+    src.broadcast();
+    sim.run();
+    const std::size_t warm_bytes = sim.msg_pool().reserved_bytes();
+    const std::size_t warm_slots = sim.fanout_slot_capacity();
+    for (int i = 0; i < kBroadcasts; ++i) {
+      src.broadcast();
+      sim.run();
+    }
+    const std::size_t bytes = sim.msg_pool().reserved_bytes();
+    const std::size_t slots = sim.fanout_slot_capacity();
+    const bool flat = bytes == warm_bytes && slots == warm_slots;
+    const auto state = [](std::size_t b, std::size_t n) {
+      return std::to_string(b) + " B, " + std::to_string(n) + (n == 1 ? " slot" : " slots");
+    };
+    bench::check_row(
+        "slab bytes + fan-out slots, " + std::to_string(kBroadcasts) +
+            " broadcasts to " + std::to_string(kSinks) + " sinks",
+        state(warm_bytes, warm_slots) + " -> " + state(bytes, slots) +
+            (flat ? " (flat)" : " (GREW)"),
+        flat);
   }
 }
 
