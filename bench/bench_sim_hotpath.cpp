@@ -80,6 +80,16 @@ class SinkProc final : public Process {
   void on_message(ProcessId, const Message&) override {}
 };
 
+/// Sinks with ids 0..n-1.
+std::vector<std::unique_ptr<SinkProc>> make_sinks(Simulation& sim, ProcessId n) {
+  std::vector<std::unique_ptr<SinkProc>> sinks;
+  sinks.reserve(n);
+  for (ProcessId id = 0; id < n; ++id) {
+    sinks.push_back(std::make_unique<SinkProc>(sim, id));
+  }
+  return sinks;
+}
+
 class BroadcasterProc final : public Process {
  public:
   BroadcasterProc(Simulation& sim, ProcessId id, ProcessSet targets)
@@ -101,14 +111,8 @@ void BM_BroadcastFanout(benchmark::State& state) {
   // fan-out that step() delivers one target at a time.
   const auto fanout = static_cast<ProcessId>(state.range(0));
   Simulation sim;
-  ProcessSet targets;
-  std::vector<std::unique_ptr<SinkProc>> sinks;
-  sinks.reserve(fanout);
-  for (ProcessId id = 0; id < fanout; ++id) {
-    sinks.push_back(std::make_unique<SinkProc>(sim, id));
-    targets.insert(id);
-  }
-  BroadcasterProc src(sim, fanout, targets);
+  const auto sinks = make_sinks(sim, fanout);
+  BroadcasterProc src(sim, fanout, ProcessSet::universe(fanout));
   std::uint64_t delivered = 0;
   std::uint64_t last = 0;
   for (auto _ : state) {
@@ -203,10 +207,7 @@ void print_tables() {
     constexpr ProcessId kSinks = 63;
     constexpr int kBroadcasts = 10000;
     Simulation sim;
-    std::vector<std::unique_ptr<SinkProc>> sinks;
-    for (ProcessId id = 0; id < kSinks; ++id) {
-      sinks.push_back(std::make_unique<SinkProc>(sim, id));
-    }
+    const auto sinks = make_sinks(sim, kSinks);
     BroadcasterProc src(sim, kSinks, ProcessSet::universe(kSinks));
     src.broadcast();
     sim.run();
