@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "mc/explorer.hpp"
+#include "mc_pinned.hpp"
 
 namespace rqs::mc {
 namespace {
@@ -108,6 +109,8 @@ TEST(McDeterminismTest, OptionsChangeTheDigestButNotTheVerdict) {
   }());
   EXPECT_TRUE(reduced.complete);
   EXPECT_FALSE(shallow.complete);
+  expect_pinned(shallow, {0xa0ea756e49ed2296ull, 12, 36, 11, 18, 6, 0, 0, 12, 3,
+                          0});
   EXPECT_GT(shallow.stats.truncated, 0u);
   EXPECT_NE(reduced.exploration_digest, shallow.exploration_digest);
 }
@@ -124,6 +127,10 @@ TEST(McDifferentialTest, FullNaiveEqualsDporOnTheN4Anchor) {
 
   ASSERT_TRUE(reduced.complete);
   ASSERT_TRUE(full.complete);
+  expect_pinned(reduced, {0xb3e3b4ee79f268d7ull, 1121, 9707, 1120, 1828, 691,
+                          21, 1076, 0, 12, 0});
+  expect_pinned(full, {0x25b7060ea9e7e907ull, 415800, 4989600, 415799, 1183160,
+                       0, 0, 0, 0, 12, 0});
   EXPECT_TRUE(reduced.violations.empty());
   EXPECT_TRUE(full.violations.empty());
   // Same reachable state set, discovered with vastly less work.
@@ -147,6 +154,8 @@ TEST(McDifferentialTest, GraphExhaustiveEqualsDporOnViolatingTiny3) {
 
   ASSERT_TRUE(reduced.complete);
   ASSERT_TRUE(exhaustive.complete);
+  expect_pinned(exhaustive, {0x5bea375265fc8303ull, 1797, 18178, 1796, 2479,
+                             682, 0, 1788, 0, 17, 1});
   ASSERT_FALSE(reduced.violations.empty());
   EXPECT_EQ(signatures(reduced), signatures(exhaustive));
   EXPECT_EQ(reduced.state_digests, exhaustive.state_digests);
@@ -160,6 +169,8 @@ TEST(McCertificateTest, ValidTiny3WriteIsViolationFree) {
   s.reader_count = 1;
   s.schedule = {write_entry(7)};
   const McResult r = explore(s);
+  expect_pinned(r, {0xc0f59e71984adde2ull, 1726, 26842, 1725, 3647, 1797, 107,
+                    1570, 0, 21, 0});
   EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.complete);
   EXPECT_EQ(r.stats.truncated, 0u);
@@ -169,6 +180,8 @@ TEST(McCertificateTest, ValidTiny3WriteIsViolationFree) {
 
 TEST(McCertificateTest, ValidTiny3ConcurrentWriteReadIsViolationFree) {
   const McResult r = explore(tiny3_benign());
+  expect_pinned(r, {0x2974c53050a130e5ull, 6133, 88840, 6132, 10444, 3851, 105,
+                    5977, 0, 25, 0});
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(r.stats.truncated, 0u);
 }
@@ -177,6 +190,8 @@ TEST(McCertificateTest, CrashWithinToleranceKeepsTheCertificate) {
   ScenarioSpec s = tiny3_benign();
   s.schedule.insert(s.schedule.begin() + 1, crash_entry(2));
   const McResult r = explore(s);
+  expect_pinned(r, {0x1ffacc51c29c14bfull, 6190, 95434, 6189, 10569, 3886, 105,
+                    6034, 0, 26, 0});
   EXPECT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.stats.truncated, 0u);
 }
@@ -201,6 +216,8 @@ TEST(McRoleBranchingTest, OnlyTheFullCoalitionViolates) {
 
 TEST(McReplayTest, ViolationSchedulesReplayToTheSameSignature) {
   const McResult r = explore(tiny3_byzantine());
+  expect_pinned(r, {0xf6475d000dc29d52ull, 1046, 11107, 1045, 1795, 682, 30,
+                    1007, 0, 17, 1});
   ASSERT_FALSE(r.violations.empty());
   const McViolation& v = r.violations.front();
 
@@ -255,12 +272,16 @@ TEST(McBudgetTest, StateBudgetAndDepthBoundClearComplete) {
     McOptions o;
     o.max_states = 50;
     const McResult r = explore(tiny3_benign(), o);
+    expect_pinned(r, {0xd13468f3cfaee44full, 13, 270, 12, 50, 40, 3, 6, 0, 22,
+                      0});
     EXPECT_FALSE(r.complete);
   }
   {
     McOptions o;
     o.max_depth = 4;
     const McResult r = explore(tiny3_benign(), o);
+    expect_pinned(r, {0x7a46884e1bc2e8f8ull, 35, 140, 34, 53, 17, 0, 0, 35, 4,
+                      0});
     EXPECT_FALSE(r.complete);
     EXPECT_GT(r.stats.truncated, 0u);
   }
@@ -270,6 +291,8 @@ TEST(McBudgetTest, StopOnFirstViolationShortCircuits) {
   McOptions o;
   o.stop_on_first_violation = true;
   const McResult r = explore(tiny3_byzantine(), o);
+  expect_pinned(r, {0x350eda7f861ddb54ull, 976, 10447, 975, 1640, 646, 27, 942,
+                    0, 17, 1});
   ASSERT_EQ(r.violations.size(), 1u);
   EXPECT_FALSE(r.complete);  // an aborted search is never a certificate
   const McResult full = explore(tiny3_byzantine());

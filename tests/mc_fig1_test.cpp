@@ -14,6 +14,7 @@
 #include <string>
 
 #include "mc/explorer.hpp"
+#include "mc_pinned.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/shrink.hpp"
 
@@ -51,6 +52,8 @@ TEST(McFig1Test, ExhaustiveSearchRediscoversTheReadInversion) {
   const McResult r = explore(fig1_spec(SystemFamily::kFig1Broken5));
   ASSERT_TRUE(r.error.empty()) << r.error;
   ASSERT_TRUE(r.complete) << "search must exhaust the bounded space";
+  expect_pinned(r, {0xcb708dfefe72d940ull, 76754, 984269, 76753, 105542, 26291,
+                    181, 76537, 0, 20, 1});
   ASSERT_EQ(r.violations.size(), 1u);
   EXPECT_NE(r.violations[0].signature.find("read inversion"),
             std::string::npos)
@@ -66,6 +69,8 @@ TEST(McFig1Test, NaiveAndDporAgreeOnTheViolationSet) {
       explore(fig1_spec(SystemFamily::kFig1Broken5), nosleep);
   ASSERT_TRUE(reduced.complete);
   ASSERT_TRUE(exhaustive.complete);
+  expect_pinned(exhaustive, {0x5a2184a5c6ca20dcull, 131067, 1621912, 131066,
+                             157358, 26291, 0, 131031, 0, 20, 1});
   ASSERT_EQ(reduced.violations.size(), 1u);
   ASSERT_EQ(exhaustive.violations.size(), 1u);
   EXPECT_EQ(reduced.violations[0].signature, exhaustive.violations[0].signature);
@@ -76,6 +81,8 @@ TEST(McFig1Test, NaiveAndDporAgreeOnTheViolationSet) {
 TEST(McFig1Test, RepairedFast5CertifiesCleanOnTheSameSchedule) {
   const McResult r = explore(fig1_spec(SystemFamily::kFast5));
   ASSERT_TRUE(r.error.empty()) << r.error;
+  expect_pinned(r, {0x4f827222736e0d94ull, 154650, 3049442, 154649, 225201,
+                    57791, 380, 154216, 0, 44, 0});
   EXPECT_TRUE(r.ok()) << (r.violations.empty()
                               ? r.error
                               : r.violations[0].signature);
