@@ -22,9 +22,9 @@ namespace rqs::consensus {
 struct ClusterConfig {
   std::size_t proposer_count{1};
   std::size_t learner_count{1};
-  ProcessSet byzantine_acceptors;   ///< equivocate / lie with fake_value
-  ProcessSet amnesiac_acceptors;    ///< forget accepted state across views
-  ProcessSet prep_liar_acceptors;   ///< lie in the prepare phase
+  ProcessSet byzantine_acceptors{};  ///< equivocate / lie with fake_value
+  ProcessSet amnesiac_acceptors{};   ///< forget accepted state across views
+  ProcessSet prep_liar_acceptors{};  ///< lie in the prepare phase
   Value fake_value{-99};            ///< the value Byzantine roles push
   bool byzantine_proposer{false};   ///< proposer 0 proposes fake_value twice
   sim::SimTime delta{sim::kDefaultDelta};

@@ -12,30 +12,12 @@ namespace {
 
 using scenario::ScheduleEntry;
 
-/// Same deployment mapping as ScenarioRunner::run (src/scenario/runner.cpp):
-/// role kNone clears the Byzantine set; forge strategies per FaultRole.
-storage::StorageClusterConfig make_config(const scenario::ScenarioSpec& spec) {
-  storage::StorageClusterConfig cfg;
-  cfg.reader_count = spec.reader_count;
-  cfg.key_count = spec.key_count;
-  cfg.delta = 0;  // all events at virtual time 0; order is the nondeterminism
-  cfg.compact_history = true;
-  cfg.byzantine =
-      spec.role == scenario::FaultRole::kNone ? ProcessSet{} : spec.byzantine;
-  switch (spec.role) {
-    case scenario::FaultRole::kFabricator:
-      cfg.forge = storage::ByzantineStorageServer::fabricate(
-          TsValue{Timestamp{1000, 0}, spec.fake_value});
-      break;
-    case scenario::FaultRole::kEquivocator:
-      cfg.forge = storage::ByzantineStorageServer::equivocate(
-          TsValue{Timestamp{1000, 0}, spec.fake_value},
-          TsValue{Timestamp{1001, 0}, spec.fake_value - 1});
-      break;
-    default:
-      cfg.forge = nullptr;  // amnesiac: forget_everything()
-      break;
-  }
+/// The runner's deployment of the spec, with every event at virtual time
+/// 0: selection order, not the clock, is the nondeterminism.
+storage::StorageClusterConfig zero_delta_config(
+    const scenario::ScenarioSpec& spec) {
+  storage::StorageClusterConfig cfg = scenario::storage_config(spec);
+  cfg.delta = 0;
   return cfg;
 }
 
@@ -72,10 +54,8 @@ std::string to_string(const Choice& c) {
 
 McExecution::McExecution(const scenario::ScenarioSpec& spec)
     : spec_(spec),
-      cluster_(scenario::materialize(spec.family), make_config(spec)) {
-  servers_ = cluster_.server_set();
-  n_ = servers_.size();
-
+      cluster_(scenario::materialize(spec.family), zero_delta_config(spec)),
+      visibility_(cluster_.network(), cluster_.server_set()) {
   if (spec.protocol != scenario::Protocol::kStorage) {
     unsupported_ = "model checker supports storage specs only";
     return;
@@ -211,57 +191,17 @@ bool McExecution::fire(const Choice& c) {
 
 void McExecution::inject_next() {
   const ScheduleEntry& e = spec_.schedule[injected_++];
-  switch (e.kind) {
-    case ScheduleEntry::Kind::kWrite: {
-      if (!cluster_.write_done(e.key)) {  // writer busy: entry is a no-op
-        ++skipped_;
-        return;
-      }
-      apply_visibility(storage::writer_client_id(e.key, spec_.reader_count),
-                       e.reachable);
-      ops_.push_back(OpRec{true, e.key, 0, ++clock_, 0, e.value, false});
-      cluster_.async_write(e.key, e.value);
-      return;
-    }
-    case ScheduleEntry::Kind::kRead: {
-      if (!cluster_.read_done(e.key, e.client)) {
-        ++skipped_;
-        return;
-      }
-      apply_visibility(
-          storage::reader_client_id(e.key, e.client, spec_.reader_count),
-          e.reachable);
-      ops_.push_back(
-          OpRec{false, e.key, e.client, ++clock_, 0, kBottom, false});
-      cluster_.async_read(e.key, e.client);
-      return;
-    }
-    case ScheduleEntry::Kind::kCrash:
-      if (e.target < ProcessSet::kMaxProcesses) cluster_.crash(e.target);
-      return;
-    case ScheduleEntry::Kind::kPartition:
-      cluster_.network().block(e.side_a, e.side_b);
-      cluster_.network().block(e.side_b, e.side_a);
-      return;
-    default:  // unreachable: rejected in the constructor
-      return;
+  if (scenario::apply_fault_entry(cluster_.sim(), e,
+                                  cluster_.rqs().universe_size(), spec_.seed)) {
+    return;
   }
-}
-
-void McExecution::apply_visibility(ProcessId client,
-                                   const ProcessSet& reachable) {
-  sim::Network& net = cluster_.network();
-  const auto it = visibility_.find(client);
-  if (it != visibility_.end()) {
-    net.remove_rule(it->second.first);
-    net.remove_rule(it->second.second);
-    visibility_.erase(it);
+  if (!scenario::start_storage_op(cluster_, visibility_, e)) {
+    ++skipped_;  // client busy: the entry is a no-op
+    return;
   }
-  if (reachable.empty() || servers_.subset_of(reachable)) return;
-  const ProcessSet hidden = servers_ - reachable;
-  const std::size_t out = net.block(ProcessSet::single(client), hidden);
-  const std::size_t in = net.block(hidden, ProcessSet::single(client));
-  visibility_.emplace(client, std::pair<std::size_t, std::size_t>{out, in});
+  const bool write = e.kind == ScheduleEntry::Kind::kWrite;
+  ops_.push_back(OpRec{write, e.key, write ? 0 : e.client, ++clock_, 0,
+                       write ? e.value : kBottom, false});
 }
 
 void McExecution::drain_dead() {

@@ -31,12 +31,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "scenario/spec.hpp"
-#include "storage/harness.hpp"
+#include "scenario/deployment.hpp"
 
 namespace rqs::mc {
 
@@ -90,11 +88,11 @@ struct Choice {
 
 class McExecution {
  public:
-  /// Builds the deployment the spec describes (same family / Byzantine
-  /// role materialization as ScenarioRunner) with delta = 0. Check
-  /// unsupported() before exploring: the model checker handles storage
-  /// specs whose entries are writes, reads, crashes and forever-partitions
-  /// with unique write values per key.
+  /// Builds the deployment the spec describes through
+  /// scenario::storage_config, as ScenarioRunner does, with delta = 0.
+  /// Check unsupported() before exploring: the model checker handles
+  /// storage specs whose entries are writes, reads, crashes and
+  /// forever-partitions with unique write values per key.
   explicit McExecution(const scenario::ScenarioSpec& spec);
 
   McExecution(const McExecution&) = delete;
@@ -126,10 +124,6 @@ class McExecution {
   /// un-complete, so violations are monotone along an execution.
   void violations(std::vector<std::string>& out) const;
 
-  [[nodiscard]] std::uint64_t client_steps() const noexcept { return clock_; }
-  [[nodiscard]] std::size_t injected() const noexcept { return injected_; }
-  [[nodiscard]] storage::StorageCluster& cluster() noexcept { return cluster_; }
-
  private:
   struct OpRec {
     bool is_write{false};
@@ -146,24 +140,18 @@ class McExecution {
   }
   [[nodiscard]] Choice event_choice(const sim::Event& ev) const;
   void inject_next();
-  void apply_visibility(ProcessId client, const ProcessSet& reachable);
   void drain_dead();
   void refresh_ops();
 
   scenario::ScenarioSpec spec_;
   storage::StorageCluster cluster_;
-  std::size_t n_{0};            // servers
-  ProcessSet servers_;
+  scenario::VisibilityRules visibility_;
   std::string unsupported_;
 
   std::size_t injected_{0};
   std::uint64_t skipped_{0};    // busy-client entries that became no-ops
   std::uint64_t clock_{0};      // logical clock: ticks at op endpoints only
   std::vector<OpRec> ops_;
-  // Visibility rules installed per client (rule-id pair), replaced when
-  // the client's next operation carries a different reachable set —
-  // identical semantics to the runner's VisibilityRules.
-  std::map<ProcessId, std::pair<std::size_t, std::size_t>> visibility_;
 
   std::vector<std::uint64_t> scratch_;  // digest: pending-event hashes
 };

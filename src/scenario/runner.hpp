@@ -9,6 +9,12 @@
 // Byzantine coalition is an element of B) and a fully-correct quorum stays
 // reachable from the operation's client, mirroring the availability
 // predicate of the Theorem 2/5 termination arguments.
+//
+// The deployment, the fault entries and the start of a storage operation
+// come from scenario/deployment.hpp, which the model checker shares. A run
+// is driven 400 (storage) or 2000 (consensus) Deltas past its last
+// scheduled time, so delayed messages, view changes and retries settle
+// before the verdicts.
 #pragma once
 
 #include <cstdint>
@@ -49,11 +55,6 @@ struct ScenarioResult {
 class ScenarioRunner {
  public:
   struct Options {
-    /// Virtual Deltas the run is driven past the last scheduled time, so
-    /// delayed messages, view changes and retries settle before verdicts.
-    sim::SimTime storage_drain_deltas{400};
-    sim::SimTime consensus_drain_deltas{2000};
-    bool check_liveness{true};
     /// Storage servers bound their histories (the production default).
     /// false retains the paper's full-history storage; the differential
     /// suite runs every spec both ways and requires identical digests.
@@ -80,9 +81,6 @@ class ScenarioRunner {
   [[nodiscard]] ScenarioResult run(const ScenarioSpec& spec) const;
 
  private:
-  [[nodiscard]] ScenarioResult run_storage(const ScenarioSpec& spec) const;
-  [[nodiscard]] ScenarioResult run_consensus(const ScenarioSpec& spec) const;
-
   Options opts_;
 };
 

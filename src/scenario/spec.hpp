@@ -70,7 +70,7 @@ struct ScheduleEntry {
     kWrite,       ///< storage: the writer writes `value`
     kRead,        ///< storage: reader `client` reads
     kPropose,     ///< consensus: proposer `client` proposes `value`
-    kCrash,       ///< process `target` crashes
+    kCrash,       ///< server `target` crashes (any other target is ignored)
     kPartition,   ///< bidirectional drop between side_a and side_b
     kAsynchrony,  ///< default link delay raised to `delay` in the window
                   ///< (partitions and visibility drops still win)

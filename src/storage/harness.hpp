@@ -44,11 +44,11 @@ inline constexpr ProcessId kFirstReaderId = 41;
 }
 
 /// Named deployment parameters for a StorageCluster; the scenario layer
-/// (src/scenario/) builds deployments from this struct directly.
+/// (src/scenario/deployment.hpp) builds deployments from this struct.
 struct StorageClusterConfig {
   std::size_t reader_count{1};  ///< readers per key
-  ProcessSet byzantine;  ///< servers built as ByzantineStorageServer
-  ByzantineStorageServer::ForgeFn forge;  ///< null = forget_everything()
+  ProcessSet byzantine{};  ///< servers built as ByzantineStorageServer
+  ByzantineStorageServer::ForgeFn forge{};  ///< null = forget_everything()
   sim::SimTime delta{sim::kDefaultDelta};
   std::size_t key_count{1};  ///< independent registers (keys 0..key_count-1)
   /// Servers drop history rows below the latest known-complete timestamp

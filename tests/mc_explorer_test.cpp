@@ -11,6 +11,7 @@
 
 #include "mc/explorer.hpp"
 #include "mc_pinned.hpp"
+#include "storage/harness.hpp"
 
 namespace rqs::mc {
 namespace {
@@ -265,6 +266,26 @@ TEST(McFragmentTest, UnsupportedSpecsAreRejectedNotMischecked) {
     s.schedule.push_back(write_entry(7));  // duplicate value on key 0
     EXPECT_FALSE(explore(s).error.empty());
   }
+}
+
+TEST(McFragmentTest, CrashOfANonServerIsIgnoredAsInTheRunner) {
+  // The runner ignores a kCrash whose target is not a server, and its
+  // liveness predicate assumes so; the model checker injects through the
+  // same apply_fault_entry, so crashing the writer changes nothing.
+  auto digest_after = [](ProcessId target) {
+    ScenarioSpec s;
+    s.family = SystemFamily::kTiny3;
+    s.reader_count = 1;
+    s.schedule = {crash_entry(target)};
+    McExecution exec(s);
+    EXPECT_TRUE(exec.unsupported().empty());
+    std::vector<Choice> enabled;
+    exec.enabled(enabled);
+    EXPECT_EQ(enabled.size(), 1u);  // the one injection
+    EXPECT_TRUE(exec.fire(enabled.front()));
+    return exec.digest();
+  };
+  EXPECT_EQ(digest_after(storage::kWriterId), digest_after(kInvalidProcess));
 }
 
 TEST(McBudgetTest, StateBudgetAndDepthBoundClearComplete) {
