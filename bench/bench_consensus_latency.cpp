@@ -20,7 +20,8 @@ struct Row {
 };
 
 void run_row(Row row) {
-  ConsensusCluster cluster(std::move(row.system), 1, 1);
+  ConsensusCluster cluster(std::move(row.system),
+                           {.proposer_count = 1, .learner_count = 1});
   for (const ProcessId id : row.crashed) cluster.sim().crash(id);
   cluster.propose(0, 7);
   const bool ok = cluster.run_until_learned();
@@ -93,7 +94,8 @@ void BM_ConsensusBestCase(benchmark::State& state) {
   rqs::obs::Observer ob;
   for (auto _ : state) {
     ConsensusCluster cluster(
-        make_3t1_instantiation(static_cast<std::size_t>(state.range(0))), 1, 1);
+        make_3t1_instantiation(static_cast<std::size_t>(state.range(0))),
+        {.proposer_count = 1, .learner_count = 1});
     cluster.sim().set_observer(&ob);
     cluster.propose(0, 7);
     benchmark::DoNotOptimize(cluster.run_until_learned());
@@ -106,8 +108,9 @@ void BM_ConsensusWithByzantineAcceptor(benchmark::State& state) {
   rqs::obs::Observer ob;
   for (auto _ : state) {
     ConsensusCluster cluster(
-        make_3t1_instantiation(static_cast<std::size_t>(state.range(0))), 1, 1,
-        ProcessSet{0}, -5);
+        make_3t1_instantiation(static_cast<std::size_t>(state.range(0))),
+        {.proposer_count = 1, .learner_count = 1,
+         .byzantine_acceptors = ProcessSet{0}, .fake_value = -5});
     cluster.sim().set_observer(&ob);
     cluster.propose(0, 7);
     benchmark::DoNotOptimize(cluster.run_until_learned());

@@ -13,7 +13,7 @@ namespace {
 // Replays the Figure 1 schedule (as in tests/storage_fig1_test.cpp) and
 // reports whether the two reads were atomic.
 std::string replay_fig1(RefinedQuorumSystem sys) {
-  StorageCluster cluster(std::move(sys), 2);
+  StorageCluster cluster(std::move(sys), {.reader_count = 2});
   cluster.network().block(ProcessSet{kWriterId}, ProcessSet{0, 1, 3, 4});
   cluster.async_write(1);
   cluster.sim().run(10 * sim::kDefaultDelta);
@@ -46,7 +46,7 @@ void print_tables() {
                         replay_fig1(make_fig1_fast5()));
 
   {
-    StorageCluster best(make_fig1_fast5(), 1);
+    StorageCluster best(make_fig1_fast5(), {.reader_count = 1});
     const auto wr = best.blocking_write(1);
     const auto rd = best.blocking_read(0);
     rqs::bench::print_row("repaired system, 5 servers reachable",
@@ -55,7 +55,7 @@ void print_tables() {
                               " (claim 1/1)");
   }
   {
-    StorageCluster degraded(make_fig1_fast5(), 1);
+    StorageCluster degraded(make_fig1_fast5(), {.reader_count = 1});
     degraded.crash(3);
     degraded.crash(4);
     const auto wr = degraded.blocking_write(1);
@@ -72,7 +72,7 @@ void print_tables() {
 // single long-lived cluster would make later operations ever slower.
 void BM_Fig1FastPath(benchmark::State& state) {
   for (auto _ : state) {
-    StorageCluster cluster(make_fig1_fast5(), 1);
+    StorageCluster cluster(make_fig1_fast5(), {.reader_count = 1});
     for (Value v = 1; v <= 10; ++v) {
       cluster.blocking_write(v);
       benchmark::DoNotOptimize(cluster.blocking_read(0).value);
@@ -83,7 +83,7 @@ BENCHMARK(BM_Fig1FastPath)->Unit(benchmark::kMicrosecond);
 
 void BM_Fig1DegradedPath(benchmark::State& state) {
   for (auto _ : state) {
-    StorageCluster cluster(make_fig1_fast5(), 1);
+    StorageCluster cluster(make_fig1_fast5(), {.reader_count = 1});
     cluster.crash(3);
     cluster.crash(4);
     for (Value v = 1; v <= 10; ++v) {

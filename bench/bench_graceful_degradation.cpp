@@ -13,12 +13,13 @@ namespace {
 void degradation_row(std::size_t t, std::size_t crashes) {
   const std::size_t n = 3 * t + 1;
   // Storage.
-  storage::StorageCluster sc(make_3t1_instantiation(t), 1);
+  storage::StorageCluster sc(make_3t1_instantiation(t), {.reader_count = 1});
   for (std::size_t i = 0; i < crashes; ++i) sc.crash(static_cast<ProcessId>(i));
   const RoundNumber wr = sc.blocking_write(1);
   const auto rd = sc.blocking_read(0);
   // Consensus.
-  consensus::ConsensusCluster cc(make_3t1_instantiation(t), 1, 1);
+  consensus::ConsensusCluster cc(make_3t1_instantiation(t),
+                                 {.proposer_count = 1, .learner_count = 1});
   for (std::size_t i = 0; i < crashes; ++i) {
     cc.sim().crash(static_cast<ProcessId>(i));
   }
@@ -48,7 +49,7 @@ void print_tables() {
   rqs::bench::print_header(
       "E11b: degradation under contention (storage)",
       "contended reads may need extra rounds but never violate atomicity");
-  storage::StorageCluster sc(make_fig1_fast5(), 1);
+  storage::StorageCluster sc(make_fig1_fast5(), {.reader_count = 1});
   sc.blocking_write(1);
   sc.network().fixed_delay(ProcessSet{storage::kWriterId},
                            ProcessSet::universe(5),
@@ -67,7 +68,7 @@ void BM_DegradationSweep(benchmark::State& state) {
   const std::size_t t = 2;
   const std::size_t crashes = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    storage::StorageCluster sc(make_3t1_instantiation(t), 1);
+    storage::StorageCluster sc(make_3t1_instantiation(t), {.reader_count = 1});
     for (std::size_t i = 0; i < crashes; ++i) {
       sc.crash(static_cast<ProcessId>(i));
     }

@@ -31,7 +31,7 @@ SweepResult sweep(const RefinedQuorumSystem& sys, std::size_t max_crashes) {
 
     // Storage liveness: write + read complete within a deadline.
     {
-      storage::StorageCluster sc(sys, 1);
+      storage::StorageCluster sc(sys, {.reader_count = 1});
       for (const ProcessId id : crashed) sc.crash(id);
       sc.async_write(1);
       sc.sim().run(sc.sim().now() + 50 * sim::kDefaultDelta);
@@ -45,7 +45,7 @@ SweepResult sweep(const RefinedQuorumSystem& sys, std::size_t max_crashes) {
     }
     // Consensus liveness: learner learns within a deadline.
     {
-      consensus::ConsensusCluster cc(sys, 1, 1);
+      consensus::ConsensusCluster cc(sys, {.proposer_count = 1, .learner_count = 1});
       for (const ProcessId id : crashed) cc.sim().crash(id);
       cc.propose(0, 7);
       if (cc.run_until_learned(100)) ++out.consensus_live;
@@ -90,7 +90,7 @@ void BM_ResilienceSweepStorage(benchmark::State& state) {
     for (std::uint64_t mask = 0; mask < 16; ++mask) {
       const ProcessSet crashed = ProcessSet::from_mask(mask);
       if (crashed.size() > 1) continue;
-      storage::StorageCluster sc(sys, 0);
+      storage::StorageCluster sc(sys, {.reader_count = 0});
       for (const ProcessId id : crashed) sc.crash(id);
       sc.async_write(1);
       sc.sim().run(sc.sim().now() + 50 * sim::kDefaultDelta);

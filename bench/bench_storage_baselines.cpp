@@ -19,7 +19,7 @@ void print_tables() {
       "RQS: 1/1 best case; ABD: always 1 write / 2 read; ablations: 2/2, 3/3");
 
   {
-    StorageCluster rqs_best(make_fig1_fast5(), 1);
+    StorageCluster rqs_best(make_fig1_fast5(), {.reader_count = 1});
     const auto wr = rqs_best.blocking_write(1);
     const auto rd = rqs_best.blocking_read(0);
     rqs::bench::print_row("RQS fig1-fast5 (5 servers, all up)",
@@ -27,7 +27,7 @@ void print_tables() {
                               ", read=" + std::to_string(rd.rounds));
   }
   {
-    StorageCluster rqs_degraded(make_fig1_fast5(), 1);
+    StorageCluster rqs_degraded(make_fig1_fast5(), {.reader_count = 1});
     rqs_degraded.crash(3);
     rqs_degraded.crash(4);
     const auto wr = rqs_degraded.blocking_write(1);
@@ -39,7 +39,7 @@ void print_tables() {
   rqs::bench::print_row("ABD majority (5 servers, any condition)",
                         "write=1, read=2 (by construction)");
   {
-    StorageCluster masking(make_masking(5, 1, 1), 1);
+    StorageCluster masking(make_masking(5, 1, 1), {.reader_count = 1});
     const auto wr = masking.blocking_write(1);
     const auto rd = masking.blocking_read(0);
     rqs::bench::print_row("ablation: masking system (QC1 empty)",
@@ -47,7 +47,7 @@ void print_tables() {
                               ", read=" + std::to_string(rd.rounds));
   }
   {
-    StorageCluster diss(make_disseminating(5, 1, 1), 1);
+    StorageCluster diss(make_disseminating(5, 1, 1), {.reader_count = 1});
     const auto wr = diss.blocking_write(1);
     const auto rd = diss.blocking_read(0);
     rqs::bench::print_row("ablation: disseminating system (QC1=QC2 empty)",
@@ -59,7 +59,7 @@ void print_tables() {
 // Fresh cluster per iteration (10 op pairs): unbounded histories.
 void BM_RqsStorageOpPair(benchmark::State& state) {
   for (auto _ : state) {
-    StorageCluster cluster(make_fig1_fast5(), 1);
+    StorageCluster cluster(make_fig1_fast5(), {.reader_count = 1});
     for (Value v = 1; v <= 10; ++v) {
       cluster.blocking_write(v);
       benchmark::DoNotOptimize(cluster.blocking_read(0).value);
@@ -98,7 +98,7 @@ BENCHMARK(BM_AbdOpPair);
 
 void BM_MaskingOpPair(benchmark::State& state) {
   for (auto _ : state) {
-    StorageCluster cluster(make_masking(5, 1, 1), 1);
+    StorageCluster cluster(make_masking(5, 1, 1), {.reader_count = 1});
     for (Value v = 1; v <= 10; ++v) {
       cluster.blocking_write(v);
       benchmark::DoNotOptimize(cluster.blocking_read(0).value);

@@ -19,7 +19,7 @@ struct LadderRow {
 };
 
 void run_ladder_row(LadderRow row) {
-  StorageCluster cluster(std::move(row.system), 1);
+  StorageCluster cluster(std::move(row.system), {.reader_count = 1});
   for (const ProcessId id : row.crashed) cluster.crash(id);
   const RoundNumber wr = cluster.blocking_write(1);
   const auto rd = cluster.blocking_read(0);
@@ -80,9 +80,9 @@ void BM_WriteReadBestCase(benchmark::State& state) {
   RoundNumber write_rounds = 0;
   RoundNumber read_rounds = 0;
   for (auto _ : state) {
-    StorageCluster cluster(make_3t1_instantiation(
-                               static_cast<std::size_t>(state.range(0))),
-                           1);
+    StorageCluster cluster(
+        make_3t1_instantiation(static_cast<std::size_t>(state.range(0))),
+        {.reader_count = 1});
     cluster.sim().set_observer(&ob);
     for (Value v = 1; v <= 10; ++v) {
       cluster.blocking_write(v);
@@ -101,9 +101,9 @@ void BM_WriteReadDegraded(benchmark::State& state) {
   rqs::obs::Observer ob;
   RoundNumber write_rounds = 0;
   for (auto _ : state) {
-    StorageCluster cluster(make_3t1_instantiation(
-                               static_cast<std::size_t>(state.range(0))),
-                           1);
+    StorageCluster cluster(
+        make_3t1_instantiation(static_cast<std::size_t>(state.range(0))),
+        {.reader_count = 1});
     cluster.sim().set_observer(&ob);
     for (std::size_t i = 0; i < static_cast<std::size_t>(state.range(0)); ++i) {
       cluster.crash(static_cast<ProcessId>(i));

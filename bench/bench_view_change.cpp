@@ -16,7 +16,8 @@ void print_tables() {
       "E14: view-change cost (suspect timeout 5*Delta, doubling)",
       "best case 2 delays; faulty leader adds at least one timeout period");
   {
-    ConsensusCluster cluster(make_3t1_instantiation(1), 2, 1);
+    ConsensusCluster cluster(make_3t1_instantiation(1),
+                             {.proposer_count = 2, .learner_count = 1});
     cluster.propose(0, 1);
     cluster.run_until_learned();
     rqs::bench::print_row(
@@ -25,8 +26,9 @@ void print_tables() {
   }
   {
     // Equivocating Byzantine leader: view 0 cannot decide; p1 takes over.
-    ConsensusCluster cluster(make_3t1_instantiation(1), 2, 1, ProcessSet{},
-                             21, /*byzantine_proposer=*/true);
+    ConsensusCluster cluster(make_3t1_instantiation(1),
+                             {.proposer_count = 2, .learner_count = 1, .fake_value = 21,
+                              .byzantine_proposer = true});
     cluster.propose(0, 20);
     cluster.propose(1, 22);
     const bool ok = cluster.run_until_learned(4000);
@@ -42,7 +44,8 @@ void print_tables() {
   }
   {
     // Leader whose prepare reaches only half the acceptors, then crashes.
-    ConsensusCluster cluster(make_3t1_instantiation(1), 2, 1);
+    ConsensusCluster cluster(make_3t1_instantiation(1),
+                             {.proposer_count = 2, .learner_count = 1});
     cluster.network().block(ProcessSet{kFirstProposerId}, ProcessSet{2, 3});
     cluster.propose(0, 5);
     cluster.propose(1, 6);
@@ -57,7 +60,8 @@ void print_tables() {
   }
   {
     // Asynchrony until GST = 20 Delta, then synchrony.
-    ConsensusCluster cluster(make_3t1_instantiation(1), 2, 1);
+    ConsensusCluster cluster(make_3t1_instantiation(1),
+                             {.proposer_count = 2, .learner_count = 1});
     const std::size_t slow = cluster.network().fixed_delay(
         ProcessSet::universe(64), ProcessSet::universe(64),
         6 * sim::kDefaultDelta);
@@ -76,8 +80,9 @@ void print_tables() {
 
 void BM_ViewChangeRecovery(benchmark::State& state) {
   for (auto _ : state) {
-    ConsensusCluster cluster(make_3t1_instantiation(1), 2, 1, ProcessSet{}, 21,
-                             true);
+    ConsensusCluster cluster(make_3t1_instantiation(1),
+                             {.proposer_count = 2, .learner_count = 1, .fake_value = 21,
+                              .byzantine_proposer = true});
     cluster.propose(0, 20);
     cluster.propose(1, 22);
     benchmark::DoNotOptimize(cluster.run_until_learned(4000));
@@ -87,7 +92,8 @@ BENCHMARK(BM_ViewChangeRecovery);
 
 void BM_BestCaseNoViewChange(benchmark::State& state) {
   for (auto _ : state) {
-    ConsensusCluster cluster(make_3t1_instantiation(1), 2, 1);
+    ConsensusCluster cluster(make_3t1_instantiation(1),
+                             {.proposer_count = 2, .learner_count = 1});
     cluster.propose(0, 20);
     benchmark::DoNotOptimize(cluster.run_until_learned());
   }

@@ -41,14 +41,16 @@ int main() {
 
   {
     banner("best case: all correct, one proposer -> 2 message delays");
-    ConsensusCluster cluster(make_3t1_instantiation(1), 1, 2);
+    ConsensusCluster cluster(make_3t1_instantiation(1),
+                             {.proposer_count = 1, .learner_count = 2});
     cluster.propose(0, 7001);
     cluster.run_until_learned();
     report(cluster);
   }
   {
     banner("one acceptor crashed -> class 2 quorum, 3 message delays");
-    ConsensusCluster cluster(make_3t1_instantiation(1), 1, 2);
+    ConsensusCluster cluster(make_3t1_instantiation(1),
+                             {.proposer_count = 1, .learner_count = 2});
     cluster.sim().crash(0);
     cluster.propose(0, 7002);
     cluster.run_until_learned();
@@ -56,23 +58,26 @@ int main() {
   }
   {
     banner("disseminating acceptor system -> 4 message delays");
-    ConsensusCluster cluster(make_disseminating(4, 1, 1), 1, 1);
+    ConsensusCluster cluster(make_disseminating(4, 1, 1),
+                             {.proposer_count = 1, .learner_count = 1});
     cluster.propose(0, 7003);
     cluster.run_until_learned();
     report(cluster);
   }
   {
     banner("Byzantine acceptor equivocating -> agreement still holds");
-    ConsensusCluster cluster(make_3t1_instantiation(1), 1, 2, ProcessSet{0},
-                             /*fake_value=*/-1);
+    ConsensusCluster cluster(make_3t1_instantiation(1),
+                             {.proposer_count = 1, .learner_count = 2,
+                              .byzantine_acceptors = ProcessSet{0}, .fake_value = -1});
     cluster.propose(0, 7004);
     cluster.run_until_learned();
     report(cluster);
   }
   {
     banner("equivocating *leader*: election module elects a backup");
-    ConsensusCluster cluster(make_3t1_instantiation(1), 2, 2, ProcessSet{},
-                             /*fake_value=*/8889, /*byzantine_proposer=*/true);
+    ConsensusCluster cluster(make_3t1_instantiation(1),
+                             {.proposer_count = 2, .learner_count = 2, .fake_value = 8889,
+                              .byzantine_proposer = true});
     cluster.propose(0, 8888);  // Byzantine: equivocates 8888 / 8889
     cluster.propose(1, 8890);  // honest backup
     cluster.run_until_learned(4000);
@@ -86,7 +91,7 @@ int main() {
   }
   {
     banner("general adversary (Example 7) acceptor group");
-    ConsensusCluster cluster(make_example7(), 1, 1);
+    ConsensusCluster cluster(make_example7(), {.proposer_count = 1, .learner_count = 1});
     cluster.propose(0, 7005);
     cluster.run_until_learned();
     report(cluster);

@@ -35,27 +35,29 @@ int main() {
 
   {
     banner("all five disks healthy: single-round reads and writes");
-    StorageCluster cluster(make_fig1_fast5(), 1);
+    StorageCluster cluster(make_fig1_fast5(), {.reader_count = 1});
     run_pair(cluster, 100);
     run_pair(cluster, 101);
   }
   {
     banner("two disks down: graceful degradation to two rounds");
-    StorageCluster cluster(make_fig1_fast5(), 1);
+    StorageCluster cluster(make_fig1_fast5(), {.reader_count = 1});
     cluster.crash(3);
     cluster.crash(4);
     run_pair(cluster, 200);
   }
   {
     banner("Byzantine disk fabricating a future version (7 disks, t = 2 Byz)");
-    StorageCluster cluster(make_3t1_instantiation(2), 1, ProcessSet{0, 1},
-                           ByzantineStorageServer::fabricate(TsValue{999, -1}));
+    StorageCluster cluster(
+        make_3t1_instantiation(2),
+        {.reader_count = 1, .byzantine = ProcessSet{0, 1},
+         .forge = ByzantineStorageServer::fabricate(TsValue{999, -1})});
     run_pair(cluster, 300);
     std::printf("  fabricated <ts=999> was invalidated: no basic support\n");
   }
   {
     banner("reader concurrent with a slow writer: atomicity preserved");
-    StorageCluster cluster(make_fig1_fast5(), 2);
+    StorageCluster cluster(make_fig1_fast5(), {.reader_count = 2});
     cluster.blocking_write(400);
     cluster.network().fixed_delay(ProcessSet{kWriterId},
                                   ProcessSet::universe(5),
@@ -75,7 +77,7 @@ int main() {
   {
     banner("general adversary (Example 7): correlated failures");
     std::printf("  coalitions {s1,s2}, {s3,s4}, {s2,s4} may be Byzantine\n");
-    StorageCluster cluster(make_example7(), 1);
+    StorageCluster cluster(make_example7(), {.reader_count = 1});
     run_pair(cluster, 500);
   }
   std::printf("\nDone.\n");

@@ -43,20 +43,6 @@ ConsensusCluster::ConsensusCluster(RefinedQuorumSystem rqs,
   }
 }
 
-ConsensusCluster::ConsensusCluster(RefinedQuorumSystem rqs,
-                                   std::size_t proposer_count,
-                                   std::size_t learner_count,
-                                   ProcessSet byzantine_acceptors,
-                                   Value fake_value, bool byzantine_proposer,
-                                   sim::SimTime delta,
-                                   ProcessSet amnesiac_acceptors,
-                                   ProcessSet prep_liar_acceptors)
-    : ConsensusCluster(std::move(rqs),
-                       ClusterConfig{proposer_count, learner_count,
-                                     byzantine_acceptors, amnesiac_acceptors,
-                                     prep_liar_acceptors, fake_value,
-                                     byzantine_proposer, delta}) {}
-
 void ConsensusCluster::propose(std::size_t i, Value v) {
   if (!first_propose_time_) first_propose_time_ = sim_.now();
   proposers_.at(i)->propose(v);

@@ -14,11 +14,10 @@
 
 namespace rqs::consensus {
 
-/// Named deployment parameters for a ConsensusCluster. Replaces the
-/// positional-flag constructor that grew one parameter per fault flavor;
-/// the scenario layer (src/scenario/) builds deployments from this struct
-/// directly. The role sets must be disjoint; precedence when they are not:
-/// amnesiac > prep-liar > byzantine.
+/// Named deployment parameters for a ConsensusCluster; the scenario layer
+/// (src/scenario/deployment.hpp) builds deployments from this struct. The
+/// role sets must be disjoint; precedence when they are not: amnesiac >
+/// prep-liar > byzantine.
 struct ClusterConfig {
   std::size_t proposer_count{1};
   std::size_t learner_count{1};
@@ -40,17 +39,6 @@ class ConsensusCluster {
   /// `cfg.byzantine_proposer`), `cfg.learner_count` learners, and one
   /// acceptor per RQS element, with fault roles as per `cfg`.
   ConsensusCluster(RefinedQuorumSystem rqs, const ClusterConfig& cfg);
-
-  /// Legacy positional-flag constructor; thin wrapper over ClusterConfig
-  /// kept so existing call sites compile unchanged.
-  ConsensusCluster(RefinedQuorumSystem rqs, std::size_t proposer_count,
-                   std::size_t learner_count,
-                   ProcessSet byzantine_acceptors = {},
-                   Value fake_value = -99,
-                   bool byzantine_proposer = false,
-                   sim::SimTime delta = sim::kDefaultDelta,
-                   ProcessSet amnesiac_acceptors = {},
-                   ProcessSet prep_liar_acceptors = {});
 
   [[nodiscard]] sim::Simulation& sim() noexcept { return sim_; }
   [[nodiscard]] sim::Network& network() noexcept { return sim_.network(); }

@@ -50,14 +50,6 @@ StorageCluster::StorageCluster(RefinedQuorumSystem rqs,
   }
 }
 
-StorageCluster::StorageCluster(RefinedQuorumSystem rqs, std::size_t reader_count,
-                               ProcessSet byzantine,
-                               ByzantineStorageServer::ForgeFn forge,
-                               sim::SimTime delta)
-    : StorageCluster(std::move(rqs),
-                     StorageClusterConfig{reader_count, byzantine,
-                                          std::move(forge), delta}) {}
-
 RoundNumber StorageCluster::blocking_write(ObjectId key, Value v) {
   async_write(key, v);
   while (!keys_[key].write_done && sim_.step()) {

@@ -70,13 +70,6 @@ class StorageCluster {
   /// ByzantineStorageServer with `cfg.forge`; unlisted servers are benign.
   StorageCluster(RefinedQuorumSystem rqs, const StorageClusterConfig& cfg);
 
-  /// Legacy positional constructor; thin wrapper over StorageClusterConfig
-  /// kept so existing call sites compile unchanged.
-  StorageCluster(RefinedQuorumSystem rqs, std::size_t reader_count,
-                 ProcessSet byzantine = {},
-                 ByzantineStorageServer::ForgeFn forge = nullptr,
-                 sim::SimTime delta = sim::kDefaultDelta);
-
   [[nodiscard]] sim::Simulation& sim() noexcept { return sim_; }
   [[nodiscard]] sim::Network& network() noexcept { return sim_.network(); }
   [[nodiscard]] const RefinedQuorumSystem& rqs() const noexcept { return rqs_; }

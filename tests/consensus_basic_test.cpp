@@ -12,7 +12,8 @@ namespace {
 
 TEST(ConsensusBasicTest, BestCaseTwoDelaysWithClass1Quorum) {
   // 3t+1 (t = 1): QC1 = {all 4 acceptors}; everyone correct.
-  ConsensusCluster cluster(make_3t1_instantiation(1), 1, 2);
+  ConsensusCluster cluster(make_3t1_instantiation(1),
+                           {.proposer_count = 1, .learner_count = 2});
   cluster.propose(0, 7);
   ASSERT_TRUE(cluster.run_until_learned());
   EXPECT_EQ(cluster.agreed_value(), 7);
@@ -24,7 +25,8 @@ TEST(ConsensusBasicTest, BestCaseTwoDelaysWithClass1Quorum) {
 TEST(ConsensusBasicTest, ThreeDelaysWithOnlyClass2Quorum) {
   // Crash one acceptor: the class 1 quorum (all 4) is gone; class 2
   // 3-subsets remain => 3 message delays.
-  ConsensusCluster cluster(make_3t1_instantiation(1), 1, 2);
+  ConsensusCluster cluster(make_3t1_instantiation(1),
+                           {.proposer_count = 1, .learner_count = 2});
   cluster.sim().crash(0);
   cluster.propose(0, 7);
   ASSERT_TRUE(cluster.run_until_learned());
@@ -37,7 +39,8 @@ TEST(ConsensusBasicTest, ThreeDelaysWithOnlyClass2Quorum) {
 TEST(ConsensusBasicTest, FourDelaysWithOnlyClass3Quorums) {
   // Disseminating acceptor system (QC1 = QC2 = empty): no fast paths;
   // learning takes the full 4 message delays.
-  ConsensusCluster cluster(make_disseminating(4, 1, 1), 1, 2);
+  ConsensusCluster cluster(make_disseminating(4, 1, 1),
+                           {.proposer_count = 1, .learner_count = 2});
   cluster.propose(0, 9);
   ASSERT_TRUE(cluster.run_until_learned());
   EXPECT_EQ(cluster.agreed_value(), 9);
@@ -47,7 +50,7 @@ TEST(ConsensusBasicTest, FourDelaysWithOnlyClass3Quorums) {
 }
 
 TEST(ConsensusBasicTest, Example7TwoDelays) {
-  ConsensusCluster cluster(make_example7(), 1, 2);
+  ConsensusCluster cluster(make_example7(), {.proposer_count = 1, .learner_count = 2});
   cluster.propose(0, 3);
   ASSERT_TRUE(cluster.run_until_learned());
   EXPECT_EQ(cluster.agreed_value(), 3);
@@ -57,7 +60,7 @@ TEST(ConsensusBasicTest, Example7TwoDelays) {
 TEST(ConsensusBasicTest, Example7ThreeDelaysWithoutClass1) {
   // Crash s5 (= 4): Q1 = {1,3,4,5} unavailable; Q2' = {0,1,2,3,5} is a
   // correct class 2 quorum.
-  ConsensusCluster cluster(make_example7(), 1, 1);
+  ConsensusCluster cluster(make_example7(), {.proposer_count = 1, .learner_count = 1});
   cluster.sim().crash(4);
   cluster.propose(0, 3);
   ASSERT_TRUE(cluster.run_until_learned());
@@ -67,7 +70,8 @@ TEST(ConsensusBasicTest, Example7ThreeDelaysWithoutClass1) {
 
 TEST(ConsensusBasicTest, MaskingSystemThreeDelays) {
   // Masking system: QC2 = RQS, QC1 empty => 3 message delays, never 2.
-  ConsensusCluster cluster(make_masking(5, 1, 1), 1, 1);
+  ConsensusCluster cluster(make_masking(5, 1, 1),
+                           {.proposer_count = 1, .learner_count = 1});
   cluster.propose(0, 4);
   ASSERT_TRUE(cluster.run_until_learned());
   EXPECT_EQ(cluster.agreed_value(), 4);
@@ -75,7 +79,8 @@ TEST(ConsensusBasicTest, MaskingSystemThreeDelays) {
 }
 
 TEST(ConsensusBasicTest, AcceptorsAlsoDecide) {
-  ConsensusCluster cluster(make_3t1_instantiation(1), 1, 1);
+  ConsensusCluster cluster(make_3t1_instantiation(1),
+                           {.proposer_count = 1, .learner_count = 1});
   cluster.propose(0, 11);
   ASSERT_TRUE(cluster.run_until_learned());
   cluster.sim().run(cluster.sim().now() + 20 * sim::kDefaultDelta);
@@ -86,7 +91,8 @@ TEST(ConsensusBasicTest, AcceptorsAlsoDecide) {
 }
 
 TEST(ConsensusBasicTest, ProposerHaltsAfterDecision) {
-  ConsensusCluster cluster(make_3t1_instantiation(1), 1, 1);
+  ConsensusCluster cluster(make_3t1_instantiation(1),
+                           {.proposer_count = 1, .learner_count = 1});
   cluster.propose(0, 5);
   ASSERT_TRUE(cluster.run_until_learned());
   cluster.sim().run(cluster.sim().now() + 40 * sim::kDefaultDelta);
@@ -98,7 +104,8 @@ TEST(ConsensusBasicTest, TwoProposersContendAgreementHolds) {
   // must agree on one of them (validity + agreement). Depending on the
   // interleaving this may require a view change; termination within the
   // deadline is part of the assertion.
-  ConsensusCluster cluster(make_3t1_instantiation(1), 2, 2);
+  ConsensusCluster cluster(make_3t1_instantiation(1),
+                           {.proposer_count = 2, .learner_count = 2});
   cluster.propose(0, 1);
   cluster.propose(1, 2);
   ASSERT_TRUE(cluster.run_until_learned(2000));
@@ -110,7 +117,8 @@ TEST(ConsensusBasicTest, TwoProposersContendAgreementHolds) {
 TEST(ConsensusBasicTest, LatePullLearnerCatchesUp) {
   // A learner whose update messages were all lost still learns via the
   // decision-pull mechanism (Fig. 15 lines 101-103).
-  ConsensusCluster cluster(make_3t1_instantiation(1), 1, 2);
+  ConsensusCluster cluster(make_3t1_instantiation(1),
+                           {.proposer_count = 1, .learner_count = 2});
   const ProcessId late = kFirstLearnerId + 1;
   const std::size_t rule = cluster.network().block(
       ProcessSet::universe(4), ProcessSet{late});
@@ -131,13 +139,13 @@ TEST(ConsensusBasicTest, FastThresholdConfigIsAllOrNothing) {
   const RefinedQuorumSystem fast = make_fast_threshold(6, 1, 1, 0);
   ASSERT_TRUE(fast.valid());
   {
-    ConsensusCluster cluster(fast, 1, 1);
+    ConsensusCluster cluster(fast, {.proposer_count = 1, .learner_count = 1});
     cluster.propose(0, 4);
     ASSERT_TRUE(cluster.run_until_learned());
     EXPECT_EQ(cluster.learn_delays(0), 2);
   }
   {
-    ConsensusCluster cluster(fast, 1, 1);
+    ConsensusCluster cluster(fast, {.proposer_count = 1, .learner_count = 1});
     cluster.sim().crash(0);
     cluster.propose(0, 4);
     ASSERT_TRUE(cluster.run_until_learned());
@@ -149,7 +157,8 @@ TEST(ConsensusBasicTest, MessageComplexityBestCase) {
   // Best-case message complexity of one decision in the 3t+1 (t=1)
   // system: 1 prepare broadcast to 4 acceptors + 3 all-to-(acceptors+
   // learners) update waves from 4 acceptors, plus decision gossip.
-  ConsensusCluster cluster(make_3t1_instantiation(1), 1, 1);
+  ConsensusCluster cluster(make_3t1_instantiation(1),
+                           {.proposer_count = 1, .learner_count = 1});
   cluster.network().reset_counters();
   cluster.propose(0, 2);
   ASSERT_TRUE(cluster.run_until_learned());
@@ -168,7 +177,7 @@ TEST(ConsensusBasicTest, DelaysOrderedByClassAcrossSystems) {
   rows.emplace_back(make_masking(4, 1, 1), 3);
   rows.emplace_back(make_disseminating(4, 1, 1), 4);
   for (auto& [sys, expected] : rows) {
-    ConsensusCluster cluster(std::move(sys), 1, 1);
+    ConsensusCluster cluster(std::move(sys), {.proposer_count = 1, .learner_count = 1});
     cluster.propose(0, 1);
     ASSERT_TRUE(cluster.run_until_learned());
     EXPECT_EQ(cluster.learn_delays(0), expected);

@@ -15,8 +15,9 @@ namespace {
 TEST(ConsensusFaultTest, ByzantineAcceptorCannotBreakAgreement) {
   // One equivocating acceptor in a 3t+1 (t = 1) system: the fake value
   // never gathers quorum support; every learner learns the proposed value.
-  ConsensusCluster cluster(make_3t1_instantiation(1), 1, 2, ProcessSet{0},
-                           /*fake_value=*/-5);
+  ConsensusCluster cluster(make_3t1_instantiation(1),
+                           {.proposer_count = 1, .learner_count = 2,
+                            .byzantine_acceptors = ProcessSet{0}, .fake_value = -5});
   cluster.propose(0, 7);
   ASSERT_TRUE(cluster.run_until_learned());
   EXPECT_EQ(cluster.agreed_value(), 7);
@@ -25,8 +26,9 @@ TEST(ConsensusFaultTest, ByzantineAcceptorCannotBreakAgreement) {
 TEST(ConsensusFaultTest, ByzantineAcceptorCostsAtMostOneDelay) {
   // Denial by one acceptor spoils the class 1 (full-set) quorum; the
   // correct class 2 quorums still give 3 delays.
-  ConsensusCluster cluster(make_3t1_instantiation(1), 1, 1, ProcessSet{0},
-                           /*fake_value=*/-5);
+  ConsensusCluster cluster(make_3t1_instantiation(1),
+                           {.proposer_count = 1, .learner_count = 1,
+                            .byzantine_acceptors = ProcessSet{0}, .fake_value = -5});
   cluster.propose(0, 7);
   ASSERT_TRUE(cluster.run_until_learned());
   EXPECT_EQ(cluster.agreed_value(), 7);
@@ -35,8 +37,9 @@ TEST(ConsensusFaultTest, ByzantineAcceptorCostsAtMostOneDelay) {
 }
 
 TEST(ConsensusFaultTest, TwoByzantineAcceptorsInSevenAcceptorSystem) {
-  ConsensusCluster cluster(make_3t1_instantiation(2), 1, 2, ProcessSet{0, 1},
-                           /*fake_value=*/-5);
+  ConsensusCluster cluster(make_3t1_instantiation(2),
+                           {.proposer_count = 1, .learner_count = 2,
+                            .byzantine_acceptors = ProcessSet{0, 1}, .fake_value = -5});
   cluster.propose(0, 13);
   ASSERT_TRUE(cluster.run_until_learned());
   EXPECT_EQ(cluster.agreed_value(), 13);
@@ -49,9 +52,9 @@ TEST(ConsensusFaultTest, EquivocatingProposerForcesViewChangeAgreementHolds) {
   // and the decided value is one of the two equivocated values (all
   // proposers are Byzantine-or-benign per the model; validity in the
   // paper's sense only constrains all-benign-proposer runs).
-  ConsensusCluster cluster(make_3t1_instantiation(1), 2, 2, ProcessSet{},
-                           /*fake_value=*/21,
-                           /*byzantine_proposer=*/true);
+  ConsensusCluster cluster(make_3t1_instantiation(1),
+                           {.proposer_count = 2, .learner_count = 2, .fake_value = 21,
+                            .byzantine_proposer = true});
   cluster.propose(0, 20);  // Byzantine: sends 20 to even, 21 to odd ids
   cluster.propose(1, 22);  // benign backup proposer (becomes leader of v1)
   ASSERT_TRUE(cluster.run_until_learned(3000));
@@ -70,7 +73,8 @@ TEST(ConsensusFaultTest, EquivocatingProposerForcesViewChangeAgreementHolds) {
 TEST(ConsensusFaultTest, CrashedFirstProposerSecondProposesInInitView) {
   // The initial view accepts any proposer: if p0 never proposes, p1's
   // proposal decides without any view change.
-  ConsensusCluster cluster(make_3t1_instantiation(1), 2, 1);
+  ConsensusCluster cluster(make_3t1_instantiation(1),
+                           {.proposer_count = 2, .learner_count = 1});
   cluster.sim().crash(kFirstProposerId);
   cluster.propose(1, 8);
   ASSERT_TRUE(cluster.run_until_learned());
@@ -82,7 +86,8 @@ TEST(ConsensusFaultTest, LeaderCrashMidProtocolRecoversViaViewChange) {
   // p0's prepare reaches only half the acceptors, then p0 crashes: no
   // quorum forms in view 0; the election module elects p1 which completes
   // the protocol.
-  ConsensusCluster cluster(make_3t1_instantiation(1), 2, 1);
+  ConsensusCluster cluster(make_3t1_instantiation(1),
+                           {.proposer_count = 2, .learner_count = 1});
   cluster.network().block(ProcessSet{kFirstProposerId}, ProcessSet{2, 3});
   cluster.propose(0, 5);
   cluster.propose(1, 6);
@@ -97,7 +102,8 @@ TEST(ConsensusFaultTest, LeaderCrashMidProtocolRecoversViaViewChange) {
 TEST(ConsensusFaultTest, MessageLossBeforeGstThenSynchrony) {
   // The consensus model allows lossy channels: drop 40% of messages until
   // GST, then deliver everything; liveness resumes after GST.
-  ConsensusCluster cluster(make_3t1_instantiation(1), 2, 2);
+  ConsensusCluster cluster(make_3t1_instantiation(1),
+                           {.proposer_count = 2, .learner_count = 2});
   auto rng = std::make_shared<Rng>(1234);
   const sim::SimTime gst = 30 * sim::kDefaultDelta;
   cluster.network().add_rule(
@@ -119,7 +125,8 @@ TEST(ConsensusFaultTest, MessageLossBeforeGstThenSynchrony) {
 TEST(ConsensusFaultTest, AsynchronousPeriodDelaysButAgreementHolds) {
   // All links slow (4 Delta) for a while: timers misfire and views may
   // change, but agreement and eventual termination hold.
-  ConsensusCluster cluster(make_3t1_instantiation(1), 2, 2);
+  ConsensusCluster cluster(make_3t1_instantiation(1),
+                           {.proposer_count = 2, .learner_count = 2});
   const std::size_t slow = cluster.network().fixed_delay(
       ProcessSet::universe(64), ProcessSet::universe(64),
       4 * sim::kDefaultDelta);
@@ -142,10 +149,9 @@ TEST(ConsensusFaultTest, ChooseAbortsOnLyingQuorumThenRetriesAnother) {
   // Valid3 fail, so choose() aborts and Q2' is marked faulty — and then,
   // when acceptor 4's delayed ack arrives, succeeds on Q1 and drives the
   // decided value 1 to every learner.
-  ConsensusCluster cluster(make_example7(), 2, 2, /*byzantine=*/ProcessSet{},
-                           /*fake_value=*/-9, /*byzantine_proposer=*/false,
-                           sim::kDefaultDelta, /*amnesiac=*/ProcessSet{},
-                           /*prep_liars=*/ProcessSet{2, 3});
+  ConsensusCluster cluster(make_example7(),
+                           {.proposer_count = 2, .learner_count = 2,
+                            .prep_liar_acceptors = ProcessSet{2, 3}, .fake_value = -9});
   auto& net = cluster.network();
   const ProcessId p0 = kFirstProposerId;
   const ProcessId p1 = kFirstProposerId + 1;
@@ -186,10 +192,9 @@ TEST(ConsensusFaultTest, AmnesiacConsultLiarsCannotEraseDecision) {
   // A value is decided in view 0; then amnesiac acceptors lie in the
   // consult phase of a forced view change. choose() must still re-select
   // the decided value (or abort on the lying quorum), never a fresh one.
-  ConsensusCluster cluster(make_example7(), 2, 2, ProcessSet{},
-                           /*fake_value=*/-9,
-                           /*byzantine_proposer=*/false, sim::kDefaultDelta,
-                           /*amnesiac_acceptors=*/ProcessSet{2, 3});
+  ConsensusCluster cluster(make_example7(),
+                           {.proposer_count = 2, .learner_count = 2,
+                            .amnesiac_acceptors = ProcessSet{2, 3}, .fake_value = -9});
   cluster.propose(0, 7);
   ASSERT_TRUE(cluster.run_until_learned());
   EXPECT_EQ(cluster.agreed_value(), 7);

@@ -60,8 +60,9 @@ ScheduleOutcome run_theorem6_schedule(RefinedQuorumSystem rqs) {
   // Acceptors {2,3} are amnesiac consult-liars (Byzantine); learners:
   // l1 (index 0) sees the view-0 decision, l2 (index 1) is isolated until
   // view 1.
-  ConsensusCluster cluster(std::move(rqs), 2, 2, ProcessSet{}, -9, false,
-                           sim::kDefaultDelta, ProcessSet{2, 3});
+  ConsensusCluster cluster(std::move(rqs),
+                           {.proposer_count = 2, .learner_count = 2,
+                            .amnesiac_acceptors = ProcessSet{2, 3}, .fake_value = -9});
   auto& net = cluster.network();
   const ProcessId p0 = kFirstProposerId;
   const ProcessId p1 = kFirstProposerId + 1;

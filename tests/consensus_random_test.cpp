@@ -47,7 +47,9 @@ TEST_P(ConsensusRandomTest, AgreementAndValidityAlways) {
       }
     }
   }
-  ConsensusCluster cluster(sys, 2, 2, byz, /*fake_value=*/-3);
+  ConsensusCluster cluster(sys,
+                           {.proposer_count = 2, .learner_count = 2,
+                            .byzantine_acceptors = byz, .fake_value = -3});
 
   auto rng = std::make_shared<Rng>(param.seed);
   const sim::SimTime gst = 25 * sim::kDefaultDelta;
@@ -113,7 +115,7 @@ TEST(ConsensusCrashSweepTest, LatencyBoundedByAvailableClass) {
     if (crashed.size() > 1) continue;
     const auto best = sys.best_available(crashed.complement(4));
     ASSERT_TRUE(best.has_value());
-    ConsensusCluster cluster(sys, 1, 1);
+    ConsensusCluster cluster(sys, {.proposer_count = 1, .learner_count = 1});
     for (const ProcessId id : crashed) cluster.sim().crash(id);
     cluster.propose(0, 5);
     ASSERT_TRUE(cluster.run_until_learned()) << crashed.to_string();

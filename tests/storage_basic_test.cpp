@@ -10,13 +10,13 @@ namespace rqs::storage {
 namespace {
 
 TEST(StorageBasicTest, InitialReadReturnsBottom) {
-  StorageCluster cluster(make_fig1_fast5(), 1);
+  StorageCluster cluster(make_fig1_fast5(), {.reader_count = 1});
   const auto outcome = cluster.blocking_read(0);
   EXPECT_TRUE(is_bottom(outcome.value));
 }
 
 TEST(StorageBasicTest, WriteThenReadBestCaseSingleRound) {
-  StorageCluster cluster(make_fig1_fast5(), 1);
+  StorageCluster cluster(make_fig1_fast5(), {.reader_count = 1});
   // All 5 servers up: a class 1 quorum (4-subset) is available.
   EXPECT_EQ(cluster.blocking_write(7), 1u);
   const auto outcome = cluster.blocking_read(0);
@@ -25,7 +25,7 @@ TEST(StorageBasicTest, WriteThenReadBestCaseSingleRound) {
 }
 
 TEST(StorageBasicTest, SequentialWritesAndReads) {
-  StorageCluster cluster(make_fig1_fast5(), 2);
+  StorageCluster cluster(make_fig1_fast5(), {.reader_count = 2});
   for (Value v = 1; v <= 5; ++v) {
     cluster.blocking_write(v * 100);
     EXPECT_EQ(cluster.blocking_read(0).value, v * 100);
@@ -35,7 +35,7 @@ TEST(StorageBasicTest, SequentialWritesAndReads) {
 }
 
 TEST(StorageBasicTest, TwoCrashesDegradeToClassTwoLatency) {
-  StorageCluster cluster(make_fig1_fast5(), 1);
+  StorageCluster cluster(make_fig1_fast5(), {.reader_count = 1});
   cluster.crash(3);
   cluster.crash(4);
   // Only 3 servers alive: class 2 quorums available, class 1 not.
@@ -47,7 +47,7 @@ TEST(StorageBasicTest, TwoCrashesDegradeToClassTwoLatency) {
 }
 
 TEST(StorageBasicTest, OneCrashStillSingleRound) {
-  StorageCluster cluster(make_fig1_fast5(), 1);
+  StorageCluster cluster(make_fig1_fast5(), {.reader_count = 1});
   cluster.crash(0);
   EXPECT_EQ(cluster.blocking_write(9), 1u);
   EXPECT_EQ(cluster.blocking_read(0).rounds, 1u);
@@ -56,7 +56,7 @@ TEST(StorageBasicTest, OneCrashStillSingleRound) {
 TEST(StorageBasicTest, ThreeTPlusOneBestCase) {
   // n = 4, t = k = 1: class 1 quorum = all servers; with everyone up,
   // writes and reads take a single round.
-  StorageCluster cluster(make_3t1_instantiation(1), 1);
+  StorageCluster cluster(make_3t1_instantiation(1), {.reader_count = 1});
   EXPECT_EQ(cluster.blocking_write(5), 1u);
   const auto outcome = cluster.blocking_read(0);
   EXPECT_EQ(outcome.value, 5);
@@ -64,7 +64,7 @@ TEST(StorageBasicTest, ThreeTPlusOneBestCase) {
 }
 
 TEST(StorageBasicTest, ThreeTPlusOneCrashDegrades) {
-  StorageCluster cluster(make_3t1_instantiation(1), 1);
+  StorageCluster cluster(make_3t1_instantiation(1), {.reader_count = 1});
   cluster.crash(0);
   // Class 1 (= all 4) unavailable; class 2 quorums (3-subsets) remain.
   const RoundNumber wr = cluster.blocking_write(5);
@@ -79,7 +79,7 @@ TEST(StorageBasicTest, MaskingSystemGivesTwoRoundOps) {
   // Ablation: over a masking quorum system (QC1 empty, QC2 = RQS) there is
   // no 1-round path, but the class 2 machinery still gives 2-round writes
   // and reads in the best case.
-  StorageCluster cluster(make_masking(5, 1, 1), 1);
+  StorageCluster cluster(make_masking(5, 1, 1), {.reader_count = 1});
   EXPECT_EQ(cluster.blocking_write(4), 2u);
   const auto outcome = cluster.blocking_read(0);
   EXPECT_EQ(outcome.value, 4);
@@ -91,7 +91,7 @@ TEST(StorageBasicTest, DisseminatingSystemIsSlowButCorrect) {
   // Ablation: a disseminating system (QC1 = QC2 empty) disables every fast
   // path; the algorithm always runs the full three rounds for writes and
   // collect + two writeback rounds for reads.
-  StorageCluster cluster(make_disseminating(5, 1, 1), 1);
+  StorageCluster cluster(make_disseminating(5, 1, 1), {.reader_count = 1});
   EXPECT_EQ(cluster.blocking_write(4), 3u);
   const auto outcome = cluster.blocking_read(0);
   EXPECT_EQ(outcome.value, 4);
@@ -100,7 +100,7 @@ TEST(StorageBasicTest, DisseminatingSystemIsSlowButCorrect) {
 }
 
 TEST(StorageBasicTest, Example7BestCase) {
-  StorageCluster cluster(make_example7(), 1);
+  StorageCluster cluster(make_example7(), {.reader_count = 1});
   EXPECT_EQ(cluster.blocking_write(11), 1u);  // Q1 = {1,3,4,5} all alive
   const auto outcome = cluster.blocking_read(0);
   EXPECT_EQ(outcome.value, 11);
@@ -108,7 +108,7 @@ TEST(StorageBasicTest, Example7BestCase) {
 }
 
 TEST(StorageBasicTest, Example7WithoutClass1Quorum) {
-  StorageCluster cluster(make_example7(), 1);
+  StorageCluster cluster(make_example7(), {.reader_count = 1});
   cluster.crash(4);  // s5: now only Q2' = {0,1,2,3,5} is fully alive
   const RoundNumber wr = cluster.blocking_write(12);
   EXPECT_EQ(wr, 2u);
@@ -124,7 +124,7 @@ TEST(StorageBasicTest, RoundsNeverExceedThree) {
       make_fig1_fast5(), make_3t1_instantiation(1), make_example7(),
       make_masking(5, 1, 1), make_graded_threshold(7, 1, 2, 1, 0)};
   for (const auto& sys : systems) {
-    StorageCluster cluster(sys, 1);
+    StorageCluster cluster(sys, {.reader_count = 1});
     EXPECT_LE(cluster.blocking_write(1), 3u);
     const auto outcome = cluster.blocking_read(0);
     EXPECT_EQ(outcome.value, 1);
@@ -136,7 +136,7 @@ TEST(StorageBasicTest, BestCaseMessageComplexity) {
   // Section 5 discusses message complexity; in the best case the costs
   // are linear: a 1-round write is one wr broadcast (n messages) plus n
   // acks; a 1-round read is one rd broadcast plus n history replies.
-  StorageCluster cluster(make_fig1_fast5(), 1);
+  StorageCluster cluster(make_fig1_fast5(), {.reader_count = 1});
   cluster.network().reset_counters();
   cluster.blocking_write(1);
   auto by_tag = cluster.network().sent_by_tag();
@@ -152,7 +152,7 @@ TEST(StorageBasicTest, BestCaseMessageComplexity) {
 }
 
 TEST(StorageBasicTest, DegradedReadPaysOneWritebackBroadcast) {
-  StorageCluster cluster(make_fig1_fast5(), 1);
+  StorageCluster cluster(make_fig1_fast5(), {.reader_count = 1});
   cluster.crash(3);
   cluster.crash(4);
   cluster.blocking_write(1);  // 2 rounds
@@ -167,7 +167,7 @@ TEST(StorageBasicTest, DegradedReadPaysOneWritebackBroadcast) {
 }
 
 TEST(StorageBasicTest, TimestampsIncreaseMonotonically) {
-  StorageCluster cluster(make_fig1_fast5(), 1);
+  StorageCluster cluster(make_fig1_fast5(), {.reader_count = 1});
   cluster.blocking_write(1);
   EXPECT_EQ(cluster.writer().timestamp(), 1u);
   cluster.blocking_write(2);
@@ -176,7 +176,7 @@ TEST(StorageBasicTest, TimestampsIncreaseMonotonically) {
 }
 
 TEST(StorageBasicTest, ServerHistoriesFillAfterWrite) {
-  StorageCluster cluster(make_fig1_fast5(), 0);
+  StorageCluster cluster(make_fig1_fast5(), {.reader_count = 0});
   cluster.blocking_write(3);
   // After a single-round write, slot 1 of row 1 holds <1, 3> at every
   // server that received the message (all alive here).

@@ -13,8 +13,9 @@ namespace {
 TEST(StorageFaultTest, FabricatedHighTimestampIsNotReturned) {
   // A Byzantine server invents <99, 666> in slots 1 and 2. The reader must
   // invalidate it (no basic support) and return the genuine value.
-  StorageCluster cluster(make_3t1_instantiation(1), 1, ProcessSet{0},
-                         ByzantineStorageServer::fabricate(TsValue{99, 666}));
+  StorageCluster cluster(make_3t1_instantiation(1),
+                         {.reader_count = 1, .byzantine = ProcessSet{0},
+                          .forge = ByzantineStorageServer::fabricate(TsValue{99, 666})});
   cluster.blocking_write(5);
   const auto rd = cluster.blocking_read(0);
   EXPECT_EQ(rd.value, 5);
@@ -22,8 +23,9 @@ TEST(StorageFaultTest, FabricatedHighTimestampIsNotReturned) {
 }
 
 TEST(StorageFaultTest, FabricationBeforeAnyWriteYieldsBottom) {
-  StorageCluster cluster(make_3t1_instantiation(1), 1, ProcessSet{0},
-                         ByzantineStorageServer::fabricate(TsValue{7, 42}));
+  StorageCluster cluster(make_3t1_instantiation(1),
+                         {.reader_count = 1, .byzantine = ProcessSet{0},
+                          .forge = ByzantineStorageServer::fabricate(TsValue{7, 42})});
   const auto rd = cluster.blocking_read(0);
   EXPECT_TRUE(is_bottom(rd.value));
 }
@@ -32,8 +34,9 @@ TEST(StorageFaultTest, DenialCostsOneExtraRoundNotCorrectness) {
   // A Byzantine server that reports a blank history spoils the class 1
   // best case (the full set is the only class 1 quorum in the 3t+1
   // construction) but a correct class 2 quorum keeps reads at <= 2 rounds.
-  StorageCluster cluster(make_3t1_instantiation(1), 1, ProcessSet{0},
-                         ByzantineStorageServer::forget_everything());
+  StorageCluster cluster(make_3t1_instantiation(1),
+                         {.reader_count = 1, .byzantine = ProcessSet{0},
+                          .forge = ByzantineStorageServer::forget_everything()});
   cluster.blocking_write(3);
   const auto rd = cluster.blocking_read(0);
   EXPECT_EQ(rd.value, 3);
@@ -43,8 +46,9 @@ TEST(StorageFaultTest, DenialCostsOneExtraRoundNotCorrectness) {
 
 TEST(StorageFaultTest, ByzantineWithLargerSystem) {
   // t = 2 Byzantine servers in a 7-server system.
-  StorageCluster cluster(make_3t1_instantiation(2), 1, ProcessSet{0, 1},
-                         ByzantineStorageServer::fabricate(TsValue{50, -1}));
+  StorageCluster cluster(make_3t1_instantiation(2),
+                         {.reader_count = 1, .byzantine = ProcessSet{0, 1},
+                          .forge = ByzantineStorageServer::fabricate(TsValue{50, -1})});
   for (Value v = 1; v <= 3; ++v) {
     cluster.blocking_write(v);
     EXPECT_EQ(cluster.blocking_read(0).value, v);
@@ -56,7 +60,7 @@ TEST(StorageFaultTest, CrashDuringWriteIsRepairedByReaders) {
   // The writer reaches only part of a quorum and "crashes" (its remaining
   // rounds are blocked). A subsequent read that finds the partial value
   // writes it back; a second read must then agree (no inversion).
-  StorageCluster cluster(make_fig1_fast5(), 2);
+  StorageCluster cluster(make_fig1_fast5(), {.reader_count = 2});
   // Round 1 reaches servers {0,1} only — fewer than any quorum, so the
   // write can never complete.
   cluster.network().block(ProcessSet{kWriterId}, ProcessSet{2, 3, 4});
@@ -77,7 +81,7 @@ TEST(StorageFaultTest, ReaderContentionDuringWrite) {
   // A read concurrent with an in-flight write may return the old or the
   // new value; two sequential reads must be monotone. Checked by the
   // atomicity checker over the full history.
-  StorageCluster cluster(make_fig1_fast5(), 2);
+  StorageCluster cluster(make_fig1_fast5(), {.reader_count = 2});
   cluster.blocking_write(1);
   // Slow down the writer's messages so the write overlaps the reads.
   cluster.network().fixed_delay(ProcessSet{kWriterId}, ProcessSet::universe(5),
@@ -97,7 +101,7 @@ TEST(StorageFaultTest, ReaderContentionDuringWrite) {
 TEST(StorageFaultTest, AsynchronyDelaysButPreservesAtomicity) {
   // All links slow (3 Delta > the 2 Delta timers): operations take extra
   // rounds/time but remain atomic and live (a correct quorum exists).
-  StorageCluster cluster(make_3t1_instantiation(1), 1);
+  StorageCluster cluster(make_3t1_instantiation(1), {.reader_count = 1});
   cluster.network().set_default_delay(3 * sim::kDefaultDelta);
   for (Value v = 1; v <= 3; ++v) {
     cluster.blocking_write(v);
@@ -108,8 +112,9 @@ TEST(StorageFaultTest, AsynchronyDelaysButPreservesAtomicity) {
 
 TEST(StorageFaultTest, MixedCrashAndByzantine) {
   // n = 7, t = 2: one Byzantine server plus one crashed server.
-  StorageCluster cluster(make_3t1_instantiation(2), 1, ProcessSet{6},
-                         ByzantineStorageServer::fabricate(TsValue{9, 9}));
+  StorageCluster cluster(make_3t1_instantiation(2),
+                         {.reader_count = 1, .byzantine = ProcessSet{6},
+                          .forge = ByzantineStorageServer::fabricate(TsValue{9, 9})});
   cluster.crash(0);
   cluster.blocking_write(4);
   const auto rd = cluster.blocking_read(0);
@@ -120,7 +125,7 @@ TEST(StorageFaultTest, MixedCrashAndByzantine) {
 TEST(StorageFaultTest, WriterBlockedFromClass1QuorumDegrades) {
   // Example 7: the writer cannot reach s6 (a Q1 member), so no class 1
   // quorum responds; the write must fall back to 2 rounds via Q2/Q2'.
-  StorageCluster cluster(make_example7(), 1);
+  StorageCluster cluster(make_example7(), {.reader_count = 1});
   cluster.network().block(ProcessSet{kWriterId}, ProcessSet{5});
   cluster.async_write(8);
   cluster.sim().run(cluster.sim().now() + 30 * sim::kDefaultDelta);
@@ -134,7 +139,7 @@ TEST(StorageFaultTest, ThirdRoundFallback) {
   // set... with make_graded_threshold(7,1,2,1,0): class 2 = miss <= 1,
   // class 3 = miss 2. Blocking two servers leaves only class 3 quorums,
   // so QC'2 stays empty and the write needs all three rounds.
-  StorageCluster cluster(make_graded_threshold(7, 1, 2, 1, 0), 1);
+  StorageCluster cluster(make_graded_threshold(7, 1, 2, 1, 0), {.reader_count = 1});
   cluster.network().block(ProcessSet{kWriterId}, ProcessSet{5, 6});
   cluster.async_write(2);
   cluster.sim().run(cluster.sim().now() + 30 * sim::kDefaultDelta);

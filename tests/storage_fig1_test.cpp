@@ -29,7 +29,7 @@ struct Fig1Outcome {
 };
 
 Fig1Outcome run_fig1_schedule(RefinedQuorumSystem rqs) {
-  StorageCluster cluster(std::move(rqs), 2);
+  StorageCluster cluster(std::move(rqs), {.reader_count = 2});
   auto& net = cluster.network();
 
   // ex3: the writer's messages reach only s3; the write stays incomplete.
@@ -89,7 +89,7 @@ TEST(Fig1Test, ValidSystemSurvivesTheSameSchedule) {
 TEST(Fig1Test, ValidSystemFastPathNeedsFourServers) {
   // Sanity on the repaired system: with all five servers reachable both
   // operations are single-round (ex1/ex2 of the introduction's algorithm).
-  StorageCluster cluster(make_fig1_fast5(), 1);
+  StorageCluster cluster(make_fig1_fast5(), {.reader_count = 1});
   EXPECT_EQ(cluster.blocking_write(1), 1u);
   const auto rd = cluster.blocking_read(0);
   EXPECT_EQ(rd.value, 1);
@@ -99,7 +99,7 @@ TEST(Fig1Test, ValidSystemFastPathNeedsFourServers) {
 TEST(Fig1Test, ValidSystemWriteDegradesGracefully) {
   // Exactly 3 reachable servers: write needs 2 rounds (the pw/w two-phase
   // write of the introduction's example).
-  StorageCluster cluster(make_fig1_fast5(), 1);
+  StorageCluster cluster(make_fig1_fast5(), {.reader_count = 1});
   cluster.network().block(ProcessSet{kWriterId}, ProcessSet{kS4, kS5});
   cluster.async_write(1);
   cluster.sim().run(cluster.sim().now() + 30 * sim::kDefaultDelta);

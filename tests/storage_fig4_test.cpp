@@ -18,7 +18,7 @@ constexpr ProcessId kS1 = 0, kS2 = 1, kS3 = 2, kS5 = 4, kS6 = 5;
 
 TEST(Fig4Test, Ex1SynchronousWriteCompletesInOneRound) {
   // ex1: write(1) accesses class 1 quorum Q1 (s1, s3 unreachable).
-  StorageCluster cluster(make_example7(), 0);
+  StorageCluster cluster(make_example7(), {.reader_count = 0});
   cluster.network().block(ProcessSet{kWriterId}, ProcessSet{kS1, kS3});
   cluster.async_write(1);
   cluster.sim().run(cluster.sim().now() + 20 * sim::kDefaultDelta);
@@ -29,7 +29,7 @@ TEST(Fig4Test, Ex1SynchronousWriteCompletesInOneRound) {
 TEST(Fig4Test, Ex2ReadAfterFastWriteTakesTwoRounds) {
   // ex2: wr completes in one round via Q1 (s1, s3 correct but unreached);
   // read rd via Q2 must return 1 after 2 rounds of communication.
-  StorageCluster cluster(make_example7(), 1);
+  StorageCluster cluster(make_example7(), {.reader_count = 1});
   cluster.network().block(ProcessSet{kWriterId}, ProcessSet{kS1, kS3});
   cluster.async_write(1);
   cluster.sim().run(cluster.sim().now() + 20 * sim::kDefaultDelta);
@@ -49,7 +49,7 @@ TEST(Fig4Test, Ex3ConcurrentSlowWriteIndistinguishable) {
   // situation is emulated by the writer reaching exactly Q1 n Q2 = {1,3,4}
   // in round 1 — rd cannot distinguish this from ex2 and still returns 1
   // in 2 rounds after writing the value back.
-  StorageCluster cluster(make_example7(), 2);
+  StorageCluster cluster(make_example7(), {.reader_count = 2});
   cluster.network().block(ProcessSet{kWriterId},
                           ProcessSet{kS1, kS3, kS6});  // reaches {1,3,4} only
   cluster.async_write(1);
@@ -75,8 +75,9 @@ TEST(Fig4Test, Ex4ByzantineForgettersCannotHideTheValue) {
   // s1 is Byzantine and denies everything; s2 stays benign but the
   // writeback is blocked from reaching it, so it reports only the writer's
   // round 1 message — together this is exactly the ex4 view.
-  StorageCluster cluster(make_example7(), 2, /*byzantine=*/ProcessSet{kS1},
-                         ByzantineStorageServer::forget_everything());
+  StorageCluster cluster(make_example7(),
+                         {.reader_count = 2, .byzantine = ProcessSet{kS1},
+                          .forge = ByzantineStorageServer::forget_everything()});
 
   // wr reaches {1,3,4} in round 1 and stalls (as in ex3).
   cluster.network().block(ProcessSet{kWriterId}, ProcessSet{kS1, kS3, kS6});
@@ -118,14 +119,16 @@ TEST(Fig4Test, Ex6FabricatedValueIsNeverReturned) {
   // fabricate <1, {Q2}> as if a writeback had happened. r2 must not
   // return 1: the support {s3,s4} is an adversary element, so safe()
   // never holds and the read cannot select the fabricated pair.
-  StorageCluster cluster(make_example7(), 1, /*byzantine=*/ProcessSet{2, 3},
-                         [](const ServerHistory&, ProcessId) {
-                           ServerHistory forged;
-                           HistorySlot& s = forged.slot(1, 1);
-                           s.pair = TsValue{1, 1};
-                           s.sets = {1};  // Q2's quorum id in make_example7
-                           return forged;
-                         });
+  StorageCluster cluster(make_example7(),
+                         {.reader_count = 1,
+                          .byzantine = ProcessSet{2, 3},
+                          .forge = [](const ServerHistory&, ProcessId) {
+                            ServerHistory forged;
+                            HistorySlot& s = forged.slot(1, 1);
+                            s.pair = TsValue{1, 1};
+                            s.sets = {1};  // Q2's quorum id in make_example7
+                            return forged;
+                          }});
   cluster.crash(kS5);
   cluster.network().block(ProcessSet{kFirstReaderId}, ProcessSet{kS5});
   cluster.async_read(0);

@@ -133,7 +133,7 @@ TEST(WrAckAliasingTest, StaleWritebackAckCannotSatisfyNextReadsQuorum) {
   // server 0's stale read-1 acks (same ts, same rnd) complete read 2's
   // writeback rounds ~100 Deltas early.
   constexpr sim::SimTime kDelta = sim::kDefaultDelta;
-  StorageCluster cluster(make_disseminating(5, 1, 1), 1);
+  StorageCluster cluster(make_disseminating(5, 1, 1), {.reader_count = 1});
   cluster.network().fixed_delay(ProcessSet::single(0),
                                 ProcessSet::single(kFirstReaderId), 100 * kDelta);
   cluster.blocking_write(7);

@@ -49,8 +49,9 @@ TEST_P(StorageRandomTest, RandomScheduleStaysAtomic) {
       }
     }
   }
-  StorageCluster cluster(sys, 2, byz,
-                         ByzantineStorageServer::fabricate(TsValue{1000, -7}));
+  StorageCluster cluster(sys,
+                         {.reader_count = 2, .byzantine = byz,
+                          .forge = ByzantineStorageServer::fabricate(TsValue{1000, -7})});
 
   if (param.jitter) {
     auto engine = std::make_shared<Rng>(param.seed ^ 0x9e3779b97f4a7c15ULL);
@@ -117,7 +118,7 @@ TEST(StorageCrashSweepTest, EveryTolerableCrashPatternStaysLive) {
   for (std::uint64_t mask = 0; mask < 32; ++mask) {
     const ProcessSet crashed = ProcessSet::from_mask(mask);
     if (crashed.size() > 2) continue;
-    StorageCluster cluster(make_fig1_fast5(), 1);
+    StorageCluster cluster(make_fig1_fast5(), {.reader_count = 1});
     for (const ProcessId id : crashed) cluster.crash(id);
     cluster.blocking_write(7);
     const auto rd = cluster.blocking_read(0);
@@ -136,7 +137,7 @@ TEST(StorageCrashSweepTest, LatencyMatchesAvailableClassUnderCrashes) {
     const ProcessSet alive = crashed.complement(5);
     const auto best = sys.best_available(alive);
     ASSERT_TRUE(best.has_value());
-    StorageCluster cluster(sys, 0);
+    StorageCluster cluster(sys, {.reader_count = 0});
     for (const ProcessId id : crashed) cluster.crash(id);
     const RoundNumber rounds = cluster.blocking_write(3);
     EXPECT_LE(rounds, static_cast<RoundNumber>(sys.quorum(*best).cls))

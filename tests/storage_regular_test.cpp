@@ -142,7 +142,7 @@ TEST(RegularStorageTest, NewOldInversionIsPossible) {
 TEST(RegularStorageTest, AtomicModeForbidsTheInversionSchedule) {
   // Control: the atomic reader under the same schedule performs the
   // writeback, so the second read sees the new value.
-  StorageCluster cluster(make_fig1_fast5(), 2);
+  StorageCluster cluster(make_fig1_fast5(), {.reader_count = 2});
   cluster.blocking_write(1);
   cluster.network().block(ProcessSet{kWriterId}, ProcessSet{0, 1, 3, 4});
   cluster.async_write(2);
