@@ -140,8 +140,8 @@ PinnedRun measure(PinSet set, std::uint64_t seed) {
   }
   const ScenarioResult r =
       ScenarioRunner(run).run(ScenarioGenerator(gen).generate(seed));
-  return {set,           seed,          r.trace_digest,         r.ops_started,
-          r.ops_completed, r.ops_skipped, r.liveness_checked,   r.end_time,
+  return {set, seed, r.trace_digest, r.ops_started, r.ops_completed,
+          r.ops_skipped, r.liveness_checked, r.end_time,
           r.messages_delivered, r.violations.size(), r.events_digest};
 }
 
