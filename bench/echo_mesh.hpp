@@ -13,7 +13,7 @@
 
 namespace rqs::bench {
 
-struct HopMsg final : sim::TypedMessage<HopMsg> {
+struct HopMsg final : sim::TypedMessage<HopMsg, sim::MessageList<HopMsg>, 64> {
   int hops_left{0};
   [[nodiscard]] std::string_view tag() const override { return "HOP"; }
 };

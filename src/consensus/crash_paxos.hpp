@@ -29,30 +29,32 @@ struct Ballot {
   friend auto operator<=>(const Ballot&, const Ballot&) = default;
 };
 
-struct P1aMsg final : sim::TypedMessage<P1aMsg> {
+struct P1aMsg;
+struct P1bMsg;
+struct P2aMsg;
+struct P2bMsg;
+using PaxosMessages = sim::MessageList<P1aMsg, P1bMsg, P2aMsg, P2bMsg>;
+
+struct P1aMsg final : sim::TypedMessage<P1aMsg, PaxosMessages, 64> {
   Ballot ballot;
   [[nodiscard]] std::string_view tag() const override { return "P1A"; }
 };
-struct P1bMsg final : sim::TypedMessage<P1bMsg> {
+struct P1bMsg final : sim::TypedMessage<P1bMsg, PaxosMessages, 128> {
   Ballot ballot;                       // the promised ballot
   std::optional<Ballot> accepted_ballot;
   Value accepted_value{kBottom};
   [[nodiscard]] std::string_view tag() const override { return "P1B"; }
 };
-struct P2aMsg final : sim::TypedMessage<P2aMsg> {
+struct P2aMsg final : sim::TypedMessage<P2aMsg, PaxosMessages, 64> {
   Ballot ballot;
   Value value{kBottom};
   [[nodiscard]] std::string_view tag() const override { return "P2A"; }
 };
-struct P2bMsg final : sim::TypedMessage<P2bMsg> {
+struct P2bMsg final : sim::TypedMessage<P2bMsg, PaxosMessages, 64> {
   Ballot ballot;
   Value value{kBottom};
   [[nodiscard]] std::string_view tag() const override { return "P2B"; }
 };
-RQS_MESSAGE_LAYOUT(P1aMsg, 64);
-RQS_MESSAGE_LAYOUT(P1bMsg, 128);
-RQS_MESSAGE_LAYOUT(P2aMsg, 64);
-RQS_MESSAGE_LAYOUT(P2bMsg, 64);
 
 class PaxosAcceptor final : public sim::Process {
  public:

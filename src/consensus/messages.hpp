@@ -90,16 +90,30 @@ struct SignedViewChange {
 // Wire messages.
 // --------------------------------------------------------------------------
 
-struct PrepareMsg final : sim::TypedMessage<PrepareMsg> {
+struct PrepareMsg;
+struct UpdateMsg;
+struct NewViewMsg;
+struct NewViewAckMsg;
+struct SignReqMsg;
+struct SignAckMsg;
+struct ViewChangeMsg;
+struct DecisionMsg;
+struct DecisionPullMsg;
+struct SyncMsg;
+using Messages =
+    sim::MessageList<PrepareMsg, UpdateMsg, NewViewMsg, NewViewAckMsg,
+                     SignReqMsg, SignAckMsg, ViewChangeMsg, DecisionMsg,
+                     DecisionPullMsg, SyncMsg>;
+
+struct PrepareMsg final : sim::TypedMessage<PrepareMsg, Messages, 128> {
   Value value{kNil};
   ViewNumber view{0};
   VProof vproof;           // empty (nil) in initView
   ProcessSet vproof_quorum;  // the quorum Q the vProof came from
   [[nodiscard]] std::string_view tag() const override { return "PREPARE"; }
 };
-RQS_MESSAGE_LAYOUT(PrepareMsg, 128);
 
-struct UpdateMsg final : sim::TypedMessage<UpdateMsg> {
+struct UpdateMsg final : sim::TypedMessage<UpdateMsg, Messages, 64> {
   RoundNumber step{1};  // 1, 2 or 3
   Value value{kNil};
   ViewNumber view{0};
@@ -113,57 +127,48 @@ struct UpdateMsg final : sim::TypedMessage<UpdateMsg> {
     }
   }
 };
-RQS_MESSAGE_LAYOUT(UpdateMsg, 64);
 
-struct NewViewMsg final : sim::TypedMessage<NewViewMsg> {
+struct NewViewMsg final : sim::TypedMessage<NewViewMsg, Messages, 64> {
   ViewNumber view{0};
   std::vector<SignedViewChange> view_proof;
   [[nodiscard]] std::string_view tag() const override { return "NEW_VIEW"; }
 };
-RQS_MESSAGE_LAYOUT(NewViewMsg, 64);
 
-struct NewViewAckMsg final : sim::TypedMessage<NewViewAckMsg> {
+struct NewViewAckMsg final : sim::TypedMessage<NewViewAckMsg, Messages, 384> {
   NewViewAckData data;
   ProcessId signer{kInvalidProcess};
   sim::Signature signature;
   [[nodiscard]] std::string_view tag() const override { return "NEW_VIEW_ACK"; }
 };
-RQS_MESSAGE_LAYOUT(NewViewAckMsg, 384);
 
-struct SignReqMsg final : sim::TypedMessage<SignReqMsg> {
+struct SignReqMsg final : sim::TypedMessage<SignReqMsg, Messages, 64> {
   Value value{kNil};
   ViewNumber view{0};
   RoundNumber step{1};
   [[nodiscard]] std::string_view tag() const override { return "SIGN_REQ"; }
 };
-RQS_MESSAGE_LAYOUT(SignReqMsg, 64);
 
-struct SignAckMsg final : sim::TypedMessage<SignAckMsg> {
+struct SignAckMsg final : sim::TypedMessage<SignAckMsg, Messages, 128> {
   SignedUpdate update;
   [[nodiscard]] std::string_view tag() const override { return "SIGN_ACK"; }
 };
-RQS_MESSAGE_LAYOUT(SignAckMsg, 128);
 
-struct ViewChangeMsg final : sim::TypedMessage<ViewChangeMsg> {
+struct ViewChangeMsg final : sim::TypedMessage<ViewChangeMsg, Messages, 64> {
   SignedViewChange change;
   [[nodiscard]] std::string_view tag() const override { return "VIEW_CHANGE"; }
 };
-RQS_MESSAGE_LAYOUT(ViewChangeMsg, 64);
 
-struct DecisionMsg final : sim::TypedMessage<DecisionMsg> {
+struct DecisionMsg final : sim::TypedMessage<DecisionMsg, Messages, 64> {
   Value value{kNil};
   [[nodiscard]] std::string_view tag() const override { return "DECISION"; }
 };
-RQS_MESSAGE_LAYOUT(DecisionMsg, 64);
 
-struct DecisionPullMsg final : sim::TypedMessage<DecisionPullMsg> {
+struct DecisionPullMsg final : sim::TypedMessage<DecisionPullMsg, Messages, 64> {
   [[nodiscard]] std::string_view tag() const override { return "DECISION_PULL"; }
 };
-RQS_MESSAGE_LAYOUT(DecisionPullMsg, 64);
 
-struct SyncMsg final : sim::TypedMessage<SyncMsg> {
+struct SyncMsg final : sim::TypedMessage<SyncMsg, Messages, 64> {
   [[nodiscard]] std::string_view tag() const override { return "SYNC"; }
 };
-RQS_MESSAGE_LAYOUT(SyncMsg, 64);
 
 }  // namespace rqs::consensus

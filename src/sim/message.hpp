@@ -1,7 +1,7 @@
 // Message layer of the discrete-event simulator: static type ids, an
 // intrusive non-atomic refcount, and a per-simulation slab pool.
 //
-// Protocols define plain structs deriving from TypedMessage<Self>; the
+// Protocols define plain structs deriving from TypedMessage<Self, ...>; the
 // network carries them as MessagePtr (a delivered message may be handed to
 // many receivers, so payloads are immutable after send). Receivers dispatch
 // by switching on Message::type() — a compile-time constant per concrete
@@ -15,6 +15,7 @@
 // atomic would buy no safety and cost a lock prefix per copy.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <concepts>
 #include <cstddef>
@@ -33,8 +34,8 @@ class MessagePool;
 class MessagePtr;
 
 /// Static identifier of a concrete message type. Ids are compile-time
-/// hashes of the type name, so receivers can `switch` on them; uniqueness
-/// is enforced at first construction (debug builds) via a global registry.
+/// hashes of the type name, so receivers can `switch` on them; each
+/// protocol's MessageList proves its ids distinct at compile time.
 using MessageType = std::uint32_t;
 
 namespace detail {
@@ -58,21 +59,38 @@ template <typename M>
   return h;
 }
 
-/// Debug-build collision guard: aborts if two distinct concrete types hash
-/// to the same MessageType (then the hash width must grow). Returns true so
-/// it can seed a function-local static.
-bool register_message_type(MessageType id, std::string_view name);
-
 }  // namespace detail
 
-/// The static type id of concrete message type M.
+/// The static type id of concrete message type M. Only the name is hashed,
+/// so a forward declaration of M suffices.
 template <typename M>
 inline constexpr MessageType kMessageTypeOf =
     detail::fnv1a32(detail::type_name<M>());
 
+/// The message types one protocol exchanges, declared ahead of them. Each
+/// one's TypedMessage base checks that the list holds it and that the
+/// listed ids are distinct, so msg_cast<> never reads one as another.
+template <typename... Ms>
+struct MessageList {
+  static constexpr std::array<MessageType, sizeof...(Ms)> kIds{
+      kMessageTypeOf<Ms>...};
+
+  template <typename M>
+  static constexpr bool kHolds = (std::is_same_v<M, Ms> || ...);
+
+  [[nodiscard]] static constexpr bool distinct() noexcept {
+    for (std::size_t i = 0; i < kIds.size(); ++i) {
+      for (std::size_t j = i + 1; j < kIds.size(); ++j) {
+        if (kIds[i] == kIds[j]) return false;
+      }
+    }
+    return true;
+  }
+};
+
 /// Message base. Carries the static type id, the intrusive refcount and
 /// the owning pool (null for plain heap messages). Derive concrete types
-/// from TypedMessage<Self>, never from Message directly.
+/// from TypedMessage<Self, List, PoolBytes>, never from Message directly.
 class Message {
  public:
   virtual ~Message() = default;
@@ -111,40 +129,50 @@ class Message {
   MessagePool* pool_{nullptr};       // null => allocated with plain new
 };
 
-/// CRTP base all concrete message types derive from: stamps the static
-/// type id into the header and exposes it as M::kType for switch labels.
-template <typename Derived>
-struct TypedMessage : Message {
-  static constexpr MessageType kType = kMessageTypeOf<Derived>;
-
-  TypedMessage() noexcept(
-#ifdef NDEBUG
-      true
-#else
-      false
-#endif
-      )
-      : Message(kType) {
-#ifndef NDEBUG
-    static const bool registered =
-        detail::register_message_type(kType, detail::type_name<Derived>());
-    (void)registered;
-#endif
-  }
-};
-
-/// A well-formed concrete message type: derives from TypedMessage<itself>
-/// (so its static id identifies exactly one type), is final (so the id can
-/// never alias a further-derived type), fits the pool's alignment contract,
-/// and cannot throw from its destructor (recycle() destroys in noexcept
-/// context). msg_cast<>, MessagePool::make<>, make_message<> and
-/// Process::make_msg<> are all constrained on this concept, so a
-/// malformed message type fails the build at the call site.
+/// A well-formed concrete message type: its TypedMessage base names the
+/// type itself (so its static id identifies exactly one type), it is final
+/// (so the id can never alias a further-derived type), fits the pool's
+/// alignment contract, and cannot throw from its destructor (recycle()
+/// destroys in noexcept context). msg_cast<>, MessagePool::make<>,
+/// make_message<> and Process::make_msg<> are all constrained on this
+/// concept, so a malformed message type fails the build at the call site.
 template <typename M>
 concept ConcreteMessage =
-    std::derived_from<M, TypedMessage<M>> && std::is_final_v<M> &&
+    std::derived_from<M, Message> &&
+    std::same_as<typename M::MessageSelf, M> && std::is_final_v<M> &&
     alignof(M) <= alignof(std::max_align_t) &&
     std::is_nothrow_destructible_v<M>;
+
+/// CRTP base all concrete message types derive from: stamps the static
+/// type id into the header and exposes it as M::kType for switch labels.
+/// `List` is the protocol's MessageList. `PoolBytes` is the 64-byte pool
+/// size-class ceiling Self occupies, so a field added casually fails the
+/// build the moment it would push the type into a bigger pool bucket
+/// (changing steady-state slab usage and, for hot-path types, the
+/// zero-allocation profile); growing a budget has to be deliberate. Only
+/// Self may construct this base, so a CRTP argument naming another type
+/// fails at the first construction, as do the constructor's checks.
+template <typename Self, typename List, std::size_t PoolBytes>
+struct TypedMessage : Message {
+  static_assert(List::template kHolds<Self>,
+                "a message type must be listed in the MessageList it names");
+  static_assert(List::distinct(),
+                "two listed types hash to the same MessageType id: rename one");
+
+  using MessageSelf = Self;
+  static constexpr MessageType kType = kMessageTypeOf<Self>;
+
+ private:
+  friend Self;
+
+  TypedMessage() noexcept : Message(kType) {
+    static_assert(ConcreteMessage<Self>, "message type must be a ConcreteMessage");
+    static_assert(sizeof(Self) <= PoolBytes,
+                  "message outgrew its PoolBytes pool size class");
+    static_assert(PoolBytes % 64 == 0 && sizeof(Self) > PoolBytes - 64,
+                  "PoolBytes must be the exact 64-byte size-class ceiling");
+  }
+};
 
 /// Typed view of a message; nullptr when the concrete type differs. One
 /// integer compare — no RTTI.
@@ -152,24 +180,6 @@ template <ConcreteMessage M>
 [[nodiscard]] const M* msg_cast(const Message& m) noexcept {
   return m.type() == M::kType ? static_cast<const M*>(&m) : nullptr;
 }
-
-/// Pins a message type's pool size class at compile time. Every concrete
-/// message struct carries one of these next to its definition: the budget
-/// is the 64-byte size-class ceiling the type currently occupies, so a
-/// field added casually fails the build the moment it would push the type
-/// into a bigger pool bucket (changing steady-state slab usage and, for
-/// hot-path types, the zero-allocation profile). Growing a budget is fine
-/// — it just has to be deliberate and reviewed, here, not discovered in a
-/// bench regression. `rqs-lint` (rule `typed-message`) checks that every
-/// TypedMessage subclass in src/ has exactly one such assert.
-#define RQS_MESSAGE_LAYOUT(M, MaxBytes)                                      \
-  static_assert(::rqs::sim::ConcreteMessage<M>,                              \
-                #M " must be final and derive from TypedMessage<" #M ">");   \
-  static_assert(sizeof(M) <= (MaxBytes),                                     \
-                #M " outgrew its " #MaxBytes "-byte pool size class; "       \
-                "shrink it or raise the budget deliberately");               \
-  static_assert((MaxBytes) % 64 == 0 && sizeof(M) > (MaxBytes)-64,           \
-                #M ": budget must be the exact 64-byte size-class ceiling")
 
 template <typename M>
 class PooledMessage;

@@ -16,29 +16,32 @@
 
 namespace rqs::storage {
 
-struct AbdWriteMsg final : sim::TypedMessage<AbdWriteMsg> {
+struct AbdWriteMsg;
+struct AbdWriteAck;
+struct AbdReadMsg;
+struct AbdReadAck;
+using AbdMessages =
+    sim::MessageList<AbdWriteMsg, AbdWriteAck, AbdReadMsg, AbdReadAck>;
+
+struct AbdWriteMsg final : sim::TypedMessage<AbdWriteMsg, AbdMessages, 64> {
   Timestamp ts{0};
   Value value{kBottom};
   [[nodiscard]] std::string_view tag() const override { return "ABD_WRITE"; }
 };
-struct AbdWriteAck final : sim::TypedMessage<AbdWriteAck> {
+struct AbdWriteAck final : sim::TypedMessage<AbdWriteAck, AbdMessages, 64> {
   Timestamp ts{0};
   [[nodiscard]] std::string_view tag() const override { return "ABD_WRITE_ACK"; }
 };
-struct AbdReadMsg final : sim::TypedMessage<AbdReadMsg> {
+struct AbdReadMsg final : sim::TypedMessage<AbdReadMsg, AbdMessages, 64> {
   std::uint64_t read_no{0};
   [[nodiscard]] std::string_view tag() const override { return "ABD_READ"; }
 };
-struct AbdReadAck final : sim::TypedMessage<AbdReadAck> {
+struct AbdReadAck final : sim::TypedMessage<AbdReadAck, AbdMessages, 64> {
   std::uint64_t read_no{0};
   Timestamp ts{0};
   Value value{kBottom};
   [[nodiscard]] std::string_view tag() const override { return "ABD_READ_ACK"; }
 };
-RQS_MESSAGE_LAYOUT(AbdWriteMsg, 64);
-RQS_MESSAGE_LAYOUT(AbdWriteAck, 64);
-RQS_MESSAGE_LAYOUT(AbdReadMsg, 64);
-RQS_MESSAGE_LAYOUT(AbdReadAck, 64);
 
 /// ABD server: one timestamped register cell.
 class AbdServer final : public sim::Process {

@@ -193,6 +193,12 @@ inline void digest_into(Fnv64& h, const ProcessSet& s) {
   for (std::size_t w = 0; w < ProcessSet::kWords; ++w) h.mix(s.word(w));
 }
 
+struct WrMsg;
+struct WrAck;
+struct RdMsg;
+struct RdAck;
+using Messages = sim::MessageList<WrMsg, WrAck, RdMsg, RdAck>;
+
 /// wr<key, ts, v, QC'2, rnd> — sent by the writer in all rounds and by
 /// readers during writebacks. `op` is a per-sender operation nonce echoed
 /// in wr_ack, so a late ack from an earlier operation's round can never
@@ -200,7 +206,7 @@ inline void digest_into(Fnv64& h, const ProcessSet& s) {
 /// pair share (ts, rnd)). `completed` is the highest pair the sender knows
 /// to be complete on this key; servers use it to bound their history (see
 /// RqsStorageServer).
-struct WrMsg final : sim::TypedMessage<WrMsg> {
+struct WrMsg final : sim::TypedMessage<WrMsg, Messages, 128> {
   ObjectId key{0};
   Timestamp ts{0};
   Value value{kBottom};
@@ -221,10 +227,9 @@ struct WrMsg final : sim::TypedMessage<WrMsg> {
     storage::digest_into(h, completed);
   }
 };
-RQS_MESSAGE_LAYOUT(WrMsg, 128);
 
 /// wr_ack<key, ts, rnd, op>.
-struct WrAck final : sim::TypedMessage<WrAck> {
+struct WrAck final : sim::TypedMessage<WrAck, Messages, 128> {
   ObjectId key{0};
   Timestamp ts{0};
   RoundNumber rnd{1};
@@ -239,12 +244,11 @@ struct WrAck final : sim::TypedMessage<WrAck> {
     h.mix(op);
   }
 };
-RQS_MESSAGE_LAYOUT(WrAck, 128);
 
 /// rd<key, read_no, rnd>. Reads stay mutation-free as in the paper:
 /// completion knowledge travels only on the write path (writer rounds and
 /// read writebacks), so a rd never changes what a server would reply.
-struct RdMsg final : sim::TypedMessage<RdMsg> {
+struct RdMsg final : sim::TypedMessage<RdMsg, Messages, 64> {
   ObjectId key{0};
   std::uint64_t read_no{0};
   RoundNumber rnd{1};
@@ -257,13 +261,12 @@ struct RdMsg final : sim::TypedMessage<RdMsg> {
     h.mix(rnd);
   }
 };
-RQS_MESSAGE_LAYOUT(RdMsg, 64);
 
 /// rd_ack<key, read_no, rnd, history> — carries the server's history
 /// snapshot for the key: the full history in the paper's literal protocol,
 /// a bounded suffix once the server compacts (rows at or above the latest
 /// complete timestamp it knows, plus any in-flight stragglers).
-struct RdAck final : sim::TypedMessage<RdAck> {
+struct RdAck final : sim::TypedMessage<RdAck, Messages, 128> {
   ObjectId key{0};
   std::uint64_t read_no{0};
   RoundNumber rnd{1};
@@ -278,6 +281,5 @@ struct RdAck final : sim::TypedMessage<RdAck> {
     storage::digest_into(h, history);
   }
 };
-RQS_MESSAGE_LAYOUT(RdAck, 128);
 
 }  // namespace rqs::storage

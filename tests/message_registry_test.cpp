@@ -1,19 +1,10 @@
-// Registry of every concrete message type in the tree, with a compile-time
-// proof that their static ids are pairwise distinct.
-//
-// The simulator dispatches on Message::type(), a constexpr FNV-1a hash of
-// the concrete type's name; a hash collision between two message types
-// would make msg_cast<> silently reinterpret one type as the other. Debug
-// builds guard against that at first construction (the runtime registry in
-// sim/message.cpp), but only for types actually constructed in that run.
-// This file closes the gap: it enumerates every TypedMessage subclass and
-// static_asserts distinctness across the full cross product, so a
-// collision anywhere fails the build of the test tree.
-//
-// KEEP THIS LIST COMPLETE: `rqs-lint` (rule `typed-message`) scans src/ for
-// TypedMessage subclasses and fails if one is missing here.
+// Cross-protocol checks over every concrete message type. Each protocol's
+// MessageList proves its own ids distinct; this file joins the four lists
+// and proves them distinct across protocols too, since a collision would
+// let msg_cast<> read one type as another. A message type exists only by
+// being listed (its TypedMessage base checks that), so the union is
+// complete without a hand-kept list.
 #include <algorithm>
-#include <array>
 #include <string_view>
 
 #include <gtest/gtest.h>
@@ -26,60 +17,45 @@
 
 namespace {
 
-using rqs::sim::MessageType;
+using rqs::sim::MessageList;
 
-template <typename... Ms>
-struct Registry {
-  static constexpr std::size_t kCount = sizeof...(Ms);
-  static constexpr std::array<MessageType, kCount> kIds{Ms::kType...};
+template <typename... A, typename... B>
+MessageList<A..., B...> operator+(MessageList<A...>, MessageList<B...>);
 
-  static constexpr bool all_distinct() {
-    for (std::size_t i = 0; i < kCount; ++i) {
-      for (std::size_t j = i + 1; j < kCount; ++j) {
-        if (kIds[i] == kIds[j]) return false;
-      }
-    }
-    return true;
-  }
-};
+using AllMessages =
+    decltype(rqs::consensus::Messages{} + rqs::consensus::PaxosMessages{} +
+             rqs::storage::Messages{} + rqs::storage::AbdMessages{});
 
-using AllMessages = Registry<  //
-    // consensus (Figures 9-15)
-    rqs::consensus::PrepareMsg, rqs::consensus::UpdateMsg,
-    rqs::consensus::NewViewMsg, rqs::consensus::NewViewAckMsg,
-    rqs::consensus::SignReqMsg, rqs::consensus::SignAckMsg,
-    rqs::consensus::ViewChangeMsg, rqs::consensus::DecisionMsg,
-    rqs::consensus::DecisionPullMsg, rqs::consensus::SyncMsg,
-    // crash-Paxos baseline
-    rqs::consensus::P1aMsg, rqs::consensus::P1bMsg, rqs::consensus::P2aMsg,
-    rqs::consensus::P2bMsg,
-    // storage (Figures 5-7)
-    rqs::storage::WrMsg, rqs::storage::WrAck, rqs::storage::RdMsg,
-    rqs::storage::RdAck,
-    // ABD baseline
-    rqs::storage::AbdWriteMsg, rqs::storage::AbdWriteAck,
-    rqs::storage::AbdReadMsg, rqs::storage::AbdReadAck>;
-
-static_assert(AllMessages::all_distinct(),
-              "two message types hash to the same MessageType id: widen the "
-              "hash or rename one of the colliding types");
+static_assert(AllMessages::distinct(),
+              "two message types of different protocols hash to the same "
+              "MessageType id: rename one of the colliding types");
 
 TEST(MessageRegistry, IdsAreDistinctAtRuntimeToo) {
-  // The static_assert above is the real check; this keeps the suite from
-  // being header-only dead code and reports the count for humans.
+  // The static_assert above is the real check; this reports the count.
   auto ids = AllMessages::kIds;
   std::sort(ids.begin(), ids.end());
   EXPECT_TRUE(std::adjacent_find(ids.begin(), ids.end()) == ids.end());
-  EXPECT_EQ(AllMessages::kCount, 22u);
+  EXPECT_EQ(ids.size(), 22u);
+}
+
+// Message::tag() must return views of literals (Network::sent_by_tag keys
+// its counters on the view), so two instances of one type yield
+// pointer-identical views. Building each type also instantiates its
+// constructor, and with it the ConcreteMessage and pool-budget checks.
+template <typename M>
+void expect_static_tag() {
+  const M a{};
+  const M b{};
+  EXPECT_EQ(a.tag().data(), b.tag().data()) << a.tag();
+}
+
+template <typename... Ms>
+void expect_static_tags(MessageList<Ms...>) {
+  (expect_static_tag<Ms>(), ...);
 }
 
 TEST(MessageRegistry, TagViewsHaveStaticStorage) {
-  // Message::tag() must return views of literals (the network keys
-  // counters on the view); constructing twice must yield pointer-identical
-  // views.
-  const rqs::storage::WrMsg a;
-  const rqs::storage::WrMsg b;
-  EXPECT_EQ(a.tag().data(), b.tag().data());
+  expect_static_tags(AllMessages{});
 }
 
 }  // namespace

@@ -28,7 +28,7 @@
 namespace rqs::sim {
 namespace {
 
-struct NoteMsg final : TypedMessage<NoteMsg> {
+struct NoteMsg final : TypedMessage<NoteMsg, MessageList<NoteMsg>, 64> {
   int note{0};
   [[nodiscard]] std::string_view tag() const override { return "NOTE"; }
 };

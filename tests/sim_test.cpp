@@ -10,7 +10,7 @@
 namespace rqs::sim {
 namespace {
 
-struct PingMsg final : TypedMessage<PingMsg> {
+struct PingMsg final : TypedMessage<PingMsg, MessageList<PingMsg>, 64> {
   int payload{0};
   [[nodiscard]] std::string_view tag() const override { return "PING"; }
 };

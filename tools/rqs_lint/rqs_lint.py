@@ -36,9 +36,9 @@ compiler warning enforces. This linter machine-checks them:
                   `X::kType` (a switch case or an if-guard) or when a
                   `// rqs-lint: allow(drop) X ... reason` marker inside the
                   body names it. A dispatch that silently falls through for
-                  a registered type is exactly how a protocol drops a
-                  message class on the floor without anyone deciding it
-                  should; the drop must be spelled out and justified.
+                  a listed type is exactly how a protocol drops a message
+                  class on the floor without anyone deciding it should; the
+                  drop must be spelled out and justified.
 
   retry-timer     Every set_timer call site in protocol code must bind the
                   returned TimerId to a member — `member_ = set_timer(...)`
@@ -49,17 +49,6 @@ compiler warning enforces. This linter machine-checks them:
                   exactly how a retransmission layer silently stops
                   retransmitting. `// rqs-lint: allow(timer)` waives a
                   deliberate fire-and-forget site.
-
-  typed-message   Every TypedMessage<X> subclass must be `struct X final`
-                  (exact CRTP self, final so the static id denotes exactly
-                  one concrete type), must carry an RQS_MESSAGE_LAYOUT
-                  size-class assert, and must be listed in the collision-
-                  checked registry (tests/message_registry_test.cpp).
-                  Templated declarations (`template <class Set> struct
-                  Foo final : TypedMessage<Foo<Set>>`) are matched too —
-                  the CRTP argument is compared by base name, so a
-                  width-templated message can neither evade the rule nor
-                  falsely trip it.
 
 Suppressions: a `// rqs-lint: allow(<rule>) <reason>` comment suppresses
 that rule on its own line, or on the next line when the marker line is
@@ -146,18 +135,12 @@ SET_TIMER_BIND = re.compile(r"\b(\w+)\s*(?:=|\()\s*set_timer\s*\(")
 SET_TIMER_DECL = re.compile(r"\bTimerId\s+set_timer\s*\(")
 ON_TIMER_SIG = re.compile(r"\bvoid\s+(?:[\w:]+::)?on_timer\s*\(")
 
-# The CRTP argument may itself carry template arguments (width-templated
-# messages: TypedMessage<Foo<Set>>); one non-nested <...> level suffices
-# for this tree and is compared by base name in check_typed_messages.
+# A message declaration names its struct ahead of the TypedMessage base,
+# whatever that base's arguments (`TypedMessage<Foo, List, 64>`, or
+# `TypedMessage<Foo<Set>, List, 64>` for a width-templated message).
 TYPED_MESSAGE_DECL = re.compile(
-    r"struct\s+(\w+)\s*(final)?\s*:\s*(?:public\s+)?(?:rqs::)?(?:sim::)?"
-    r"TypedMessage<\s*(\w+(?:\s*<[^<>]*>)?)\s*>")
-LAYOUT_ASSERT = re.compile(r"RQS_MESSAGE_LAYOUT\(\s*(\w+)\s*,")
-
-REGISTRY_FILE = "tests/message_registry_test.cpp"
-# The registry test itself and the sim message layer define/exercise the
-# machinery and are not protocol declarations.
-TYPED_MESSAGE_EXEMPT = ("src/sim/message.hpp", "src/sim/message.cpp")
+    r"struct\s+(\w+)\s*(?:final\s*)?:\s*(?:public\s+)?(?:\w+::)*"
+    r"TypedMessage<")
 
 
 class Finding:
@@ -491,7 +474,6 @@ def check_retry_timer(path: Path, code: list[str], allowed: list[set[str]],
 # --------------------------------------------------------------------------
 
 def scan_file(path: Path, rel: str, findings: list[Finding],
-              typed_decls: list[tuple[Path, int, str, str | None, str]],
               src_root: Path) -> None:
     try:
         raw = path.read_text(encoding="utf-8").splitlines()
@@ -536,45 +518,6 @@ def scan_file(path: Path, rel: str, findings: list[Finding],
                     findings.append(Finding(
                         path, idx + 1, "hot-path-alloc",
                         f"{msg} (function annotated // rqs-hot-path)"))
-
-        if not rel.endswith(TYPED_MESSAGE_EXEMPT):
-            for idx, cl in enumerate(code):
-                for m in TYPED_MESSAGE_DECL.finditer(cl):
-                    typed_decls.append(
-                        (path, idx + 1, m.group(1), m.group(2), m.group(3)))
-
-
-def check_typed_messages(decls: list[tuple[Path, int, str, str | None, str]],
-                         root: Path, universe_text: str,
-                         findings: list[Finding]) -> None:
-    registry_path = root / REGISTRY_FILE
-    registry_text = ""
-    if registry_path.exists():
-        registry_text = registry_path.read_text(encoding="utf-8")
-    layout_asserted = set(LAYOUT_ASSERT.findall(universe_text))
-    for path, lineno, name, final, crtp in decls:
-        crtp_base = crtp.split("<", 1)[0].strip()
-        if crtp_base != name:
-            findings.append(Finding(
-                path, lineno, "typed-message",
-                f"{name} derives TypedMessage<{crtp}>: the CRTP argument "
-                "must be the type itself, or its static id lies"))
-            continue
-        if final is None:
-            findings.append(Finding(
-                path, lineno, "typed-message",
-                f"{name} must be declared final: a further-derived type "
-                "would alias its MessageType id"))
-        if name not in layout_asserted:
-            findings.append(Finding(
-                path, lineno, "typed-message",
-                f"{name} has no RQS_MESSAGE_LAYOUT(...) size-class assert "
-                "next to its definition"))
-        if registry_text and not re.search(rf"\b{re.escape(name)}\b", registry_text):
-            findings.append(Finding(
-                path, lineno, "typed-message",
-                f"{name} is not listed in {REGISTRY_FILE}: add it to the "
-                "collision-checked registry"))
 
 
 # --------------------------------------------------------------------------
@@ -628,20 +571,13 @@ def universe_from_walk(root: Path) -> list[Path]:
 
 def run(root: Path, files: list[Path]) -> list[Finding]:
     findings: list[Finding] = []
-    typed_decls: list[tuple[Path, int, str, str | None, str]] = []
     src_root = (root / "src").resolve()
-    texts = []
     for f in files:
         try:
             rel = str(f.resolve().relative_to(root.resolve()))
         except ValueError:
             rel = str(f)
-        scan_file(f, rel, findings, typed_decls, src_root)
-        try:
-            texts.append(f.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError):
-            pass
-    check_typed_messages(typed_decls, root, "\n".join(texts), findings)
+        scan_file(f, rel, findings, src_root)
     findings.sort(key=lambda x: (str(x.path), x.line, x.rule))
     return findings
 
