@@ -38,7 +38,9 @@ compiler warning enforces. This linter machine-checks them:
                   body names it. A dispatch that silently falls through for
                   a listed type is exactly how a protocol drops a message
                   class on the floor without anyone deciding it should; the
-                  drop must be spelled out and justified.
+                  drop must be spelled out and justified. A body whose
+                  closure declares no message at all is a finding too: the
+                  rule could check nothing there.
 
   retry-timer     Every set_timer call site in protocol code must bind the
                   returned TimerId to a member — `member_ = set_timer(...)`
@@ -355,6 +357,12 @@ def check_handler_totality(path: Path, raw: list[str], code: list[str],
             universe = frozenset().union(
                 *(declared_messages(f) for f in include_closure(path, src_root)))
         if "handler-totality" not in allowed[i]:
+            if not universe:
+                findings.append(Finding(
+                    path, i + 1, "handler-totality",
+                    "on_message, but no message type is declared in this "
+                    "file's quoted-include closure: the rule can check "
+                    "nothing here; include the protocol's messages header"))
             for name in sorted(universe - handled - dropped):
                 findings.append(Finding(
                     path, i + 1, "handler-totality",
