@@ -11,6 +11,8 @@ namespace rqs::scenario {
 namespace {
 
 constexpr sim::SimTime kDelta = sim::kDefaultDelta;
+constexpr sim::SimTime kHorizonDeltas = 40;  ///< op/fault times land in [0, horizon]
+constexpr double kMaximalBias = 0.75;  ///< P[coalition = full maximal element of B]
 
 template <typename T>
 const T& pick(Rng& rng, const std::vector<T>& from) {
@@ -77,7 +79,7 @@ ScenarioSpec ScenarioGenerator::generate(std::uint64_t seed) const {
 
   const RefinedQuorumSystem sys = materialize(spec.family);
   const std::size_t n = sys.universe_size();
-  const sim::SimTime horizon = opts_.horizon_deltas * kDelta;
+  const sim::SimTime horizon = kHorizonDeltas * kDelta;
   auto time_in = [&rng](sim::SimTime lo, sim::SimTime hi) {
     return static_cast<sim::SimTime>(rng.uniform(lo, hi));
   };
@@ -86,7 +88,7 @@ ScenarioSpec ScenarioGenerator::generate(std::uint64_t seed) const {
   // biased toward a full maximal element (the coalition safety must mask).
   if (rng.chance(opts_.byzantine_probability)) {
     ProcessSet coalition = sys.adversary().sample_maximal(rng);
-    if (!rng.chance(opts_.maximal_bias)) {
+    if (!rng.chance(kMaximalBias)) {
       for (const ProcessId id : coalition) {
         if (rng.chance(0.5)) coalition.erase(id);
       }

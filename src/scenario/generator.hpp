@@ -29,7 +29,6 @@ class ScenarioGenerator {
     std::size_t max_keys{1};
 
     double byzantine_probability{0.6};  ///< P[assign a Byzantine coalition]
-    double maximal_bias{0.75};  ///< P[coalition = full maximal element of B]
     double restricted_op_probability{0.45};  ///< P[op gets a visibility set]
     double small_visibility_probability{0.2};  ///< P[that set is sub-quorum]
     std::size_t min_ops{2};
@@ -44,7 +43,6 @@ class ScenarioGenerator {
     /// P[schedule a finite duplication window] — every message may be
     /// delivered twice, the copy late (doubles as reordering stress).
     double duplication_probability{0.25};
-    sim::SimTime horizon_deltas{40};  ///< op/fault times land in [0, horizon]
   };
 
   ScenarioGenerator() = default;

@@ -2,8 +2,14 @@
 
 namespace rqs::scenario {
 
-ShrinkResult shrink(const ScenarioSpec& spec, const ScenarioRunner& runner,
-                    std::size_t max_runs) {
+namespace {
+
+/// Scenario executions one shrink may spend, the first run included.
+constexpr std::size_t kMaxRuns = 512;
+
+}  // namespace
+
+ShrinkResult shrink(const ScenarioSpec& spec, const ScenarioRunner& runner) {
   ShrinkResult out;
   out.spec = spec;
   out.entries_before = spec.schedule.size();
@@ -16,13 +22,13 @@ ShrinkResult shrink(const ScenarioSpec& spec, const ScenarioRunner& runner,
   }
 
   bool changed = true;
-  while (changed && out.runs < max_runs) {
+  while (changed && out.runs < kMaxRuns) {
     changed = false;
 
     // Pass 1: drop entries, latest first (ops near the end are most often
     // incidental padding; the violating core tends to be the earliest
     // write/read interplay).
-    for (std::size_t i = out.spec.schedule.size(); i-- > 0 && out.runs < max_runs;) {
+    for (std::size_t i = out.spec.schedule.size(); i-- > 0 && out.runs < kMaxRuns;) {
       ScenarioSpec candidate = out.spec;
       candidate.schedule.erase(candidate.schedule.begin() +
                                static_cast<std::ptrdiff_t>(i));
@@ -36,7 +42,7 @@ ShrinkResult shrink(const ScenarioSpec& spec, const ScenarioRunner& runner,
     // Pass 2: lift per-operation visibility restrictions (an entry whose
     // reachable set can widen to "all servers" and still violate reads
     // better in the reproducer).
-    for (std::size_t i = 0; i < out.spec.schedule.size() && out.runs < max_runs;
+    for (std::size_t i = 0; i < out.spec.schedule.size() && out.runs < kMaxRuns;
          ++i) {
       if (out.spec.schedule[i].reachable.empty()) continue;
       ScenarioSpec candidate = out.spec;

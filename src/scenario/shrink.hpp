@@ -20,10 +20,9 @@ struct ShrinkResult {
 
 /// Minimizes `spec` under `runner`: repeatedly (1) drops single schedule
 /// entries and (2) lifts visibility restrictions, keeping every change that
-/// preserves *some* invariant violation, until a fixpoint or `max_runs`
+/// preserves *some* invariant violation, until a fixpoint or 512
 /// executions. Deterministic: same spec + runner options => same result.
 [[nodiscard]] ShrinkResult shrink(const ScenarioSpec& spec,
-                                  const ScenarioRunner& runner,
-                                  std::size_t max_runs = 512);
+                                  const ScenarioRunner& runner);
 
 }  // namespace rqs::scenario

@@ -9,6 +9,13 @@
 
 namespace rqs::scenario {
 
+namespace {
+
+/// Full reproducers kept in a report (all failures are counted).
+constexpr std::size_t kMaxFailuresKept = 8;
+
+}  // namespace
+
 std::string SwarmFailure::to_string() const {
   std::string out = "seed " + std::to_string(seed) + ":\n";
   for (const std::string& v : violations) out += "  " + v + "\n";
@@ -99,13 +106,13 @@ SwarmReport run_swarm(const SwarmOptions& opts) {
   const ScenarioGenerator generator(opts.generator);
   const ScenarioRunner runner(opts.runner);
   for (const std::uint64_t seed : failing) {
-    if (report.failures.size() >= opts.max_failures_kept) break;
+    if (report.failures.size() >= kMaxFailuresKept) break;
     SwarmFailure failure;
     failure.seed = seed;
     failure.spec = generator.generate(seed);
     failure.violations = runner.run(failure.spec).violations;
     if (opts.shrink_failures) {
-      const ShrinkResult s = shrink(failure.spec, runner, opts.shrink_max_runs);
+      const ShrinkResult s = shrink(failure.spec, runner);
       failure.shrunk = s.spec;
       failure.shrunk_entries = s.entries_after;
     } else {

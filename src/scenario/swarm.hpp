@@ -25,8 +25,6 @@ struct SwarmOptions {
   ScenarioGenerator::Options generator;
   ScenarioRunner::Options runner;
   bool shrink_failures{true};
-  std::size_t max_failures_kept{8};  ///< full reproducers kept (all are counted)
-  std::size_t shrink_max_runs{512};
 };
 
 /// One failing scenario with its minimized reproducer.
@@ -55,7 +53,7 @@ struct SwarmReport {
   /// XOR of per-scenario trace-event digests (0 unless tracing was on);
   /// thread-count invariant for the same reason.
   std::uint64_t events_digest{0};
-  std::vector<SwarmFailure> failures;  ///< lowest seeds first, capped
+  std::vector<SwarmFailure> failures;  ///< lowest seeds first, at most 8
 
   [[nodiscard]] bool ok() const noexcept { return violating == 0; }
   [[nodiscard]] std::string summary() const;
