@@ -73,11 +73,10 @@ void BM_EchoMeshSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_EchoMeshSteadyState);
 
-/// Counts deliveries; replies nothing.
-class SinkProc final : public Process {
+/// Takes deliveries and handles none of them.
+class SinkProc final : public ProcessOf<SinkProc, MessageList<>> {
  public:
-  SinkProc(Simulation& sim, ProcessId id) : Process(sim, id) {}
-  void on_message(ProcessId, const Message&) override {}
+  SinkProc(Simulation& sim, ProcessId id) : ProcessOf(sim, id) {}
 };
 
 /// Sinks with ids 0..n-1.
@@ -90,11 +89,10 @@ std::vector<std::unique_ptr<SinkProc>> make_sinks(Simulation& sim, ProcessId n) 
   return sinks;
 }
 
-class BroadcasterProc final : public Process {
+class BroadcasterProc final : public ProcessOf<BroadcasterProc, MessageList<>> {
  public:
   BroadcasterProc(Simulation& sim, ProcessId id, ProcessSet targets)
-      : Process(sim, id), targets_(targets) {}
-  void on_message(ProcessId, const Message&) override {}
+      : ProcessOf(sim, id), targets_(targets) {}
   void broadcast() {
     auto msg = make_msg<HopMsg>();
     msg->hops_left = 0;
@@ -127,10 +125,9 @@ void BM_BroadcastFanout(benchmark::State& state) {
 BENCHMARK(BM_BroadcastFanout)->Arg(4)->Arg(16)->Arg(63);
 
 /// Arms `live` timers, cancels every other one, re-arms on fire.
-class TimerChurnProc final : public Process {
+class TimerChurnProc final : public ProcessOf<TimerChurnProc, MessageList<>> {
  public:
-  TimerChurnProc(Simulation& sim, ProcessId id) : Process(sim, id) {}
-  void on_message(ProcessId, const Message&) override {}
+  TimerChurnProc(Simulation& sim, ProcessId id) : ProcessOf(sim, id) {}
   void on_timer(TimerId) override {
     ++fired;
     (void)set_timer(2);

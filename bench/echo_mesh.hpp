@@ -20,14 +20,13 @@ struct HopMsg final : sim::TypedMessage<HopMsg, sim::MessageList<HopMsg>, 64> {
 
 /// Forwards each received message to the next ring member until the hop
 /// budget dies out.
-class RingProc final : public sim::Process {
+class RingProc final
+    : public sim::ProcessOf<RingProc, sim::MessageList<HopMsg>> {
  public:
   RingProc(sim::Simulation& sim, ProcessId id, ProcessId next)
-      : sim::Process(sim, id), next_(next) {}
+      : ProcessOf(sim, id), next_(next) {}
 
-  void on_message(ProcessId, const sim::Message& m) override {
-    if (m.type() != HopMsg::kType) return;
-    const auto& hop = static_cast<const HopMsg&>(m);
+  void on(ProcessId, const HopMsg& hop) {
     if (hop.hops_left == 0) return;
     auto fwd = make_msg<HopMsg>();
     fwd->hops_left = hop.hops_left - 1;

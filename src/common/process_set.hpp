@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/types.hpp"
 
 namespace rqs {
@@ -286,6 +287,13 @@ using ProcessSet = BasicProcessSet<1>;
 
 /// The analysis-layer set: four words, universes up to 256 processes.
 using WideProcessSet = BasicProcessSet<4>;
+
+/// Folds the set's words, lowest first, into `h`: the content digests of
+/// messages and of process states (never raw bytes).
+template <std::size_t Words>
+constexpr void digest_into(Fnv64& h, const BasicProcessSet<Words>& s) noexcept {
+  for (std::size_t w = 0; w < Words; ++w) h.mix(s.word(w));
+}
 
 template <std::size_t Words>
 std::ostream& operator<<(std::ostream& os, const BasicProcessSet<Words>& s);

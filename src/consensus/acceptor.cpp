@@ -8,72 +8,20 @@ namespace rqs::consensus {
 
 RqsAcceptor::RqsAcceptor(sim::Simulation& sim, ProcessId id,
                          const ConsensusConfig& config)
-    : sim::Process(sim, id),
+    : ProcessOf(sim, id),
       config_(config),
       signer_(*config.authority, id),
       tracker_(*config.rqs),
       suspect_timeout_(5 * sim.delta()) {}
 
-void RqsAcceptor::on_message(ProcessId from, const sim::Message& m) {
-  switch (m.type()) {
-    case PrepareMsg::kType: {
-      const auto& prep = static_cast<const PrepareMsg&>(m);
-      // Election, Fig. 14 line 0: the first prepare of the initial view
-      // arms the suspicion timer.
-      if (prep.view == 0) arm_suspect_timer();
-      handle_prepare(from, prep);
-      return;
-    }
-    case UpdateMsg::kType: {
-      const auto& up = static_cast<const UpdateMsg&>(m);
-      handle_update(from, up);
-      // Decision rules (lines 51-53) apply to acceptors too.
-      if (const auto v = tracker_.feed(from, up)) on_decided(*v);
-      return;
-    }
-    case NewViewMsg::kType:
-      handle_new_view(from, static_cast<const NewViewMsg&>(m));
-      return;
-    case SignReqMsg::kType:
-      handle_sign_req(from, static_cast<const SignReqMsg&>(m));
-      return;
-    case SignAckMsg::kType:
-      handle_sign_ack(from, static_cast<const SignAckMsg&>(m));
-      return;
-    case SyncMsg::kType:
-      arm_suspect_timer();  // Fig. 14 line 0
-      return;
-    case DecisionMsg::kType: {
-      const auto& dec = static_cast<const DecisionMsg&>(m);
-      // Fig. 14 line 8: a quorum of decision messages stops the timer.
-      ProcessSet& senders = decision_senders_[dec.value];
-      if (config_.acceptors.contains(from)) senders.insert(from);
-      if (config_.rqs->has_quorum_in(senders)) {
-        suspect_stopped_ = true;
-        if (suspect_armed_) cancel_timer(suspect_timer_);
-      }
-      return;
-    }
-    case DecisionPullMsg::kType:
-      // Fig. 15 line 40.
-      if (tracker_.decided()) {
-        auto reply = make_msg<DecisionMsg>();
-        reply->value = tracker_.decision();
-        send_all(config_.acceptors | ProcessSet::single(from), std::move(reply));
-      }
-      return;
-    default:
-      // rqs-lint: allow(drop) NewViewAckMsg ViewChangeMsg — both are
-      // addressed to the (would-be) leader proposer, never to an acceptor.
-      return;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Locking module.
 // ---------------------------------------------------------------------------
 
-void RqsAcceptor::handle_prepare(ProcessId from, const PrepareMsg& m) {
+void RqsAcceptor::on(ProcessId from, const PrepareMsg& m) {
+  // Election, Fig. 14 line 0: the first prepare of the initial view arms
+  // the suspicion timer.
+  if (m.view == 0) arm_suspect_timer();
   if (m.view != view_) return;
   // Line 31: (w in Prepview => w < view) — not yet prepared in this view.
   const bool fresh = std::all_of(prepview_.begin(), prepview_.end(),
@@ -112,7 +60,13 @@ void RqsAcceptor::handle_prepare(ProcessId from, const PrepareMsg& m) {
   old_.insert(SignedUpdate::payload(m.value, view_, 1));
 }
 
-void RqsAcceptor::handle_update(ProcessId from, const UpdateMsg& m) {
+void RqsAcceptor::on(ProcessId from, const UpdateMsg& m) {
+  collect_update(from, m);
+  // Decision rules (lines 51-53) apply to acceptors too.
+  if (const auto v = tracker_.feed(from, m)) on_decided(*v);
+}
+
+void RqsAcceptor::collect_update(ProcessId from, const UpdateMsg& m) {
   if (m.step != 1 && m.step != 2) return;  // acceptors consume update1/2
   if (!config_.acceptors.contains(from)) return;
   if (m.view != view_) return;
@@ -185,7 +139,7 @@ void RqsAcceptor::send_update(RoundNumber step, Value v, ViewNumber view,
   }
 }
 
-void RqsAcceptor::handle_new_view(ProcessId from, const NewViewMsg& m) {
+void RqsAcceptor::on(ProcessId from, const NewViewMsg& m) {
   // Line 21: view must advance, the sender must lead it, proof must match.
   if (m.view <= view_) {
     // With retransmission on, a duplicate new_view for the *current* view
@@ -232,7 +186,7 @@ void RqsAcceptor::begin_new_view_ack(ProcessId from, ViewNumber view) {
   try_complete_pending_ack();
 }
 
-void RqsAcceptor::handle_sign_req(ProcessId from, const SignReqMsg& m) {
+void RqsAcceptor::on(ProcessId from, const SignReqMsg& m) {
   // Line 29: only sign update messages this acceptor really sent.
   const std::string payload = SignedUpdate::payload(m.value, m.view, m.step);
   if (old_.find(payload) == old_.end()) return;
@@ -245,7 +199,7 @@ void RqsAcceptor::handle_sign_req(ProcessId from, const SignReqMsg& m) {
   send(from, std::move(ack));
 }
 
-void RqsAcceptor::handle_sign_ack(ProcessId from, const SignAckMsg& m) {
+void RqsAcceptor::on(ProcessId from, const SignAckMsg& m) {
   if (!pending_ack_) return;
   const StepView key{m.update.step, m.update.view};
   if (pending_ack_->needed.find(key) == pending_ack_->needed.end()) return;
@@ -257,6 +211,15 @@ void RqsAcceptor::handle_sign_ack(ProcessId from, const SignAckMsg& m) {
   }
   sign_collect_[key][from] = m.update;
   try_complete_pending_ack();
+}
+
+void RqsAcceptor::on(ProcessId from, const DecisionPullMsg& /*m*/) {
+  // Fig. 15 line 40.
+  if (tracker_.decided()) {
+    auto reply = make_msg<DecisionMsg>();
+    reply->value = tracker_.decision();
+    send_all(config_.acceptors | ProcessSet::single(from), std::move(reply));
+  }
 }
 
 void RqsAcceptor::try_complete_pending_ack() {
@@ -352,9 +315,6 @@ void RqsAcceptor::on_decided(Value v) {
 // (suspect_armed_/timeout carry the protocol-visible bits), the signer and
 // the tracker's sender tallies beyond the decision itself.
 void RqsAcceptor::digest_state(Fnv64& h) const {
-  const auto mix_set = [&h](const ProcessSet& s) {
-    for (std::size_t w = 0; w < ProcessSet::kWords; ++w) h.mix(s.word(w));
-  };
   h.mix(view_);
   h.mix(static_cast<std::uint64_t>(prep_));
   h.mix(prepview_.size());
@@ -393,7 +353,7 @@ void RqsAcceptor::digest_state(Fnv64& h) const {
     h.mix(std::get<0>(key));
     h.mix(std::get<1>(key));
     h.mix(static_cast<std::uint64_t>(std::get<2>(key)));
-    mix_set(senders);
+    digest_into(h, senders);
   }
   h.mix(pending_ack_ ? 1 : 0);
   if (pending_ack_) {
@@ -410,10 +370,24 @@ void RqsAcceptor::digest_state(Fnv64& h) const {
   h.mix(decision_senders_.size());
   for (const auto& [v, senders] : decision_senders_) {
     h.mix(static_cast<std::uint64_t>(v));
-    mix_set(senders);
+    digest_into(h, senders);
   }
   h.mix(tracker_.decided() ? 1 : 0);
   h.mix(static_cast<std::uint64_t>(tracker_.decision()));
+}
+
+void RqsAcceptor::on(ProcessId /*from*/, const SyncMsg& /*m*/) {
+  arm_suspect_timer();  // Fig. 14 line 0
+}
+
+void RqsAcceptor::on(ProcessId from, const DecisionMsg& dec) {
+  // Fig. 14 line 8: a quorum of decision messages stops the timer.
+  ProcessSet& senders = decision_senders_[dec.value];
+  if (config_.acceptors.contains(from)) senders.insert(from);
+  if (config_.rqs->has_quorum_in(senders)) {
+    suspect_stopped_ = true;
+    if (suspect_armed_) cancel_timer(suspect_timer_);
+  }
 }
 
 void RqsAcceptor::arm_suspect_timer() {

@@ -14,11 +14,24 @@
 
 namespace rqs::consensus {
 
-class RqsAcceptor : public sim::Process {
+/// Drops new_view_ack and view_change: both are addressed to the (would-be)
+/// leader proposer, never to an acceptor.
+class RqsAcceptor
+    : public sim::ProcessOf<RqsAcceptor, Messages,
+                            sim::MessageList<NewViewAckMsg, ViewChangeMsg>> {
  public:
   RqsAcceptor(sim::Simulation& sim, ProcessId id, const ConsensusConfig& config);
 
-  void on_message(ProcessId from, const sim::Message& m) override;
+  // Locking module (Fig. 15).
+  void on(ProcessId from, const PrepareMsg& m);
+  void on(ProcessId from, const UpdateMsg& m);
+  void on(ProcessId from, const NewViewMsg& m);
+  void on(ProcessId from, const SignReqMsg& m);
+  void on(ProcessId from, const SignAckMsg& m);
+  void on(ProcessId from, const DecisionPullMsg& m);
+  // Election module (Fig. 14).
+  void on(ProcessId from, const SyncMsg& m);
+  void on(ProcessId from, const DecisionMsg& dec);
   void on_timer(sim::TimerId timer) override;
   void digest_state(Fnv64& h) const override;
 
@@ -54,12 +67,9 @@ class RqsAcceptor : public sim::Process {
 
  private:
   // --- Locking module ---
-  void handle_prepare(ProcessId from, const PrepareMsg& m);
-  void handle_update(ProcessId from, const UpdateMsg& m);
-  void handle_new_view(ProcessId from, const NewViewMsg& m);
+  /// Lines 34-38: the update1/update2 collection of on(UpdateMsg).
+  void collect_update(ProcessId from, const UpdateMsg& m);
   void begin_new_view_ack(ProcessId from, ViewNumber view);
-  void handle_sign_req(ProcessId from, const SignReqMsg& m);
-  void handle_sign_ack(ProcessId from, const SignAckMsg& m);
   /// Sends update<step>(v, view, quorum) to every acceptor and learner as
   /// one message shared by all targets that get the genuine value (each
   /// lie a Byzantine subclass tells goes out as its own message). Without

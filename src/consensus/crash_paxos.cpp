@@ -14,38 +14,27 @@ RetryPolicy::Config preemption_backoff(sim::SimTime delta) {
 
 }  // namespace
 
-void PaxosAcceptor::on_message(ProcessId from, const sim::Message& m) {
-  switch (m.type()) {
-    case P1aMsg::kType: {
-      const auto& p1a = static_cast<const P1aMsg&>(m);
-      if (!promised_ || p1a.ballot > *promised_) promised_ = p1a.ballot;
-      if (p1a.ballot == *promised_) {
-        auto reply = make_msg<P1bMsg>();
-        reply->ballot = p1a.ballot;
-        reply->accepted_ballot = accepted_ballot_;
-        reply->accepted_value = accepted_value_;
-        send(from, std::move(reply));
-      }
-      return;
-    }
-    case P2aMsg::kType: {
-      const auto& p2a = static_cast<const P2aMsg&>(m);
-      if (promised_ && p2a.ballot < *promised_) return;
-      promised_ = p2a.ballot;
-      accepted_ballot_ = p2a.ballot;
-      accepted_value_ = p2a.value;
-      auto reply = make_msg<P2bMsg>();
-      reply->ballot = p2a.ballot;
-      reply->value = p2a.value;
-      send(from, reply);
-      send_all(learners_, std::move(reply));
-      return;
-    }
-    default:
-      // rqs-lint: allow(drop) P1bMsg P2bMsg — phase replies go to the
-      // proposer (and learners); an acceptor never receives them.
-      return;
+void PaxosAcceptor::on(ProcessId from, const P1aMsg& p1a) {
+  if (!promised_ || p1a.ballot > *promised_) promised_ = p1a.ballot;
+  if (p1a.ballot == *promised_) {
+    auto reply = make_msg<P1bMsg>();
+    reply->ballot = p1a.ballot;
+    reply->accepted_ballot = accepted_ballot_;
+    reply->accepted_value = accepted_value_;
+    send(from, std::move(reply));
   }
+}
+
+void PaxosAcceptor::on(ProcessId from, const P2aMsg& p2a) {
+  if (promised_ && p2a.ballot < *promised_) return;
+  promised_ = p2a.ballot;
+  accepted_ballot_ = p2a.ballot;
+  accepted_value_ = p2a.value;
+  auto reply = make_msg<P2bMsg>();
+  reply->ballot = p2a.ballot;
+  reply->value = p2a.value;
+  send(from, reply);
+  send_all(learners_, std::move(reply));
 }
 
 void PaxosProposer::propose(Value v) {
@@ -70,41 +59,30 @@ void PaxosProposer::start_round() {
                          static_cast<std::uint64_t>(id()) << 32, attempt_ + 1));
 }
 
-void PaxosProposer::on_message(ProcessId from, const sim::Message& m) {
-  switch (m.type()) {
-    case P1bMsg::kType: {
-      const auto& p1b = static_cast<const P1bMsg&>(m);
-      if (phase_ != Phase::kPhase1 || p1b.ballot != ballot_) return;
-      responders_.insert(from);
-      if (p1b.accepted_ballot &&
-          (!best_accepted_ || *p1b.accepted_ballot > *best_accepted_)) {
-        best_accepted_ = p1b.accepted_ballot;
-        best_value_ = p1b.accepted_value;
-      }
-      if (responders_.size() >= majority()) {
-        phase_ = Phase::kPhase2;
-        responders_ = ProcessSet{};
-        auto msg = make_msg<P2aMsg>();
-        msg->ballot = ballot_;
-        msg->value = best_value_;
-        send_all(acceptors_, std::move(msg));
-      }
-      return;
-    }
-    case P2bMsg::kType: {
-      const auto& p2b = static_cast<const P2bMsg&>(m);
-      if (phase_ != Phase::kPhase2 || p2b.ballot != ballot_) return;
-      responders_.insert(from);
-      if (responders_.size() >= majority()) {
-        phase_ = Phase::kIdle;  // chosen; learners hear the P2b broadcast
-        cancel_timer(retry_timer_);
-      }
-      return;
-    }
-    default:
-      // rqs-lint: allow(drop) P1aMsg P2aMsg — phase requests are
-      // acceptor-bound; a proposer only hears the b-replies.
-      return;
+void PaxosProposer::on(ProcessId from, const P1bMsg& p1b) {
+  if (phase_ != Phase::kPhase1 || p1b.ballot != ballot_) return;
+  responders_.insert(from);
+  if (p1b.accepted_ballot &&
+      (!best_accepted_ || *p1b.accepted_ballot > *best_accepted_)) {
+    best_accepted_ = p1b.accepted_ballot;
+    best_value_ = p1b.accepted_value;
+  }
+  if (responders_.size() >= majority()) {
+    phase_ = Phase::kPhase2;
+    responders_ = ProcessSet{};
+    auto msg = make_msg<P2aMsg>();
+    msg->ballot = ballot_;
+    msg->value = best_value_;
+    send_all(acceptors_, std::move(msg));
+  }
+}
+
+void PaxosProposer::on(ProcessId from, const P2bMsg& p2b) {
+  if (phase_ != Phase::kPhase2 || p2b.ballot != ballot_) return;
+  responders_.insert(from);
+  if (responders_.size() >= majority()) {
+    phase_ = Phase::kIdle;  // chosen; learners hear the P2b broadcast
+    cancel_timer(retry_timer_);
   }
 }
 
@@ -116,16 +94,13 @@ void PaxosProposer::on_timer(sim::TimerId timer) {
   start_round();
 }
 
-void PaxosLearner::on_message(ProcessId from, const sim::Message& m) {
-  // rqs-lint: allow(drop) P1aMsg P1bMsg P2aMsg — a learner counts only the
-  // P2b broadcast; the rest of the protocol never addresses it.
-  if (m.type() != P2bMsg::kType || learned_) return;
-  const auto* p2b = static_cast<const P2bMsg*>(&m);
-  ProcessSet& senders = accepted_[{p2b->ballot.round, p2b->ballot.proposer}];
+void PaxosLearner::on(ProcessId from, const P2bMsg& p2b) {
+  if (learned_) return;
+  ProcessSet& senders = accepted_[{p2b.ballot.round, p2b.ballot.proposer}];
   senders.insert(from);
   if (senders.size() >= acceptor_count_ / 2 + 1) {
     learned_ = true;
-    value_ = p2b->value;
+    value_ = p2b.value;
     learn_time_ = now();
   }
 }

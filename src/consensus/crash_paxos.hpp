@@ -56,12 +56,16 @@ struct P2bMsg final : sim::TypedMessage<P2bMsg, PaxosMessages, 64> {
   [[nodiscard]] std::string_view tag() const override { return "P2B"; }
 };
 
-class PaxosAcceptor final : public sim::Process {
+/// Drops the phase replies, which go to the proposer (and learners).
+class PaxosAcceptor final
+    : public sim::ProcessOf<PaxosAcceptor, PaxosMessages,
+                            sim::MessageList<P1bMsg, P2bMsg>> {
  public:
   PaxosAcceptor(sim::Simulation& sim, ProcessId id, ProcessSet learners)
-      : sim::Process(sim, id), learners_(learners) {}
+      : ProcessOf(sim, id), learners_(learners) {}
 
-  void on_message(ProcessId from, const sim::Message& m) override;
+  void on(ProcessId from, const P1aMsg& p1a);
+  void on(ProcessId from, const P2aMsg& p2a);
 
  private:
   ProcessSet learners_;
@@ -70,20 +74,25 @@ class PaxosAcceptor final : public sim::Process {
   Value accepted_value_{kBottom};
 };
 
-class PaxosProposer final : public sim::Process {
+/// Drops the phase requests, which are acceptor-bound: a proposer only
+/// hears the b-replies.
+class PaxosProposer final
+    : public sim::ProcessOf<PaxosProposer, PaxosMessages,
+                            sim::MessageList<P1aMsg, P2aMsg>> {
  public:
   /// The preemption backoff is fixed: unlike the RQS roles it is always on
   /// (a send-once Paxos proposer cannot terminate once preempted), from an
   /// 8-Delta base with jitter seed 0. Per-process jitter keeps two
   /// concurrent proposers from duelling in lockstep.
   PaxosProposer(sim::Simulation& sim, ProcessId id, ProcessSet acceptors)
-      : sim::Process(sim, id), acceptors_(acceptors) {}
+      : ProcessOf(sim, id), acceptors_(acceptors) {}
 
   /// Starts proposing v; retries with higher ballots (after a timeout) if
   /// preempted, until some value is chosen.
   void propose(Value v);
 
-  void on_message(ProcessId from, const sim::Message& m) override;
+  void on(ProcessId from, const P1bMsg& p1b);
+  void on(ProcessId from, const P2bMsg& p2b);
   void on_timer(sim::TimerId timer) override;
 
  private:
@@ -101,16 +110,20 @@ class PaxosProposer final : public sim::Process {
   sim::TimerId retry_timer_{0};
 };
 
-class PaxosLearner final : public sim::Process {
+/// Counts only the P2b broadcast; the rest of the protocol never
+/// addresses a learner.
+class PaxosLearner final
+    : public sim::ProcessOf<PaxosLearner, PaxosMessages,
+                            sim::MessageList<P1aMsg, P1bMsg, P2aMsg>> {
  public:
   PaxosLearner(sim::Simulation& sim, ProcessId id, std::size_t acceptor_count)
-      : sim::Process(sim, id), acceptor_count_(acceptor_count) {}
+      : ProcessOf(sim, id), acceptor_count_(acceptor_count) {}
 
   [[nodiscard]] bool learned() const noexcept { return learned_; }
   [[nodiscard]] Value learned_value() const noexcept { return value_; }
   [[nodiscard]] sim::SimTime learn_time() const noexcept { return learn_time_; }
 
-  void on_message(ProcessId from, const sim::Message& m) override;
+  void on(ProcessId from, const P2bMsg& p2b);
 
  private:
   std::size_t acceptor_count_;

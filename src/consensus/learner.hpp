@@ -13,10 +13,17 @@
 
 namespace rqs::consensus {
 
-class RqsLearner final : public sim::Process {
+/// Learners passively watch updates and decisions (lines 51-53, 101), so
+/// they drop the view-change and signing traffic, which never targets them.
+class RqsLearner final
+    : public sim::ProcessOf<
+          RqsLearner, Messages,
+          sim::MessageList<PrepareMsg, NewViewMsg, NewViewAckMsg,
+                           SignReqMsg, SignAckMsg, ViewChangeMsg,
+                           DecisionPullMsg, SyncMsg>> {
  public:
   RqsLearner(sim::Simulation& sim, ProcessId id, const ConsensusConfig& config)
-      : sim::Process(sim, id),
+      : ProcessOf(sim, id),
         config_(config),
         tracker_(*config.rqs),
         pull_timer_(set_timer(kPullPeriodDeltas * sim.delta())) {}
@@ -25,32 +32,17 @@ class RqsLearner final : public sim::Process {
   [[nodiscard]] Value learned_value() const noexcept { return value_; }
   [[nodiscard]] sim::SimTime learn_time() const noexcept { return learn_time_; }
 
-  void on_message(ProcessId from, const sim::Message& m) override {
-    if (learned_) return;
-    switch (m.type()) {
-      case UpdateMsg::kType: {
-        const auto& up = static_cast<const UpdateMsg&>(m);
-        if (!config_.acceptors.contains(from)) return;
-        if (const auto v = tracker_.feed(from, up)) learn(*v);
-        return;
-      }
-      case DecisionMsg::kType: {
-        const auto& dec = static_cast<const DecisionMsg&>(m);
-        // Line 101: decisions from a basic subset of acceptors suffice.
-        if (!config_.acceptors.contains(from)) return;
-        ProcessSet& senders = decision_senders_[dec.value];
-        senders.insert(from);
-        if (config_.rqs->adversary().is_basic(senders)) learn(dec.value);
-        return;
-      }
-      default:
-        // rqs-lint: allow(drop) PrepareMsg NewViewMsg NewViewAckMsg SignReqMsg
-        // rqs-lint: allow(drop) SignAckMsg ViewChangeMsg DecisionPullMsg SyncMsg
-        // Learners passively watch updates and decisions (lines 51-53,
-        // 101); the view-change and signing traffic above never targets
-        // them.
-        return;
-    }
+  void on(ProcessId from, const UpdateMsg& up) {
+    if (learned_ || !config_.acceptors.contains(from)) return;
+    if (const auto v = tracker_.feed(from, up)) learn(*v);
+  }
+
+  void on(ProcessId from, const DecisionMsg& dec) {
+    // Line 101: decisions from a basic subset of acceptors suffice.
+    if (learned_ || !config_.acceptors.contains(from)) return;
+    ProcessSet& senders = decision_senders_[dec.value];
+    senders.insert(from);
+    if (config_.rqs->adversary().is_basic(senders)) learn(dec.value);
   }
 
   void on_timer(sim::TimerId timer) override {
@@ -70,7 +62,7 @@ class RqsLearner final : public sim::Process {
     h.mix(decision_senders_.size());
     for (const auto& [v, s] : decision_senders_) {
       h.mix(static_cast<std::uint64_t>(v));
-      for (std::size_t w = 0; w < ProcessSet::kWords; ++w) h.mix(s.word(w));
+      digest_into(h, s);
     }
   }
 

@@ -8,7 +8,7 @@ namespace rqs::consensus {
 
 RqsProposer::RqsProposer(sim::Simulation& sim, ProcessId id,
                          const ConsensusConfig& config)
-    : sim::Process(sim, id), config_(config), signer_(*config.authority, id),
+    : ProcessOf(sim, id), config_(config), signer_(*config.authority, id),
       retx_(sim, id, config.retry) {}
 
 void RqsProposer::propose(Value v) {
@@ -117,73 +117,54 @@ void RqsProposer::try_choose_and_prepare() {
   });
 }
 
-void RqsProposer::on_message(ProcessId from, const sim::Message& m) {
-  if (halted_) return;
-  switch (m.type()) {
-    case NewViewAckMsg::kType: {
-      const auto& ack = static_cast<const NewViewAckMsg&>(m);
-      if (!consulting_ || ack.signer != from) return;
-      if (!config_.acceptors.contains(from)) return;
-      if (!ack_valid(ack)) return;
-      acks_[from] = ack.data;
-      try_choose_and_prepare();
-      return;
-    }
-    case ViewChangeMsg::kType: {
-      const auto& vc = static_cast<const ViewChangeMsg&>(m);
-      // Fig. 14 lines 10-13.
-      if (!config_.acceptors.contains(from)) return;
-      if (vc.change.signer != from) return;
-      if (!config_.authority->verify(vc.change.signature, from,
-                                     vc.change.payload())) {
-        return;
-      }
-      const ViewNumber next = vc.change.next_view;
-      view_changes_[next][from] = vc.change;
-      if (next <= view_ || config_.leader_of(next) != id()) return;
-      ProcessSet senders;
-      for (const auto& [a, change] : view_changes_[next]) senders.insert(a);
-      if (!config_.rqs->has_quorum_in(senders)) return;
-      view_proof_.clear();
-      for (const auto& [a, change] : view_changes_[next]) {
-        view_proof_.push_back(change);
-      }
-      view_ = next;  // line 12
-      if (auto* ob = sim().observer()) {
-        ob->count("consensus.view_change");
-        ob->phase(now(), id(), obs::kPhaseViewChange, next);
-      }
-      if (proposed_) run_propose();  // line 13/10: elected => propose
-      return;
-    }
-    case DecisionMsg::kType: {
-      const auto& dec = static_cast<const DecisionMsg&>(m);
-      // Fig. 14 line 104: a quorum of identical decisions halts the
-      // proposer.
-      if (!config_.acceptors.contains(from)) return;
-      ProcessSet& senders = decision_senders_[dec.value];
-      senders.insert(from);
-      if (config_.rqs->has_quorum_in(senders)) {
-        halted_ = true;
-        retx_.stop();
-      }
-      return;
-    }
-    default:
-      // rqs-lint: allow(drop) PrepareMsg UpdateMsg NewViewMsg SignReqMsg
-      // rqs-lint: allow(drop) SignAckMsg DecisionPullMsg SyncMsg
-      // All of the above are acceptor-bound (Fig. 14 sends them to the
-      // acceptor set); a proposer is never a recipient.
-      return;
+void RqsProposer::on(ProcessId from, const NewViewAckMsg& ack) {
+  if (halted_ || !consulting_ || ack.signer != from) return;
+  if (!config_.acceptors.contains(from)) return;
+  if (!ack_valid(ack)) return;
+  acks_[from] = ack.data;
+  try_choose_and_prepare();
+}
+
+void RqsProposer::on(ProcessId from, const ViewChangeMsg& vc) {
+  // Fig. 14 lines 10-13.
+  if (halted_ || !config_.acceptors.contains(from)) return;
+  if (vc.change.signer != from) return;
+  if (!config_.authority->verify(vc.change.signature, from,
+                                 vc.change.payload())) {
+    return;
+  }
+  const ViewNumber next = vc.change.next_view;
+  view_changes_[next][from] = vc.change;
+  if (next <= view_ || config_.leader_of(next) != id()) return;
+  ProcessSet senders;
+  for (const auto& [a, change] : view_changes_[next]) senders.insert(a);
+  if (!config_.rqs->has_quorum_in(senders)) return;
+  view_proof_.clear();
+  for (const auto& [a, change] : view_changes_[next]) {
+    view_proof_.push_back(change);
+  }
+  view_ = next;  // line 12
+  if (auto* ob = sim().observer()) {
+    ob->count("consensus.view_change");
+    ob->phase(now(), id(), obs::kPhaseViewChange, next);
+  }
+  if (proposed_) run_propose();  // line 13/10: elected => propose
+}
+
+void RqsProposer::on(ProcessId from, const DecisionMsg& dec) {
+  // Fig. 14 line 104: a quorum of identical decisions halts the proposer.
+  if (halted_ || !config_.acceptors.contains(from)) return;
+  ProcessSet& senders = decision_senders_[dec.value];
+  senders.insert(from);
+  if (config_.rqs->has_quorum_in(senders)) {
+    halted_ = true;
+    retx_.stop();
   }
 }
 
 // Protocol-visible proposer state for the duplicate-delivery equivalence
 // suite; timer handles and the signer are excluded as observations.
 void RqsProposer::digest_state(Fnv64& h) const {
-  const auto mix_set = [&h](const ProcessSet& s) {
-    for (std::size_t w = 0; w < ProcessSet::kWords; ++w) h.mix(s.word(w));
-  };
   h.mix(static_cast<std::uint64_t>(value_));
   h.mix(proposed_ ? 1 : 0);
   h.mix(halted_ ? 1 : 0);
@@ -196,9 +177,9 @@ void RqsProposer::digest_state(Fnv64& h) const {
     h.mix(static_cast<std::uint64_t>(data.prep));
   }
   h.mix(faulty_.size());
-  for (const ProcessSet& q : faulty_) mix_set(q);
+  for (const ProcessSet& q : faulty_) digest_into(h, q);
   h.mix(prepared_quorums_.size());
-  for (const ProcessSet& q : prepared_quorums_) mix_set(q);
+  for (const ProcessSet& q : prepared_quorums_) digest_into(h, q);
   h.mix(view_changes_.size());
   for (const auto& [next, changes] : view_changes_) {
     h.mix(next);
@@ -208,7 +189,7 @@ void RqsProposer::digest_state(Fnv64& h) const {
   h.mix(decision_senders_.size());
   for (const auto& [v, senders] : decision_senders_) {
     h.mix(static_cast<std::uint64_t>(v));
-    mix_set(senders);
+    digest_into(h, senders);
   }
   h.mix(prepare_sent_ ? 1 : 0);
   h.mix(static_cast<std::uint64_t>(prepared_value_));

@@ -17,7 +17,14 @@
 
 namespace rqs::consensus {
 
-class RqsProposer : public sim::Process {
+/// Drops every type but new_view_ack, view_change and decision: the rest
+/// are acceptor-bound (Fig. 14 sends them to the acceptor set), so a
+/// proposer is never a recipient.
+class RqsProposer
+    : public sim::ProcessOf<
+          RqsProposer, Messages,
+          sim::MessageList<PrepareMsg, UpdateMsg, NewViewMsg, SignReqMsg,
+                           SignAckMsg, DecisionPullMsg, SyncMsg>> {
  public:
   RqsProposer(sim::Simulation& sim, ProcessId id, const ConsensusConfig& config);
 
@@ -29,7 +36,9 @@ class RqsProposer : public sim::Process {
   [[nodiscard]] bool halted() const noexcept { return halted_; }
   [[nodiscard]] ViewNumber current_view() const noexcept { return view_; }
 
-  void on_message(ProcessId from, const sim::Message& m) override;
+  void on(ProcessId from, const NewViewAckMsg& ack);
+  void on(ProcessId from, const ViewChangeMsg& vc);
+  void on(ProcessId from, const DecisionMsg& dec);
   void on_timer(sim::TimerId timer) override;
   void digest_state(Fnv64& h) const override;
 

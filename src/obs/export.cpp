@@ -133,9 +133,12 @@ std::optional<TraceDump> load_trace(const std::string& path) {
       !get_u64(in, dump.dropped)) {
     return std::nullopt;
   }
-  dump.events.resize(count);
-  for (TraceEvent& e : dump.events) {
+  // One event at a time: the count is a claim of the file, so it sizes
+  // nothing before the events are there.
+  for (std::uint64_t i = 0; i < count; ++i) {
+    TraceEvent e{};
     if (!get_event(in, e)) return std::nullopt;
+    dump.events.push_back(e);
   }
   std::uint64_t tag_count = 0;
   if (!get_u64(in, tag_count)) return std::nullopt;

@@ -4,9 +4,10 @@
 // Protocols define plain structs deriving from TypedMessage<Self, ...>; the
 // network carries them as MessagePtr (a delivered message may be handed to
 // many receivers, so payloads are immutable after send). Receivers dispatch
-// by switching on Message::type() — a compile-time constant per concrete
-// type — and downcast with msg_cast<M>(), which is a single integer compare
-// instead of a dynamic_cast (no RTTI on the delivery hot path).
+// on Message::type() — a compile-time constant per concrete type — through
+// sim::ProcessOf, and msg_cast<M>() downcasts elsewhere: each is a single
+// integer compare instead of a dynamic_cast (no RTTI on the delivery hot
+// path).
 //
 // Allocation: messages built through MessagePool::make() live in recycled
 // 64-byte-granular blocks owned by the pool; steady-state send/deliver
@@ -34,8 +35,8 @@ class MessagePool;
 class MessagePtr;
 
 /// Static identifier of a concrete message type. Ids are compile-time
-/// hashes of the type name, so receivers can `switch` on them; each
-/// protocol's MessageList proves its ids distinct at compile time.
+/// hashes of the type name, so receivers can compare against constants;
+/// each protocol's MessageList proves its ids distinct at compile time.
 using MessageType = std::uint32_t;
 
 namespace detail {
@@ -69,7 +70,8 @@ inline constexpr MessageType kMessageTypeOf =
 
 /// The message types one protocol exchanges, declared ahead of them. Each
 /// one's TypedMessage base checks that the list holds it and that the
-/// listed ids are distinct, so msg_cast<> never reads one as another.
+/// listed ids are distinct, so neither msg_cast<> nor a process's dispatch
+/// ever reads one as another.
 template <typename... Ms>
 struct MessageList {
   static constexpr std::array<MessageType, sizeof...(Ms)> kIds{
@@ -77,6 +79,10 @@ struct MessageList {
 
   template <typename M>
   static constexpr bool kHolds = (std::is_same_v<M, Ms> || ...);
+
+  /// Every listed type is in the MessageList `Other`.
+  template <typename Other>
+  static constexpr bool kWithin = (Other::template kHolds<Ms> && ...);
 
   [[nodiscard]] static constexpr bool distinct() noexcept {
     for (std::size_t i = 0; i < kIds.size(); ++i) {
@@ -144,7 +150,7 @@ concept ConcreteMessage =
     std::is_nothrow_destructible_v<M>;
 
 /// CRTP base all concrete message types derive from: stamps the static
-/// type id into the header and exposes it as M::kType for switch labels.
+/// type id into the header and exposes it as M::kType for the dispatch.
 /// `List` is the protocol's MessageList. `PoolBytes` is the 64-byte pool
 /// size-class ceiling Self occupies, so a field added casually fails the
 /// build the moment it would push the type into a bigger pool bucket

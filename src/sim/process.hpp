@@ -1,4 +1,4 @@
-// Base class for simulated processes (the paper's deterministic automata).
+// Base classes for simulated processes (the paper's deterministic automata).
 #pragma once
 
 #include "common/process_set.hpp"
@@ -7,9 +7,13 @@
 
 namespace rqs::sim {
 
+template <class Self, class List, class Dropped>
+class ProcessOf;
+
+/// What the simulator sees of a process. Only ProcessOf may construct one,
+/// so every process names the messages it hears.
 class Process {
  public:
-  Process(Simulation& sim, ProcessId id);
   virtual ~Process() = default;
 
   Process(const Process&) = delete;
@@ -56,8 +60,68 @@ class Process {
   void cancel_timer(TimerId t) { sim_.cancel_timer(t); }
 
  private:
+  template <class, class, class>
+  friend class ProcessOf;
+
+  Process(Simulation& sim, ProcessId id);
+
   Simulation& sim_;
   ProcessId id_;
+};
+
+/// Base of every process: the paper's "upon receiving m" clauses, one per
+/// type of the protocol's MessageList. Self declares a public
+/// `void on(ProcessId from, const M& m)` for each type M of List, except
+/// the types Dropped names: Self ignores those on purpose and says why in
+/// a comment on the class. on_message hands a delivery to the handler of
+/// its type, one compare per handled type, and ignores a type List does
+/// not hold. The build fails when a listed type is neither handled nor
+/// dropped, when a dropped type has a handler, when Dropped names a type
+/// List does not hold, or when a catch-all on() would hide a missing
+/// handler.
+template <class Self, class List, class Dropped = MessageList<>>
+class ProcessOf : public Process {
+ public:
+  void on_message(ProcessId from, const Message& m) final {
+    static_assert(Dropped::template kWithin<List>,
+                  "Dropped names a message type that the process's "
+                  "MessageList does not hold");
+    static_assert(
+        !requires(Self& s, ProcessId f, const Probe& p) { s.on(f, p); },
+        "a catch-all on() would hide a missing handler: declare one "
+        "on(ProcessId, const M&) per message type M");
+    dispatch(from, m, List{});
+  }
+
+ protected:
+  ProcessOf(Simulation& sim, ProcessId id) : Process(sim, id) {}
+
+ private:
+  /// A message type no process can name, so only a catch-all on() — a
+  /// template or one taking `const Message&` — accepts it.
+  struct Probe : Message {};
+
+  template <class... Ms>
+  void dispatch([[maybe_unused]] ProcessId from,
+                [[maybe_unused]] const Message& m,
+                MessageList<Ms...> /*list*/) {
+    (void)((m.type() == Ms::kType && (deliver<Ms>(from, m), true)) || ...);
+  }
+
+  template <class M>
+  void deliver(ProcessId from, const Message& m) {
+    constexpr bool handled =
+        requires(Self& s, ProcessId f, const M& msg) { s.on(f, msg); };
+    constexpr bool dropped = Dropped::template kHolds<M>;
+    static_assert(!(handled && dropped),
+                  "a message type in Dropped must have no on() handler");
+    if constexpr (!dropped) {
+      static_assert(handled,
+                    "a listed message type needs a public "
+                    "on(ProcessId, const M&) handler or a place in Dropped");
+      static_cast<Self&>(*this).on(from, static_cast<const M&>(m));
+    }
+  }
 };
 
 }  // namespace rqs::sim

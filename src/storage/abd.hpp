@@ -43,11 +43,15 @@ struct AbdReadAck final : sim::TypedMessage<AbdReadAck, AbdMessages, 64> {
   [[nodiscard]] std::string_view tag() const override { return "ABD_READ_ACK"; }
 };
 
-/// ABD server: one timestamped register cell.
-class AbdServer final : public sim::Process {
+/// ABD server: one timestamped register cell. Drops acks, which flow from
+/// servers to clients.
+class AbdServer final
+    : public sim::ProcessOf<AbdServer, AbdMessages,
+                            sim::MessageList<AbdWriteAck, AbdReadAck>> {
  public:
-  AbdServer(sim::Simulation& sim, ProcessId id) : sim::Process(sim, id) {}
-  void on_message(ProcessId from, const sim::Message& m) override;
+  AbdServer(sim::Simulation& sim, ProcessId id) : ProcessOf(sim, id) {}
+  void on(ProcessId from, const AbdWriteMsg& wr);
+  void on(ProcessId from, const AbdReadMsg& rd);
 
   [[nodiscard]] TsValue cell() const noexcept { return cell_; }
 
@@ -56,16 +60,20 @@ class AbdServer final : public sim::Process {
 };
 
 /// ABD writer: single round to a majority. Send-once, like the paper's
-/// automata: the baseline runs over reliable channels only.
-class AbdWriter final : public sim::Process {
+/// automata: the baseline runs over reliable channels only. It only ever
+/// hears write acks: it never issues reads.
+class AbdWriter final
+    : public sim::ProcessOf<
+          AbdWriter, AbdMessages,
+          sim::MessageList<AbdWriteMsg, AbdReadMsg, AbdReadAck>> {
  public:
   using DoneFn = std::function<void()>;
   AbdWriter(sim::Simulation& sim, ProcessId id, ProcessSet servers)
-      : sim::Process(sim, id), servers_(servers) {}
+      : ProcessOf(sim, id), servers_(servers) {}
 
   void write(Value v, DoneFn done);
   [[nodiscard]] RoundNumber last_write_rounds() const noexcept { return 1; }
-  void on_message(ProcessId from, const sim::Message& m) override;
+  void on(ProcessId from, const AbdWriteAck& ack);
 
  private:
   [[nodiscard]] std::size_t majority() const { return servers_.size() / 2 + 1; }
@@ -78,16 +86,19 @@ class AbdWriter final : public sim::Process {
 };
 
 /// ABD reader: query round + writeback round, always two rounds. Send-once,
-/// like AbdWriter.
-class AbdReader final : public sim::Process {
+/// like AbdWriter. Drops requests, which are addressed to servers.
+class AbdReader final
+    : public sim::ProcessOf<AbdReader, AbdMessages,
+                            sim::MessageList<AbdWriteMsg, AbdReadMsg>> {
  public:
   using DoneFn = std::function<void(Value)>;
   AbdReader(sim::Simulation& sim, ProcessId id, ProcessSet servers)
-      : sim::Process(sim, id), servers_(servers) {}
+      : ProcessOf(sim, id), servers_(servers) {}
 
   void read(DoneFn done);
   [[nodiscard]] RoundNumber last_read_rounds() const noexcept { return 2; }
-  void on_message(ProcessId from, const sim::Message& m) override;
+  void on(ProcessId from, const AbdReadAck& ack);
+  void on(ProcessId from, const AbdWriteAck& ack);
 
  private:
   [[nodiscard]] std::size_t majority() const { return servers_.size() / 2 + 1; }

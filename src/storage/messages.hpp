@@ -189,9 +189,6 @@ inline void digest_into(Fnv64& h, const ServerHistory& hist) {
     digest_into(h, slot.sets);
   });
 }
-inline void digest_into(Fnv64& h, const ProcessSet& s) {
-  for (std::size_t w = 0; w < ProcessSet::kWords; ++w) h.mix(s.word(w));
-}
 
 struct WrMsg;
 struct WrAck;

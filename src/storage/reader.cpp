@@ -11,7 +11,7 @@ namespace rqs::storage {
 RqsReader::RqsReader(sim::Simulation& sim, ProcessId id,
                      const RefinedQuorumSystem& rqs, ProcessSet servers,
                      Mode mode, ObjectId key, RetryPolicy::Config retry)
-    : sim::Process(sim, id), rqs_(rqs), servers_(servers), mode_(mode),
+    : ProcessOf(sim, id), rqs_(rqs), servers_(servers), mode_(mode),
       key_(key), retx_(sim, id, retry), history_(rqs.universe_size()) {}
 
 void RqsReader::read(DoneFn done) {
@@ -206,54 +206,44 @@ void RqsReader::start_retry() {
               total_rounds_);
 }
 
-void RqsReader::on_message(ProcessId from, const sim::Message& m) {
+void RqsReader::on(ProcessId from, const RdAck& ack) {
   if (!servers_.contains(from)) return;
-  switch (m.type()) {
-    case RdAck::kType: {
-      const auto& ack = static_cast<const RdAck&>(m);
-      if (ack.key != key_ || ack.read_no != read_no_ || phase_ == Phase::kIdle) {
-        return;
-      }
-      // Lines 50-51: adopt the snapshot (any round of this read).
-      if (from < history_.size()) history_[from] = ack.history;
-      responded_servers_.insert(from);
-      // Lines 52-53: extend Responded with fully-acked quorums. Only
-      // quorums containing `from` can newly become complete.
-      if (from < rqs_.universe_size()) {
-        for (const QuorumId qid : rqs_.quorums_containing(from)) {
-          if (!responded_.contains(qid) &&
-              rqs_.quorum_set(qid).subset_of(responded_servers_)) {
-            responded_.insert(qid);
-          }
-        }
-      }
-      if (phase_ == Phase::kCollect && ack.rnd == read_rnd_) {
-        round_acks_.insert(from);
-        maybe_finish_collect_round();
-      }
-      return;
-    }
-    case WrAck::kType: {
-      const auto& ack = static_cast<const WrAck&>(m);
-      if (phase_ != Phase::kWriteback1 && phase_ != Phase::kWriteback1Plain &&
-          phase_ != Phase::kWriteback2) {
-        return;
-      }
-      // The nonce pins the ack to *this* writeback broadcast: a late ack
-      // from a previous read's writeback of the same (ts, rnd) must not
-      // count toward this read's quorum (the server it came from may never
-      // have stored this read's writeback).
-      if (ack.key != key_ || ack.op != wb_op_) return;
-      if (ack.ts != csel_.ts || ack.rnd != wb_round_) return;
-      wb_acks_.insert(from);
-      maybe_finish_writeback();
-      return;
-    }
-    default:
-      // rqs-lint: allow(drop) WrMsg RdMsg — request messages are addressed
-      // to servers; a reader hears only the two ack types above.
-      return;
+  if (ack.key != key_ || ack.read_no != read_no_ || phase_ == Phase::kIdle) {
+    return;
   }
+  // Lines 50-51: adopt the snapshot (any round of this read).
+  if (from < history_.size()) history_[from] = ack.history;
+  responded_servers_.insert(from);
+  // Lines 52-53: extend Responded with fully-acked quorums. Only quorums
+  // containing `from` can newly become complete.
+  if (from < rqs_.universe_size()) {
+    for (const QuorumId qid : rqs_.quorums_containing(from)) {
+      if (!responded_.contains(qid) &&
+          rqs_.quorum_set(qid).subset_of(responded_servers_)) {
+        responded_.insert(qid);
+      }
+    }
+  }
+  if (phase_ == Phase::kCollect && ack.rnd == read_rnd_) {
+    round_acks_.insert(from);
+    maybe_finish_collect_round();
+  }
+}
+
+void RqsReader::on(ProcessId from, const WrAck& ack) {
+  if (!servers_.contains(from)) return;
+  if (phase_ != Phase::kWriteback1 && phase_ != Phase::kWriteback1Plain &&
+      phase_ != Phase::kWriteback2) {
+    return;
+  }
+  // The nonce pins the ack to *this* writeback broadcast: a late ack from
+  // a previous read's writeback of the same (ts, rnd) must not count
+  // toward this read's quorum (the server it came from may never have
+  // stored this read's writeback).
+  if (ack.key != key_ || ack.op != wb_op_) return;
+  if (ack.ts != csel_.ts || ack.rnd != wb_round_) return;
+  wb_acks_.insert(from);
+  maybe_finish_writeback();
 }
 
 void RqsReader::on_timer(sim::TimerId timer) {

@@ -33,7 +33,11 @@
 
 namespace rqs::storage {
 
-class RqsReader final : public sim::Process {
+/// A reader hears only the two ack types: requests are addressed to
+/// servers.
+class RqsReader final
+    : public sim::ProcessOf<RqsReader, Messages,
+                            sim::MessageList<WrMsg, RdMsg>> {
  public:
   using DoneFn = std::function<void(Value)>;
 
@@ -67,7 +71,8 @@ class RqsReader final : public sim::Process {
   /// a regular read's csel may be a concurrent, incomplete write).
   [[nodiscard]] TsValue known_completed() const noexcept { return completed_; }
 
-  void on_message(ProcessId from, const sim::Message& m) override;
+  void on(ProcessId from, const RdAck& ack);
+  void on(ProcessId from, const WrAck& ack);
   void on_timer(sim::TimerId timer) override;
   void digest_state(Fnv64& h) const override;
 

@@ -33,56 +33,45 @@ void RqsStorageServer::note_completed(ObjectId key, KeyState& ks,
   }
 }
 
-void RqsStorageServer::on_message(ProcessId from, const sim::Message& m) {
-  switch (m.type()) {
-    case WrMsg::kType: {
-      const auto& wr = static_cast<const WrMsg&>(m);
-      KeyState& ks = keys_[wr.key];
-      note_completed(wr.key, ks, wr.completed);
-      // Lines 3-6 of Figure 6: fill slots 1..rnd, guarding against
-      // overwriting a different pair at the same timestamp; the QC'2 set is
-      // accumulated only in the slot of the message's round.
-      for (RoundNumber rnd = 1; rnd <= wr.rnd; ++rnd) {
-        HistorySlot& s = ks.history.slot(wr.ts, rnd);
-        const TsValue incoming{wr.ts, wr.value};
-        if (s.is_initial() || s.pair == incoming) {
-          s.pair = incoming;
-          if (rnd == wr.rnd) {
-            s.sets.insert(wr.qc2_set.begin(), wr.qc2_set.end());
-          }
-        }
+void RqsStorageServer::on(ProcessId from, const WrMsg& wr) {
+  KeyState& ks = keys_[wr.key];
+  note_completed(wr.key, ks, wr.completed);
+  // Lines 3-6 of Figure 6: fill slots 1..rnd, guarding against
+  // overwriting a different pair at the same timestamp; the QC'2 set is
+  // accumulated only in the slot of the message's round.
+  for (RoundNumber rnd = 1; rnd <= wr.rnd; ++rnd) {
+    HistorySlot& s = ks.history.slot(wr.ts, rnd);
+    const TsValue incoming{wr.ts, wr.value};
+    if (s.is_initial() || s.pair == incoming) {
+      s.pair = incoming;
+      if (rnd == wr.rnd) {
+        s.sets.insert(wr.qc2_set.begin(), wr.qc2_set.end());
       }
-      auto ack = make_msg<WrAck>();
-      ack->key = wr.key;
-      ack->ts = wr.ts;
-      ack->rnd = wr.rnd;
-      ack->op = wr.op;
-      send(from, std::move(ack));
-      return;
     }
-    case RdMsg::kType: {
-      const auto& rd = static_cast<const RdMsg&>(m);
-      // Lines 8-9 of Figure 6: reply with the (bounded) history.
-      auto ack = make_msg<RdAck>();
-      ack->key = rd.key;
-      ack->read_no = rd.read_no;
-      ack->rnd = rd.rnd;
-      ack->history = history_for_reply(rd.key, from);
-      ++reply_stats_.replies;
-      reply_stats_.rows += ack->history.row_count();
-      reply_stats_.slots += ack->history.slot_count();
-      if (auto* ob = sim().observer()) {
-        ob->record_latency("storage.rdack.rows",
-                           static_cast<std::int64_t>(ack->history.row_count()));
-      }
-      send(from, std::move(ack));
-      return;
-    }
-    default:
-      // rqs-lint: allow(drop) WrAck RdAck — a server only serves requests;
-      // acks are addressed to clients and can reach it only via a forger.
-      return;
   }
+  auto ack = make_msg<WrAck>();
+  ack->key = wr.key;
+  ack->ts = wr.ts;
+  ack->rnd = wr.rnd;
+  ack->op = wr.op;
+  send(from, std::move(ack));
+}
+
+void RqsStorageServer::on(ProcessId from, const RdMsg& rd) {
+  // Lines 8-9 of Figure 6: reply with the (bounded) history.
+  auto ack = make_msg<RdAck>();
+  ack->key = rd.key;
+  ack->read_no = rd.read_no;
+  ack->rnd = rd.rnd;
+  ack->history = history_for_reply(rd.key, from);
+  ++reply_stats_.replies;
+  reply_stats_.rows += ack->history.row_count();
+  reply_stats_.slots += ack->history.slot_count();
+  if (auto* ob = sim().observer()) {
+    ob->record_latency("storage.rdack.rows",
+                       static_cast<std::int64_t>(ack->history.row_count()));
+  }
+  send(from, std::move(ack));
 }
 
 ByzantineStorageServer::ForgeFn ByzantineStorageServer::forget_everything() {

@@ -32,12 +32,18 @@ namespace rqs::storage {
 /// storage. Materialization itself is covered by direct unit tests
 /// (storage_compaction_test), since the differential comparison is
 /// common-mode with respect to it.
-class RqsStorageServer : public sim::Process {
+///
+/// A server only serves requests, so it drops acks: they are addressed to
+/// clients and can reach it only via a forger.
+class RqsStorageServer
+    : public sim::ProcessOf<RqsStorageServer, Messages,
+                            sim::MessageList<WrAck, RdAck>> {
  public:
   RqsStorageServer(sim::Simulation& sim, ProcessId id, bool compact = true)
-      : sim::Process(sim, id), compact_(compact) {}
+      : ProcessOf(sim, id), compact_(compact) {}
 
-  void on_message(ProcessId from, const sim::Message& m) override;
+  void on(ProcessId from, const WrMsg& wr);
+  void on(ProcessId from, const RdMsg& rd);
   void digest_state(Fnv64& h) const override;
 
   [[nodiscard]] const ServerHistory& history(ObjectId key = 0) const noexcept {

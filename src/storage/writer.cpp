@@ -10,7 +10,7 @@ RqsWriter::RqsWriter(sim::Simulation& sim, ProcessId id,
                      const RefinedQuorumSystem& rqs, ProcessSet servers,
                      ObjectId key, std::uint32_t rank,
                      RetryPolicy::Config retry)
-    : sim::Process(sim, id), rqs_(rqs), servers_(servers), key_(key),
+    : ProcessOf(sim, id), rqs_(rqs), servers_(servers), key_(key),
       rank_(rank), retx_(sim, id, retry), ts_(0, rank) {}
 
 void RqsWriter::write(Value v, DoneFn done) {
@@ -56,14 +56,10 @@ sim::PooledMessage<WrMsg> RqsWriter::round_msg() {
   return msg;
 }
 
-void RqsWriter::on_message(ProcessId from, const sim::Message& m) {
-  // rqs-lint: allow(drop) WrMsg RdMsg RdAck — the writer's only inbound
-  // traffic is write acks; requests go to servers, read acks to readers.
-  if (m.type() != WrAck::kType) return;
-  const auto* ack = static_cast<const WrAck*>(&m);
+void RqsWriter::on(ProcessId from, const WrAck& ack) {
   if (round_ == 0) return;
-  if (ack->key != key_ || ack->op != op_) return;
-  if (ack->ts != ts_ || ack->rnd != round_) return;
+  if (ack.key != key_ || ack.op != op_) return;
+  if (ack.ts != ts_ || ack.rnd != round_) return;
   if (!servers_.contains(from)) return;
   acked_.insert(from);
   maybe_finish_round();

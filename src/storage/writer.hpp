@@ -28,7 +28,11 @@
 
 namespace rqs::storage {
 
-class RqsWriter final : public sim::Process {
+/// The writer's only inbound traffic is write acks: requests go to
+/// servers, read acks to readers.
+class RqsWriter final
+    : public sim::ProcessOf<RqsWriter, Messages,
+                            sim::MessageList<WrMsg, RdMsg, RdAck>> {
  public:
   using DoneFn = std::function<void()>;
 
@@ -57,7 +61,7 @@ class RqsWriter final : public sim::Process {
   /// The pair of the last write that completed (initial if none yet).
   [[nodiscard]] TsValue last_completed() const noexcept { return completed_; }
 
-  void on_message(ProcessId from, const sim::Message& m) override;
+  void on(ProcessId from, const WrAck& ack);
   void on_timer(sim::TimerId timer) override;
   void digest_state(Fnv64& h) const override;
 

@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "obs/export.hpp"
@@ -258,6 +262,36 @@ TEST(ObsExport, DumpRoundTripsThroughDisk) {
     EXPECT_EQ(loaded->events[i].kind, dump.events[i].kind);
   }
   EXPECT_EQ(loaded->tags, dump.tags);
+}
+
+// The dump starts with a 32-byte header: magic, event count, recorded,
+// dropped, each 8 bytes. Every event after it takes 32 bytes.
+
+TEST(ObsExport, LoadRejectsAClaimedCountWithNoEventsBehindIt) {
+  const std::string path = testing::TempDir() + "/obs_export_huge_count.bin";
+  ASSERT_TRUE(save_trace(path, TraceDump{}));
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(8);
+    const std::uint64_t count = std::uint64_t{1} << 40;
+    for (int i = 0; i < 8; ++i) f.put(static_cast<char>(count >> (8 * i)));
+  }
+  std::filesystem::resize_file(path, 32);
+  std::optional<TraceDump> loaded;
+  EXPECT_NO_THROW(loaded = load_trace(path));
+  EXPECT_FALSE(loaded.has_value());
+}
+
+TEST(ObsExport, LoadRejectsADumpCutMidEvent) {
+  TraceDump dump;
+  dump.events.resize(2);
+  const std::string path = testing::TempDir() + "/obs_export_cut.bin";
+  ASSERT_TRUE(save_trace(path, dump));
+  ASSERT_TRUE(load_trace(path).has_value());
+  std::filesystem::resize_file(path, 32 + 32 + 16);
+  std::optional<TraceDump> loaded;
+  EXPECT_NO_THROW(loaded = load_trace(path));
+  EXPECT_FALSE(loaded.has_value());
 }
 
 }  // namespace

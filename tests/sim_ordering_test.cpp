@@ -34,15 +34,13 @@ struct NoteMsg final : TypedMessage<NoteMsg, MessageList<NoteMsg>, 64> {
 };
 
 /// Appends "m<note>" per message and "t" per timer fire to a shared log.
-class Logger final : public Process {
+class Logger final : public ProcessOf<Logger, MessageList<NoteMsg>> {
  public:
   Logger(Simulation& sim, ProcessId id, std::vector<std::string>& log)
-      : Process(sim, id), log_(log) {}
+      : ProcessOf(sim, id), log_(log) {}
 
-  void on_message(ProcessId, const Message& m) override {
-    const auto* note = msg_cast<NoteMsg>(m);
-    ASSERT_NE(note, nullptr);
-    log_.push_back("m" + std::to_string(note->note));
+  void on(ProcessId, const NoteMsg& note) {
+    log_.push_back("m" + std::to_string(note.note));
   }
   void on_timer(TimerId t) override {
     log_.push_back("t");
@@ -121,11 +119,11 @@ TEST(SimOrderingTest, SameInstantDeliveryCancelsTimer) {
   std::vector<std::string> log;
   Logger b(sim, 1, log);
 
-  class Canceller final : public Process {
+  class Canceller final : public ProcessOf<Canceller, MessageList<NoteMsg>> {
    public:
     Canceller(Simulation& sim, ProcessId id, Logger& victim)
-        : Process(sim, id), victim_(victim) {}
-    void on_message(ProcessId, const Message&) override {
+        : ProcessOf(sim, id), victim_(victim) {}
+    void on(ProcessId, const NoteMsg&) {
       victim_.cancel_timer(victim_.pending);
     }
     using Process::send;
@@ -171,10 +169,9 @@ TEST(SimOrderingTest, StaleCancelAfterRecycleIsNoOp) {
 
 TEST(SimOrderingTest, CancelInsideOwnFireIsNoOpAndReArmGetsFreshId) {
   Simulation sim(10);
-  class ReArm final : public Process {
+  class ReArm final : public ProcessOf<ReArm, MessageList<>> {
    public:
-    ReArm(Simulation& sim, ProcessId id) : Process(sim, id) {}
-    void on_message(ProcessId, const Message&) override {}
+    ReArm(Simulation& sim, ProcessId id) : ProcessOf(sim, id) {}
     void on_timer(TimerId t) override {
       ids.push_back(t);
       cancel_timer(t);  // stale by now: must not affect anything
@@ -228,14 +225,13 @@ TEST(SimOrderingTest, MessagePoolRecyclesBlocksAcrossARun) {
   std::vector<std::string> log;
   Logger a(sim, 0, log), b(sim, 1, log);
 
-  class Chatter final : public Process {
+  class Chatter final : public ProcessOf<Chatter, MessageList<NoteMsg>> {
    public:
-    Chatter(Simulation& sim, ProcessId id) : Process(sim, id) {}
-    void on_message(ProcessId from, const Message& m) override {
-      const auto* n = msg_cast<NoteMsg>(m);
-      if (n == nullptr || n->note <= 0) return;
+    Chatter(Simulation& sim, ProcessId id) : ProcessOf(sim, id) {}
+    void on(ProcessId from, const NoteMsg& n) {
+      if (n.note <= 0) return;
       auto next = make_msg<NoteMsg>();
-      next->note = n->note - 1;
+      next->note = n.note - 1;
       send(from, std::move(next));
     }
     void kick(ProcessId to, int n) {
@@ -261,15 +257,13 @@ TEST(SimOrderingTest, MessagePoolRecyclesBlocksAcrossARun) {
 
 /// Logs "<receiver>:m<note>" per delivery and "t" per timer fire, then
 /// runs `hook` once if one is set.
-class Recorder final : public Process {
+class Recorder final : public ProcessOf<Recorder, MessageList<NoteMsg>> {
  public:
   Recorder(Simulation& sim, ProcessId id, std::vector<std::string>& log)
-      : Process(sim, id), log_(log) {}
+      : ProcessOf(sim, id), log_(log) {}
 
-  void on_message(ProcessId, const Message& m) override {
-    const auto* n = msg_cast<NoteMsg>(m);
-    ASSERT_NE(n, nullptr);
-    log_.push_back(std::to_string(id()) + ":m" + std::to_string(n->note));
+  void on(ProcessId, const NoteMsg& n) {
+    log_.push_back(std::to_string(id()) + ":m" + std::to_string(n.note));
     if (hook) std::exchange(hook, nullptr)();
   }
   void on_timer(TimerId) override { log_.push_back("t"); }

@@ -15,20 +15,23 @@ struct PingMsg final : TypedMessage<PingMsg, MessageList<PingMsg>, 64> {
   [[nodiscard]] std::string_view tag() const override { return "PING"; }
 };
 
-/// Records everything it receives; optionally echoes back.
-class Recorder final : public Process {
+/// A type no Recorder lists.
+struct StrayMsg final : TypedMessage<StrayMsg, MessageList<StrayMsg>, 64> {
+  [[nodiscard]] std::string_view tag() const override { return "STRAY"; }
+};
+
+/// Records every ping it receives; optionally echoes back.
+class Recorder final : public ProcessOf<Recorder, MessageList<PingMsg>> {
  public:
   Recorder(Simulation& sim, ProcessId id, bool echo = false)
-      : Process(sim, id), echo_(echo) {}
+      : ProcessOf(sim, id), echo_(echo) {}
 
-  void on_message(ProcessId from, const Message& m) override {
-    if (const auto* ping = msg_cast<PingMsg>(m)) {
-      received.push_back({from, ping->payload, now()});
-      if (echo_) {
-        auto reply = make_msg<PingMsg>();
-        reply->payload = ping->payload + 1;
-        send(from, std::move(reply));
-      }
+  void on(ProcessId from, const PingMsg& ping) {
+    received.push_back({from, ping.payload, now()});
+    if (echo_) {
+      auto reply = make_msg<PingMsg>();
+      reply->payload = ping.payload + 1;
+      send(from, std::move(reply));
     }
   }
   void on_timer(TimerId t) override { timers.push_back({t, now()}); }
@@ -72,6 +75,20 @@ TEST(SimTest, RoundTripTakesTwoDeltas) {
   sim.run();
   ASSERT_EQ(a.received.size(), 1u);
   EXPECT_EQ(a.received[0].at, 20);
+}
+
+TEST(SimTest, UnlistedMessageTypeReachesNoHandler) {
+  // The stray is delivered, but no handler runs: the echoing receiver
+  // neither records it nor replies.
+  Simulation sim(/*delta=*/10);
+  Recorder a(sim, 0);
+  Recorder b(sim, 1, /*echo=*/true);
+  a.send(1, make_message<StrayMsg>());
+  sim.run();
+  EXPECT_EQ(sim.messages_delivered(), 1u);
+  EXPECT_TRUE(b.received.empty());
+  EXPECT_TRUE(b.timers.empty());
+  EXPECT_EQ(sim.network().messages_sent(), 1u);
 }
 
 TEST(SimTest, FifoTieBreakAtEqualTimes) {

@@ -30,18 +30,6 @@ compiler warning enforces. This linter machine-checks them:
                   Placement new (`new (block) T`) is allocation-free and
                   permitted.
 
-  handler-totality  Every on_message body in protocol code must account for
-                  every concrete TypedMessage declared in its quoted-include
-                  closure: a type is accounted for when the body references
-                  `X::kType` (a switch case or an if-guard) or when a
-                  `// rqs-lint: allow(drop) X ... reason` marker inside the
-                  body names it. A dispatch that silently falls through for
-                  a listed type is exactly how a protocol drops a message
-                  class on the floor without anyone deciding it should; the
-                  drop must be spelled out and justified. A body whose
-                  closure declares no message at all is a finding too: the
-                  rule could check nothing there.
-
   retry-timer     Every set_timer call site in protocol code must bind the
                   returned TimerId to a member — `member_ = set_timer(...)`
                   or the ctor-init form `member_(set_timer(...))` — that an
@@ -118,15 +106,6 @@ HOT_PATH_MARK = re.compile(r"^\s*//\s*rqs-hot-path\b")
 ALLOW_MARK = re.compile(r"//\s*rqs-lint:\s*allow\(([a-z\-, ]+)\)")
 COMMENT_ONLY = re.compile(r"^\s*(//|/\*|\*)")
 
-# handler-totality: an on_message *definition* is `void ... on_message(`
-# followed by a `{` before any `;` (a trailing-`;` match is a declaration
-# or a call site and is skipped). Handled types are `X::kType` references
-# anywhere in the body; explicitly dropped types are named on an
-# `// rqs-lint: allow(drop) ...` marker line inside the body.
-ON_MESSAGE_SIG = re.compile(r"\bvoid\s+(?:[\w:]+::)?on_message\s*\(")
-KTYPE_REF = re.compile(r"\b(\w+)\s*::\s*kType\b")
-DROP_ALLOW = re.compile(r"//\s*rqs-lint:\s*allow\(drop\)\s*(.*)")
-
 # retry-timer: a call site binds the TimerId with `member_ = set_timer(`
 # or the ctor-init form `member_(set_timer(`; the API's own declaration
 # (`TimerId set_timer(SimTime)`) is the one shape with a type ahead of the
@@ -136,14 +115,6 @@ SET_TIMER_CALL = re.compile(r"\bset_timer\s*\(")
 SET_TIMER_BIND = re.compile(r"\b(\w+)\s*(?:=|\()\s*set_timer\s*\(")
 SET_TIMER_DECL = re.compile(r"\bTimerId\s+set_timer\s*\(")
 ON_TIMER_SIG = re.compile(r"\bvoid\s+(?:[\w:]+::)?on_timer\s*\(")
-
-# A message declaration names its struct ahead of the TypedMessage base,
-# whatever that base's arguments (`TypedMessage<Foo, List, 64>`, or
-# `TypedMessage<Foo<Set>, List, 64>` for a width-templated message).
-TYPED_MESSAGE_DECL = re.compile(
-    r"struct\s+(\w+)\s*(?:final\s*)?:\s*(?:public\s+)?(?:\w+::)*"
-    r"TypedMessage<")
-
 
 class Finding:
     def __init__(self, path: Path, line: int, rule: str, msg: str):
@@ -249,128 +220,6 @@ def hot_path_lines(raw_lines: list[str], code_lines: list[str]) -> set[int]:
             j += 1
         i = j + 1
     return hot
-
-
-# --------------------------------------------------------------------------
-# handler-totality support: per-file include closures and message universes
-# --------------------------------------------------------------------------
-
-_closure_cache: dict[Path, set[Path]] = {}
-_decl_cache: dict[Path, frozenset[str]] = {}
-
-
-def include_closure(path: Path, src_root: Path) -> set[Path]:
-    """Files reachable from `path` through quoted includes, resolved against
-    src/ then the includer's own directory (the two include roots the build
-    uses). Contains `path` itself."""
-    path = path.resolve()
-    cached = _closure_cache.get(path)
-    if cached is not None:
-        return cached
-    seen = {path}
-    work = [path]
-    while work:
-        f = work.pop()
-        try:
-            text = f.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            continue
-        for inc in INCLUDE_RE.findall(text):
-            for base in (src_root, f.parent):
-                cand = (base / inc).resolve()
-                if cand.exists():
-                    if cand not in seen:
-                        seen.add(cand)
-                        work.append(cand)
-                    break
-    _closure_cache[path] = seen
-    return seen
-
-
-def declared_messages(path: Path) -> frozenset[str]:
-    """Concrete TypedMessage names declared in `path`, with comments and
-    strings stripped so prose mentioning a declaration cannot count."""
-    path = path.resolve()
-    cached = _decl_cache.get(path)
-    if cached is not None:
-        return cached
-    try:
-        code = strip_code(path.read_text(encoding="utf-8").splitlines())
-    except (OSError, UnicodeDecodeError):
-        code = []
-    names = frozenset(m.group(1) for line in code
-                      for m in TYPED_MESSAGE_DECL.finditer(line))
-    _decl_cache[path] = names
-    return names
-
-
-def check_handler_totality(path: Path, raw: list[str], code: list[str],
-                           allowed: list[set[str]], src_root: Path,
-                           findings: list[Finding]) -> None:
-    n = len(code)
-    universe: frozenset[str] | None = None  # computed lazily, once per file
-    i = 0
-    while i < n:
-        m = ON_MESSAGE_SIG.search(code[i])
-        if not m:
-            i += 1
-            continue
-        # Walk to the first '{' or ';' after the signature: '{' opens a
-        # definition body, ';' means a declaration (or `= 0;`) — skip it.
-        j, col = i, m.end()
-        open_line = open_col = -1
-        while j < n:
-            seg = code[j][col:]
-            bpos, spos = seg.find("{"), seg.find(";")
-            if bpos != -1 and (spos == -1 or bpos < spos):
-                open_line, open_col = j, col + bpos
-                break
-            if spos != -1:
-                break
-            j, col = j + 1, 0
-        if open_line < 0:
-            i = j + 1
-            continue
-        # Brace-match to the end of the body.
-        depth, k, kcol, done = 0, open_line, open_col, False
-        while k < n and not done:
-            for c in code[k][kcol:]:
-                if c == "{":
-                    depth += 1
-                elif c == "}":
-                    depth -= 1
-                    if depth == 0:
-                        done = True
-                        break
-            if not done:
-                k, kcol = k + 1, 0
-        end_line = min(k, n - 1)
-
-        handled: set[str] = set()
-        dropped: set[str] = set()
-        for idx in range(open_line, end_line + 1):
-            handled.update(KTYPE_REF.findall(code[idx]))
-            dm = DROP_ALLOW.search(raw[idx])
-            if dm:
-                dropped.update(re.findall(r"\w+", dm.group(1)))
-        if universe is None:
-            universe = frozenset().union(
-                *(declared_messages(f) for f in include_closure(path, src_root)))
-        if "handler-totality" not in allowed[i]:
-            if not universe:
-                findings.append(Finding(
-                    path, i + 1, "handler-totality",
-                    "on_message, but no message type is declared in this "
-                    "file's quoted-include closure: the rule can check "
-                    "nothing here; include the protocol's messages header"))
-            for name in sorted(universe - handled - dropped):
-                findings.append(Finding(
-                    path, i + 1, "handler-totality",
-                    f"on_message neither handles {name} (no {name}::kType "
-                    f"case) nor drops it explicitly; add a case or a "
-                    f"`// rqs-lint: allow(drop) {name} <reason>` marker "
-                    f"inside the body"))
-        i = end_line + 1
 
 
 # --------------------------------------------------------------------------
@@ -481,8 +330,7 @@ def check_retry_timer(path: Path, code: list[str], allowed: list[set[str]],
 # Per-file checks
 # --------------------------------------------------------------------------
 
-def scan_file(path: Path, rel: str, findings: list[Finding],
-              src_root: Path) -> None:
+def scan_file(path: Path, rel: str, findings: list[Finding]) -> None:
     try:
         raw = path.read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as e:
@@ -513,8 +361,6 @@ def scan_file(path: Path, rel: str, findings: list[Finding],
                     "digests; use a flat sorted container or std::map/set"))
 
     if in_protocol:
-        if "handler-totality" not in file_allow:
-            check_handler_totality(path, raw, code, allowed, src_root, findings)
         if "retry-timer" not in file_allow:
             check_retry_timer(path, code, allowed, findings)
         hot = hot_path_lines(raw, code)
@@ -579,13 +425,12 @@ def universe_from_walk(root: Path) -> list[Path]:
 
 def run(root: Path, files: list[Path]) -> list[Finding]:
     findings: list[Finding] = []
-    src_root = (root / "src").resolve()
     for f in files:
         try:
             rel = str(f.resolve().relative_to(root.resolve()))
         except ValueError:
             rel = str(f)
-        scan_file(f, rel, findings, src_root)
+        scan_file(f, rel, findings)
     findings.sort(key=lambda x: (str(x.path), x.line, x.rule))
     return findings
 

@@ -9,8 +9,9 @@
 // Options:
 //   --out PATH            output JSON path ("-" = stdout, the default)
 //   --save-ring PATH      also persist the binary dump (with --golden)
-//   --trace-capacity N    ring capacity for --golden (default 1<<16)
+//   --trace-capacity N    ring capacity for --golden, N > 0 (default 1<<16)
 //   --metrics             print the metrics snapshot to stderr
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -31,6 +32,15 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Parses a whole decimal string into `out`; false on anything else.
+bool parse_u64(const char* s, std::uint64_t& out) {
+  if (s == nullptr || *s < '0' || *s > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtoull(s, &end, 10);
+  return errno == 0 && *end == '\0';
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -39,7 +49,7 @@ int main(int argc, char** argv) {
   std::string in_path;
   std::string out_path = "-";
   std::string ring_path;
-  std::size_t capacity = std::size_t{1} << 16;
+  std::uint64_t capacity = std::uint64_t{1} << 16;
   bool print_metrics = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -48,9 +58,7 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (arg == "--golden") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      seed = std::strtoull(v, nullptr, 10);
+      if (!parse_u64(next(), seed)) return usage(argv[0]);
       have_seed = true;
     } else if (arg == "--in") {
       const char* v = next();
@@ -65,9 +73,8 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       ring_path = v;
     } else if (arg == "--trace-capacity") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      capacity = std::strtoull(v, nullptr, 10);
+      // Observer(0) keeps no ring, and there would be nothing to export.
+      if (!parse_u64(next(), capacity) || capacity == 0) return usage(argv[0]);
     } else if (arg == "--metrics") {
       print_metrics = true;
     } else {
