@@ -1,68 +1,18 @@
-// Experiment E3/E9 tooling performance: verifying the three RQS properties
-// on the paper's example systems (Fig. 3, Example 7) and on threshold
-// families of growing size — analytic threshold checks vs brute-force
-// general-adversary enumeration.
+// Experiment E3 tooling performance: verifying the three RQS properties on
+// 3t+1 systems restated over an enumerated general adversary, through the
+// check engine and through the naive reference checkers that no perfbench
+// workload runs. perfbench's check-sweep workload times check() and
+// classify() on the paper's systems.
 #include "bench/bench_util.hpp"
 #include "core/check_engine.hpp"
-#include "core/classification.hpp"
 #include "core/constructions.hpp"
 
 namespace rqs {
 namespace {
 
-void print_tables() {
-  rqs::bench::print_header(
-      "E3: Fig. 3 and Example 7 verification",
-      "both are valid RQS; Fig. 3's Q' (6 elements) is only class 3; "
-      "Example 7 fails the conference-version P3 but passes the corrected "
-      "one");
-  rqs::bench::print_row("fig3 example valid",
-                        make_fig3_example().valid() ? "yes" : "NO");
-  rqs::bench::print_row("example7 valid",
-                        make_example7().valid() ? "yes" : "NO");
-  rqs::bench::print_row(
-      "example7 conference-version P3",
-      make_example7().check_property3_conference() ? "holds (unexpected!)"
-                                                   : "fails (as corrected)");
-  const ClassificationResult fig3 = classify(
-      {ProcessSet{4, 5, 6, 7}, ProcessSet{0, 1, 2, 3, 6, 7},
-       ProcessSet{0, 1, 2, 4, 5}, ProcessSet{2, 3, 4, 5, 6}},
-      Adversary::threshold(8, 1));
-  rqs::bench::print_row(
-      "fig3 best classification (|QC1|, |QC2|)",
-      "(" + std::to_string(fig3.class1_count) + ", " +
-          std::to_string(fig3.class2_count) + ")  claim: (1, 2)");
-  // Engine vs naive oracle cross-check on the paper fixtures (the full
-  // differential suite lives in tests/check_engine_test.cpp).
-  const RefinedQuorumSystem ex7 = make_example7();
-  CheckResult naive;
-  const bool naive_ok = ex7.check_property1(naive, 0) &&
-                        ex7.check_property2(naive, 0) &&
-                        ex7.check_property3(naive, 0);
-  rqs::bench::print_row(
-      "example7 engine == naive oracle",
-      (CheckEngine{ex7}.check(0).ok() == naive_ok) ? "agree" : "DISAGREE");
-}
-
-void BM_CheckFig3(benchmark::State& state) {
-  const RefinedQuorumSystem sys = make_fig3_example();
-  for (auto _ : state) benchmark::DoNotOptimize(sys.check(1).ok());
-}
-BENCHMARK(BM_CheckFig3);
-
-void BM_CheckExample7(benchmark::State& state) {
-  const RefinedQuorumSystem sys = make_example7();
-  for (auto _ : state) benchmark::DoNotOptimize(sys.check(1).ok());
-}
-BENCHMARK(BM_CheckExample7);
-
-void BM_CheckThresholdAnalytic(benchmark::State& state) {
-  const std::size_t t = static_cast<std::size_t>(state.range(0));
-  const RefinedQuorumSystem sys = make_3t1_instantiation(t);
-  for (auto _ : state) benchmark::DoNotOptimize(sys.check(1).ok());
-  state.counters["quorums"] = static_cast<double>(sys.quorum_count());
-}
-BENCHMARK(BM_CheckThresholdAnalytic)->Arg(1)->Arg(2)->Arg(3);
+// The E3 verdicts are gtests (Fig3Test, Example7Test, ErrataTest,
+// ClassifyTest, CheckEngineTest), so this binary has no table.
+void print_tables() {}
 
 void BM_CheckThresholdEnumerated(benchmark::State& state) {
   const std::size_t t = static_cast<std::size_t>(state.range(0));
@@ -110,15 +60,6 @@ void BM_CheckEngineReuse(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(engine.check(1).ok());
 }
 BENCHMARK(BM_CheckEngineReuse)->Arg(1)->Arg(2);
-
-void BM_Classify(benchmark::State& state) {
-  const std::vector<ProcessSet> sets = {
-      ProcessSet{4, 5, 6, 7}, ProcessSet{0, 1, 2, 3, 6, 7},
-      ProcessSet{0, 1, 2, 4, 5}, ProcessSet{2, 3, 4, 5, 6}};
-  const Adversary adv = Adversary::threshold(8, 1);
-  for (auto _ : state) benchmark::DoNotOptimize(classify(sets, adv).class1_count);
-}
-BENCHMARK(BM_Classify);
 
 }  // namespace
 }  // namespace rqs

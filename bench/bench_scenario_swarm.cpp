@@ -5,12 +5,14 @@
 // liveness hold on *every* sampled execution), the availability predicted
 // by analysis.cpp for context, and the planted-bug hunt on the Fig. 1
 // greedy system (E1), which must be re-detected from generated scenarios
-// with a small shrunk reproducer.
+// with a small shrunk reproducer. The two claim rows are checks, and the
+// binary exits non-zero when one fails.
 //
 // Microbenchmarks: swarm throughput (scenarios/sec) versus worker thread
-// count (1/2/4/8), plus single-scenario latency per protocol. The swarm
+// count (1/2/4/8) and the cost of shrinking a planted failure. The swarm
 // shares no mutable state across workers, so throughput scales with
 // physical cores; on a single-core container the curve is flat.
+// perfbench's swarm workload times single scenarios per protocol.
 #include "bench/bench_util.hpp"
 
 #include <algorithm>
@@ -39,12 +41,13 @@ void print_tables() {
 
   // 1000 distinct seeded scenarios over valid systems: zero violations.
   const SwarmReport valid = run_swarm(valid_mix(1000, 4));
-  bench::print_row(
+  bench::check_row(
       "valid systems, 1000 seeded scenarios",
       std::to_string(valid.violating) + " violations (expect 0), ops " +
           std::to_string(valid.ops_completed) + "/" +
           std::to_string(valid.ops_started) + ", " +
-          std::to_string(valid.liveness_checked) + " liveness claims");
+          std::to_string(valid.liveness_checked) + " liveness claims",
+      valid.violating == 0);
 
   // Context: the availability analysis.cpp predicts for the most common
   // family at a server failure probability matching the generator's crash
@@ -68,10 +71,11 @@ void print_tables() {
                                 })
                    ->shrunk_entries;
   }
-  bench::print_row(
+  bench::check_row(
       "fig1-broken5 hunt, 1000 seeded scenarios (E1)",
       std::to_string(broken.violating) + " violations detected (expect > 0), "
-      "smallest reproducer " + std::to_string(smallest) + " entries (expect <= 3)");
+      "smallest reproducer " + std::to_string(smallest) + " entries (expect <= 3)",
+      !broken.failures.empty() && smallest <= 3);
   if (!broken.failures.empty()) {
     bench::print_row("  first reproducer seed",
                      std::to_string(broken.failures.front().seed));
@@ -94,20 +98,6 @@ void BM_SwarmThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SwarmThroughput)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
-
-void BM_SingleScenario(benchmark::State& state) {
-  const Protocol protocol =
-      state.range(0) == 0 ? Protocol::kStorage : Protocol::kConsensus;
-  ScenarioGenerator::Options gopts;
-  gopts.protocols = {protocol};
-  const ScenarioGenerator gen(gopts);
-  const ScenarioRunner runner;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(runner.run(gen.generate(seed++)).trace_digest);
-  }
-}
-BENCHMARK(BM_SingleScenario)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_ShrinkPlantedBug(benchmark::State& state) {
   // Shrinking cost on the first fig1 failure the generator produces.

@@ -1,6 +1,7 @@
 // Shared helpers for the benchmark binaries: every binary first prints its
 // experiment table (the paper-claim vs measured reproduction rows recorded
-// in EXPERIMENTS.md), then runs its google-benchmark microbenchmarks.
+// in EXPERIMENTS.md; empty where gtests assert the claims), then runs its
+// google-benchmark microbenchmarks.
 #pragma once
 
 #include <benchmark/benchmark.h>

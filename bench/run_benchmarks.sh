@@ -29,11 +29,9 @@ fi
 
 BENCHES=(
   bench_availability
-  bench_consensus_latency
   bench_fig1_fast_crash
   bench_graceful_degradation
   bench_loss_recovery
-  bench_mc
   bench_obs_overhead
   bench_resilience_sweep
   bench_rqs_enumeration
@@ -42,10 +40,8 @@ BENCHES=(
   bench_scenario_swarm
   bench_sim_hotpath
   bench_storage_baselines
-  bench_storage_latency
   bench_storage_scale
   bench_threshold_bounds
-  bench_view_change
 )
 
 status=0

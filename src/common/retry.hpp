@@ -25,8 +25,6 @@ struct RetryPolicy {
     /// Delay before the first retransmission, in caller ticks (> 0 when
     /// enabled; protocols typically pass a multiple of Δ).
     std::int64_t base_delay{0};
-    /// Backoff ceiling; 0 means 8 * base_delay.
-    std::int64_t max_delay{0};
     /// Retransmissions before the caller gives up and fails over to a
     /// fresh quorum / view change; 0 means retry forever.
     std::uint32_t max_attempts{0};
@@ -52,19 +50,16 @@ struct RetryPolicy {
     return mix(c.seed ^ mix(salt));
   }
 
-  /// Delay before retransmission number `attempt` (1-based): capped
-  /// exponential backoff plus jitter in [0, base_delay). Always >= 1 so a
-  /// retry timer never fires at the instant it was armed.
+  /// Delay before retransmission number `attempt` (1-based): exponential
+  /// backoff capped at 8 * base_delay, plus jitter in [0, base_delay).
+  /// Always >= 1 so a retry timer never fires at the instant it was armed.
   [[nodiscard]] static constexpr std::int64_t delay(
       const Config& c, std::uint64_t salt, std::uint32_t attempt) noexcept {
     const std::int64_t base = c.base_delay > 0 ? c.base_delay : 1;
-    const std::int64_t cap = c.max_delay > 0 ? c.max_delay : 8 * base;
-    // Cap the exponent: shift only while base << exp stays below the
-    // ceiling, tested as base <= (cap - 1) >> exp so the shift can never
-    // overflow. Past the ceiling the backoff is the cap itself.
+    // Doubles from base up to the cap, reached at attempt 4 and held from
+    // there on: the shift is at most 3 whatever the attempt number.
     const std::uint32_t exp = attempt > 0 ? attempt - 1 : 0;
-    std::int64_t backoff = cap;
-    if (exp < 62 && base <= ((cap - 1) >> exp)) backoff = base << exp;
+    const std::int64_t backoff = base << std::min<std::uint32_t>(exp, 3);
     const auto jitter = static_cast<std::int64_t>(
         mix(stream(c, salt) ^ attempt) % static_cast<std::uint64_t>(base));
     return std::max<std::int64_t>(1, backoff + jitter);

@@ -28,7 +28,8 @@ class Observer {
   /// Metrics only (no trace ring).
   Observer() = default;
   /// Metrics plus a trace ring of (at least) `trace_capacity` events;
-  /// 0 means metrics only.
+  /// 0 means metrics only. Above TraceRing::kMaxCapacity it throws
+  /// std::length_error.
   explicit Observer(std::size_t trace_capacity) {
     if (trace_capacity > 0) ring_.emplace(trace_capacity);
   }

@@ -1,5 +1,8 @@
 #include "obs/trace.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace rqs::obs {
 
 const char* phase_point_name(std::uint32_t p) noexcept {
@@ -22,6 +25,11 @@ const char* phase_point_name(std::uint32_t p) noexcept {
 }
 
 TraceRing::TraceRing(std::size_t capacity) {
+  if (capacity > kMaxCapacity) {
+    throw std::length_error("TraceRing: capacity " + std::to_string(capacity) +
+                            " exceeds the ceiling of " +
+                            std::to_string(kMaxCapacity) + " events");
+  }
   std::size_t cap = 2;
   while (cap < capacity) cap <<= 1;
   ev_.resize(cap);

@@ -79,8 +79,13 @@ static_assert(std::is_standard_layout_v<TraceEvent>);
 
 class TraceRing {
  public:
+  /// Largest capacity a ring accepts: 2^24 events, 512 MiB of storage.
+  static constexpr std::size_t kMaxCapacity = std::size_t{1} << 24;
+
   /// Capacity is rounded up to a power of two (minimum 2) so the record
   /// path masks instead of dividing. All storage is allocated here, once.
+  /// Throws std::length_error, before allocating, when `capacity` exceeds
+  /// kMaxCapacity.
   explicit TraceRing(std::size_t capacity);
 
   // rqs-hot-path

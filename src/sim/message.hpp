@@ -131,17 +131,17 @@ class Message {
 
   MessageType type_;
   mutable std::uint32_t refs_{1};
-  std::uint32_t bucket_{0};          // pool size class; meaningless if pool_ null
-  MessagePool* pool_{nullptr};       // null => allocated with plain new
+  std::uint32_t bucket_{0};          // pool size class
+  MessagePool* pool_{nullptr};       // the pool that built this message
 };
 
 /// A well-formed concrete message type: its TypedMessage base names the
 /// type itself (so its static id identifies exactly one type), it is final
 /// (so the id can never alias a further-derived type), fits the pool's
 /// alignment contract, and cannot throw from its destructor (recycle()
-/// destroys in noexcept context). msg_cast<>, MessagePool::make<>,
-/// make_message<> and Process::make_msg<> are all constrained on this
-/// concept, so a malformed message type fails the build at the call site.
+/// destroys in noexcept context). msg_cast<>, MessagePool::make<> and
+/// Process::make_msg<> are all constrained on this concept, so a malformed
+/// message type fails the build at the call site.
 template <typename M>
 concept ConcreteMessage =
     std::derived_from<M, Message> &&
@@ -268,7 +268,7 @@ class MessagePool {
 
 /// Shared handle to an immutable, sent message: an intrusive, non-atomic
 /// refcount in the message header. Copy = one increment; the last release
-/// returns the block to its pool (or deletes a heap message).
+/// returns the block to its pool.
 class MessagePtr {
  public:
   constexpr MessagePtr() noexcept = default;
@@ -326,13 +326,7 @@ class MessagePtr {
   /// Drops one reference on a raw (detached) message.
   static void release(const Message* m) noexcept {
     assert(m->refs_ > 0);
-    if (--m->refs_ == 0) {
-      if (m->pool_ != nullptr) {
-        m->pool_->recycle(m);
-      } else {
-        delete m;
-      }
-    }
+    if (--m->refs_ == 0) m->pool_->recycle(m);
   }
 
  private:
@@ -376,13 +370,6 @@ PooledMessage<M> MessagePool::make(Args&&... args) {
   m->bucket_ = bucket;
   m->pool_ = this;
   return PooledMessage<M>(m);
-}
-
-/// Heap-allocated variant for contexts without a pool (unit tests, ad-hoc
-/// drivers); released with plain delete.
-template <ConcreteMessage M, typename... Args>
-[[nodiscard]] PooledMessage<M> make_message(Args&&... args) {
-  return PooledMessage<M>(new M(std::forward<Args>(args)...));
 }
 
 }  // namespace rqs::sim

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "obs/observer.hpp"
 #include "sim/network.hpp"
@@ -23,7 +25,13 @@ Simulation::~Simulation() {
 
 void Simulation::add_process(Process& p) {
   if (processes_.size() <= p.id()) processes_.resize(p.id() + 1, nullptr);
-  assert(processes_[p.id()] == nullptr);
+  // Hard check, not an assert: a Release build would otherwise replace the
+  // first process, and every message sent to it would reach the second.
+  if (processes_[p.id()] != nullptr) {
+    throw std::invalid_argument("Simulation::add_process: process id " +
+                                std::to_string(p.id()) +
+                                " is already registered");
+  }
   processes_[p.id()] = &p;
 }
 

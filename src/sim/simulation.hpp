@@ -242,7 +242,8 @@ class Simulation {
   [[nodiscard]] MessagePool& msg_pool() noexcept { return pool_; }
 
   /// Registers a process under its id. The simulation does not own
-  /// processes; the caller keeps them alive for the run's duration.
+  /// processes; the caller keeps them alive for the run's duration. Throws
+  /// std::invalid_argument, naming the id, when the id is already taken.
   void add_process(Process& p);
   [[nodiscard]] Process* process(ProcessId id) const;
 

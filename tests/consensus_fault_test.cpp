@@ -4,6 +4,9 @@
 // eventual synchrony.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/rng.hpp"
 #include "consensus/harness.hpp"
 #include "core/constructions.hpp"
@@ -62,12 +65,13 @@ TEST(ConsensusFaultTest, EquivocatingProposerForcesViewChangeAgreementHolds) {
   ASSERT_TRUE(agreed.has_value());
   EXPECT_TRUE(*agreed == 20 || *agreed == 21 || *agreed == 22)
       << "agreed on " << *agreed;
-  // At least one view change happened.
-  bool advanced = false;
+  // Exactly one view change, and the learner learns after 11 delays (E14).
+  ViewNumber final_view = 0;
   for (ProcessId a = 0; a < 4; ++a) {
-    if (cluster.acceptor(a).current_view() > 0) advanced = true;
+    final_view = std::max(final_view, cluster.acceptor(a).current_view());
   }
-  EXPECT_TRUE(advanced);
+  EXPECT_EQ(final_view, 1u);
+  EXPECT_EQ(cluster.learn_delays(0), 11);
 }
 
 TEST(ConsensusFaultTest, CrashedFirstProposerSecondProposesInInitView) {
@@ -97,6 +101,9 @@ TEST(ConsensusFaultTest, LeaderCrashMidProtocolRecoversViaViewChange) {
   const auto agreed = cluster.agreed_value();
   ASSERT_TRUE(agreed.has_value());
   EXPECT_TRUE(*agreed == 5 || *agreed == 6);
+  // The view change costs the same 11 delays as an equivocating leader's
+  // (E14).
+  EXPECT_EQ(cluster.learn_delays(0), 11);
 }
 
 TEST(ConsensusFaultTest, MessageLossBeforeGstThenSynchrony) {
@@ -123,21 +130,32 @@ TEST(ConsensusFaultTest, MessageLossBeforeGstThenSynchrony) {
 }
 
 TEST(ConsensusFaultTest, AsynchronousPeriodDelaysButAgreementHolds) {
-  // All links slow (4 Delta) for a while: timers misfire and views may
-  // change, but agreement and eventual termination hold.
-  ConsensusCluster cluster(make_3t1_instantiation(1),
-                           {.proposer_count = 2, .learner_count = 2});
-  const std::size_t slow = cluster.network().fixed_delay(
-      ProcessSet::universe(64), ProcessSet::universe(64),
-      4 * sim::kDefaultDelta);
-  cluster.propose(0, 1);
-  cluster.propose(1, 2);
-  cluster.sim().schedule_at(40 * sim::kDefaultDelta,
-                            [&] { cluster.network().remove_rule(slow); });
-  ASSERT_TRUE(cluster.run_until_learned(5000));
-  const auto agreed = cluster.agreed_value();
-  ASSERT_TRUE(agreed.has_value());
-  EXPECT_TRUE(*agreed == 1 || *agreed == 2);
+  // All links slow until GST: timers misfire and views may change, but
+  // agreement and eventual termination hold, and the first view that runs
+  // after GST decides (E14).
+  struct Period {
+    sim::SimTime link_deltas;
+    sim::SimTime gst_deltas;
+    sim::SimTime learn_delays;
+  };
+  for (const Period p : {Period{4, 40, 8}, Period{6, 20, 12}}) {
+    SCOPED_TRACE(std::to_string(p.link_deltas) + " Delta links until GST = " +
+                 std::to_string(p.gst_deltas) + " Delta");
+    ConsensusCluster cluster(make_3t1_instantiation(1),
+                             {.proposer_count = 2, .learner_count = 2});
+    const std::size_t slow = cluster.network().fixed_delay(
+        ProcessSet::universe(64), ProcessSet::universe(64),
+        p.link_deltas * sim::kDefaultDelta);
+    cluster.propose(0, 1);
+    cluster.propose(1, 2);
+    cluster.sim().schedule_at(p.gst_deltas * sim::kDefaultDelta,
+                              [&] { cluster.network().remove_rule(slow); });
+    ASSERT_TRUE(cluster.run_until_learned(5000));
+    const auto agreed = cluster.agreed_value();
+    ASSERT_TRUE(agreed.has_value());
+    EXPECT_TRUE(*agreed == 1 || *agreed == 2);
+    EXPECT_EQ(cluster.learn_delays(0), p.learn_delays);
+  }
 }
 
 TEST(ConsensusFaultTest, ChooseAbortsOnLyingQuorumThenRetriesAnother) {

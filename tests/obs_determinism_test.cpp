@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -217,6 +218,12 @@ TEST(ObsTraceRing, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(TraceRing(3).capacity(), 4u);
   EXPECT_EQ(TraceRing(5).capacity(), 8u);
   EXPECT_EQ(TraceRing(1000).capacity(), 1024u);
+}
+
+TEST(ObsTraceRing, CapacityAboveTheCeilingThrowsBeforeAllocating) {
+  // SIZE_MAX is past 2^63, where doubling up to the capacity would wrap.
+  EXPECT_THROW(TraceRing{TraceRing::kMaxCapacity + 1}, std::length_error);
+  EXPECT_THROW(TraceRing{SIZE_MAX}, std::length_error);
 }
 
 TEST(ObsTraceRing, DigestCoversOrderAndDrops) {

@@ -27,7 +27,6 @@ RetryPolicy::Config disabled_retry() {
   RetryPolicy::Config retry;
   retry.enabled = false;
   retry.base_delay = 7777;
-  retry.max_delay = 99999;
   retry.max_attempts = 4;
   retry.seed = 0xfeedface;
   return retry;

@@ -58,8 +58,8 @@ class Logger final : public ProcessOf<Logger, MessageList<NoteMsg>> {
   std::vector<std::string>& log_;
 };
 
-MessagePtr note(int n) {
-  auto msg = make_message<NoteMsg>();
+MessagePtr note(Simulation& sim, int n) {
+  auto msg = sim.msg_pool().make<NoteMsg>();
   msg->note = n;
   return msg;  // implicit move: the rvalue conversion to MessagePtr
 }
@@ -71,7 +71,7 @@ TEST(SimOrderingTest, DeliveryBeforeTimerAtSameInstant) {
   // Timer armed first, message sent second — both due at t = 10. The
   // delivery must still win: phase beats arrival order.
   (void)b.set_timer(10);
-  a.send(1, note(1));
+  a.send(1, note(sim, 1));
   sim.run();
   EXPECT_EQ(log, (std::vector<std::string>{"m1", "t"}));
 }
@@ -81,7 +81,7 @@ TEST(SimOrderingTest, CallbackSharesDeliveryPhaseBeforeTimers) {
   std::vector<std::string> log;
   Logger a(sim, 0, log), b(sim, 1, log);
   (void)b.set_timer(10);
-  a.send(1, note(1));                                  // due 10, seq after timer
+  a.send(1, note(sim, 1));                             // due 10, seq after timer
   sim.schedule_at(10, [&] { log.push_back("cb"); });   // due 10, seq last
   sim.run();
   // Delivery phase is FIFO among messages and callbacks; the timer is last.
@@ -92,9 +92,9 @@ TEST(SimOrderingTest, FifoWithinPhaseAcrossSenders) {
   Simulation sim(10);
   std::vector<std::string> log;
   Logger a(sim, 0, log), b(sim, 1, log), c(sim, 2, log);
-  a.send(2, note(1));
-  b.send(2, note(2));
-  a.send(2, note(3));
+  a.send(2, note(sim, 1));
+  b.send(2, note(sim, 2));
+  a.send(2, note(sim, 3));
   sim.run();
   EXPECT_EQ(log, (std::vector<std::string>{"m1", "m2", "m3"}));
 }
@@ -134,7 +134,7 @@ TEST(SimOrderingTest, SameInstantDeliveryCancelsTimer) {
 
   // Deliver the cancel trigger to the canceller at t=10 (b's timer also 10).
   b.pending = b.set_timer(10);
-  canceller.send(0, note(0));  // self-send, arrives t = 10, phase kDelivery
+  canceller.send(0, note(sim, 0));  // self-send, arrives t = 10, phase kDelivery
   sim.run();
   EXPECT_EQ(log, (std::vector<std::string>{}));  // timer never fired
   EXPECT_TRUE(b.fired.empty());
@@ -293,9 +293,9 @@ TEST(SimOrderingTest, FanoutDeliversOneTargetPerStepInIdOrder) {
   std::vector<std::string> log;
   auto sinks = recorders(sim, 5, log);
   Recorder src(sim, 9, log);
-  src.send(0, note(1));                           // unicast just before
-  src.send_all(ProcessSet::universe(5), note(2)); // all due t = 10
-  src.send(0, note(3));                           // unicast just after
+  src.send(0, note(sim, 1));                            // unicast just before
+  src.send_all(ProcessSet::universe(5), note(sim, 2));  // all due t = 10
+  src.send(0, note(sim, 3));                            // unicast just after
   std::vector<std::uint64_t> delivered;
   while (sim.step()) {
     EXPECT_EQ(log.size(), delivered.size() + 1);  // one target per step
@@ -311,7 +311,7 @@ TEST(SimOrderingTest, SameInstantTimerFiresAfterEveryFanoutTarget) {
   std::vector<std::string> log;
   auto sinks = recorders(sim, 4, log);
   (void)sinks[2]->set_timer(10);  // armed first, due with the broadcast
-  sinks[0]->send_all(ProcessSet::universe(4), note(1));
+  sinks[0]->send_all(ProcessSet::universe(4), note(sim, 1));
   sim.run();
   EXPECT_EQ(log, (std::vector<std::string>{"0:m1", "1:m1", "2:m1", "3:m1", "t"}));
 }
@@ -321,7 +321,7 @@ TEST(SimOrderingTest, CallbackScheduledByFirstTargetFiresAfterTheRest) {
   std::vector<std::string> log;
   auto sinks = recorders(sim, 3, log);
   sinks[0]->hook = [&] { sim.schedule_at(sim.now(), [&] { log.push_back("cb"); }); };
-  sinks[0]->send_all(ProcessSet::universe(3), note(1));
+  sinks[0]->send_all(ProcessSet::universe(3), note(sim, 1));
   sim.run();
   EXPECT_EQ(log, (std::vector<std::string>{"0:m1", "1:m1", "2:m1", "cb"}));
 }
@@ -331,7 +331,7 @@ TEST(SimOrderingTest, FanoutSkipsTargetCrashedAfterSend) {
   std::vector<std::string> log;
   auto sinks = recorders(sim, 3, log);
   Recorder src(sim, 9, log);
-  src.send_all(ProcessSet::universe(3), note(1));
+  src.send_all(ProcessSet::universe(3), note(sim, 1));
   sim.crash(1);
   std::size_t steps = 0;
   while (sim.step()) ++steps;
@@ -345,7 +345,7 @@ TEST(SimOrderingTest, ModelCheckerHooksSeeOneDeliveryPerPendingTarget) {
   std::vector<std::string> log;
   auto sinks = recorders(sim, 4, log);
   Recorder src(sim, 9, log);
-  src.send_all(ProcessSet::universe(4), note(1));
+  src.send_all(ProcessSet::universe(4), note(sim, 1));
   ASSERT_TRUE(sim.step());  // target 0; targets 1..3 pending
 
   ASSERT_EQ(sim.queued_count(), 3u);
@@ -404,8 +404,8 @@ TEST(SimOrderingTest, FanoutSlotsStayBoundedUnderChurn) {
   std::vector<std::string> log;
   auto sinks = recorders(sim, 4, log);
   for (int round = 0; round < 10000; ++round) {
-    sinks[0]->send_all(ProcessSet::universe(4), note(round));
-    sinks[1]->send_all(ProcessSet::universe(4), note(round));
+    sinks[0]->send_all(ProcessSet::universe(4), note(sim, round));
+    sinks[1]->send_all(ProcessSet::universe(4), note(sim, round));
     sim.run();
     log.clear();
   }

@@ -2,6 +2,9 @@
 // rules, crashes and the simulated signature authority.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "sim/network.hpp"
 #include "sim/process.hpp"
 #include "sim/signature.hpp"
@@ -57,7 +60,7 @@ TEST(SimTest, MessageDeliveredAfterDefaultDelta) {
   Simulation sim(/*delta=*/10);
   Recorder a(sim, 0), b(sim, 1);
   sim.network().set_default_delay(sim.delta());
-  auto msg = make_message<PingMsg>();
+  auto msg = sim.msg_pool().make<PingMsg>();
   msg->payload = 42;
   a.send(1, std::move(msg));
   sim.run();
@@ -71,7 +74,7 @@ TEST(SimTest, RoundTripTakesTwoDeltas) {
   Simulation sim(/*delta=*/10);
   Recorder a(sim, 0);
   Recorder b(sim, 1, /*echo=*/true);
-  a.send(1, make_message<PingMsg>());
+  a.send(1, sim.msg_pool().make<PingMsg>());
   sim.run();
   ASSERT_EQ(a.received.size(), 1u);
   EXPECT_EQ(a.received[0].at, 20);
@@ -83,7 +86,7 @@ TEST(SimTest, UnlistedMessageTypeReachesNoHandler) {
   Simulation sim(/*delta=*/10);
   Recorder a(sim, 0);
   Recorder b(sim, 1, /*echo=*/true);
-  a.send(1, make_message<StrayMsg>());
+  a.send(1, sim.msg_pool().make<StrayMsg>());
   sim.run();
   EXPECT_EQ(sim.messages_delivered(), 1u);
   EXPECT_TRUE(b.received.empty());
@@ -95,7 +98,7 @@ TEST(SimTest, FifoTieBreakAtEqualTimes) {
   Simulation sim(10);
   Recorder a(sim, 0), b(sim, 1);
   for (int i = 0; i < 5; ++i) {
-    auto msg = make_message<PingMsg>();
+    auto msg = sim.msg_pool().make<PingMsg>();
     msg->payload = i;
     a.send(1, std::move(msg));
   }
@@ -108,7 +111,7 @@ TEST(SimTest, CrashedProcessNeitherReceivesNorSends) {
   Simulation sim(10);
   Recorder a(sim, 0), b(sim, 1, /*echo=*/true);
   sim.crash(1);
-  a.send(1, make_message<PingMsg>());
+  a.send(1, sim.msg_pool().make<PingMsg>());
   sim.run();
   EXPECT_TRUE(b.received.empty());
   EXPECT_TRUE(a.received.empty());
@@ -117,7 +120,7 @@ TEST(SimTest, CrashedProcessNeitherReceivesNorSends) {
 TEST(SimTest, CrashMidFlightSuppressesDelivery) {
   Simulation sim(10);
   Recorder a(sim, 0), b(sim, 1);
-  a.send(1, make_message<PingMsg>());
+  a.send(1, sim.msg_pool().make<PingMsg>());
   sim.schedule_at(5, [&] { sim.crash(1); });
   sim.run();
   EXPECT_TRUE(b.received.empty());
@@ -178,8 +181,8 @@ TEST(SimTest, BlockRuleDropsMatchingMessages) {
   Simulation sim(10);
   Recorder a(sim, 0), b(sim, 1), c(sim, 2);
   sim.network().block(ProcessSet{0}, ProcessSet{1});
-  a.send(1, make_message<PingMsg>());
-  a.send(2, make_message<PingMsg>());
+  a.send(1, sim.msg_pool().make<PingMsg>());
+  a.send(2, sim.msg_pool().make<PingMsg>());
   sim.run();
   EXPECT_TRUE(b.received.empty());
   EXPECT_EQ(c.received.size(), 1u);
@@ -190,7 +193,7 @@ TEST(SimTest, HoldUntilDelaysDelivery) {
   Simulation sim(10);
   Recorder a(sim, 0), b(sim, 1);
   sim.network().hold_until(ProcessSet{0}, ProcessSet{1}, /*until=*/500);
-  a.send(1, make_message<PingMsg>());
+  a.send(1, sim.msg_pool().make<PingMsg>());
   sim.run();
   ASSERT_EQ(b.received.size(), 1u);
   EXPECT_EQ(b.received[0].at, 500);
@@ -201,7 +204,7 @@ TEST(SimTest, RuleRemovalRestoresDefault) {
   Recorder a(sim, 0), b(sim, 1);
   const std::size_t rule = sim.network().block(ProcessSet{0}, ProcessSet{1});
   sim.network().remove_rule(rule);
-  a.send(1, make_message<PingMsg>());
+  a.send(1, sim.msg_pool().make<PingMsg>());
   sim.run();
   EXPECT_EQ(b.received.size(), 1u);
 }
@@ -211,7 +214,7 @@ TEST(SimTest, NewestRuleWins) {
   Recorder a(sim, 0), b(sim, 1);
   sim.network().fixed_delay(ProcessSet{0}, ProcessSet{1}, 100);
   sim.network().fixed_delay(ProcessSet{0}, ProcessSet{1}, 200);  // newer
-  a.send(1, make_message<PingMsg>());
+  a.send(1, sim.msg_pool().make<PingMsg>());
   sim.run();
   ASSERT_EQ(b.received.size(), 1u);
   EXPECT_EQ(b.received[0].at, 200);
@@ -221,7 +224,7 @@ TEST(SimTest, LossDropsProbabilistically) {
   Simulation sim(10);
   Recorder a(sim, 0), b(sim, 1);
   sim.network().set_loss(1.0, /*seed=*/42);  // p = 1: every draw is below it
-  a.send(1, make_message<PingMsg>());
+  a.send(1, sim.msg_pool().make<PingMsg>());
   sim.run();
   EXPECT_TRUE(b.received.empty());
   EXPECT_EQ(sim.network().messages_dropped(), 1u);
@@ -238,8 +241,8 @@ TEST(SimTest, LossStreamIsSeedDeterministicPerLink) {
     std::vector<bool> delivered;
     for (int i = 0; i < 64; ++i) {
       const std::size_t before = b.received.size();
-      a.send(1, make_message<PingMsg>());
-      if (interleave) a.send(2, make_message<PingMsg>());
+      a.send(1, sim.msg_pool().make<PingMsg>());
+      if (interleave) a.send(2, sim.msg_pool().make<PingMsg>());
       sim.run();
       delivered.push_back(b.received.size() > before);
     }
@@ -254,7 +257,7 @@ TEST(SimTest, DuplicationDeliversTwiceDeterministically) {
   Simulation sim(10);
   Recorder a(sim, 0), b(sim, 1);
   sim.network().set_duplication(1.0, /*seed=*/3);
-  a.send(1, make_message<PingMsg>());
+  a.send(1, sim.msg_pool().make<PingMsg>());
   sim.run();
   ASSERT_EQ(b.received.size(), 2u);
   EXPECT_EQ(sim.network().messages_duplicated(), 1u);
@@ -271,7 +274,7 @@ TEST(SimTest, DuplicatedCopyTakesItsOwnLossDraw) {
   Recorder a(sim, 0), b(sim, 1);
   sim.network().set_loss(1.0, 5);
   sim.network().set_duplication(1.0, 6);
-  a.send(1, make_message<PingMsg>());
+  a.send(1, sim.msg_pool().make<PingMsg>());
   sim.run();
   EXPECT_TRUE(b.received.empty());
   EXPECT_EQ(sim.network().messages_duplicated(), 0u);
@@ -280,11 +283,25 @@ TEST(SimTest, DuplicatedCopyTakesItsOwnLossDraw) {
 TEST(SimTest, MessageCountersTrack) {
   Simulation sim(10);
   Recorder a(sim, 0), b(sim, 1);
-  a.send(1, make_message<PingMsg>());
-  a.send(1, make_message<PingMsg>());
+  a.send(1, sim.msg_pool().make<PingMsg>());
+  a.send(1, sim.msg_pool().make<PingMsg>());
   sim.run();
   EXPECT_EQ(sim.network().messages_sent(), 2u);
   EXPECT_EQ(sim.messages_delivered(), 2u);
+}
+
+TEST(SimTest, SecondProcessUnderATakenIdThrowsAndNamesTheId) {
+  // Without the check a Release build let the second registration replace
+  // the first, so every message sent to the first reached the second.
+  Simulation sim(10);
+  Recorder first(sim, 45);
+  try {
+    Recorder second(sim, 45);
+    ADD_FAILURE() << "a second process was registered under id 45";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("45"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(sim.process(45), &first);
 }
 
 // --- Signatures ---

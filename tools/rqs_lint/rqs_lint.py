@@ -23,9 +23,9 @@ compiler warning enforces. This linter machine-checks them:
                   or std::map/std::set.
 
   hot-path-alloc  Functions annotated `// rqs-hot-path` must not allocate:
-                  no new / std::make_shared / std::make_unique /
-                  make_message, and no container-growth calls (push_back,
-                  emplace_back, emplace, insert, resize, reserve, append).
+                  no new / std::make_shared / std::make_unique, and no
+                  container-growth calls (push_back, emplace_back, emplace,
+                  insert, resize, reserve, append).
                   This pins the PR-5 zero-allocation claim statically.
                   Placement new (`new (block) T`) is allocation-free and
                   permitted.
@@ -98,7 +98,6 @@ UNORDERED_PATTERN = re.compile(r"std::unordered_(map|set|multimap|multiset)\b")
 HOTPATH_PATTERNS = [
     (re.compile(r"(?<![\w:])new\b(?!\s*\()"), "operator new on a hot path"),
     (re.compile(r"std::make_(shared|unique)\b"), "smart-pointer allocation on a hot path"),
-    (re.compile(r"(?<![\w:])make_message\b"), "heap message construction on a hot path; use the pool via make_msg<>"),
     (re.compile(r"\.\s*(push_back|emplace_back|emplace|insert|resize|reserve|append|push_front)\s*\("), "container growth on a hot path"),
 ]
 

@@ -9,7 +9,8 @@
 // Options:
 //   --out PATH            output JSON path ("-" = stdout, the default)
 //   --save-ring PATH      also persist the binary dump (with --golden)
-//   --trace-capacity N    ring capacity for --golden, N > 0 (default 1<<16)
+//   --trace-capacity N    ring capacity for --golden, 1 <= N <= 1<<24
+//                         (default 1<<16)
 //   --metrics             print the metrics snapshot to stderr
 #include <cerrno>
 #include <cstdint>
@@ -73,8 +74,12 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       ring_path = v;
     } else if (arg == "--trace-capacity") {
-      // Observer(0) keeps no ring, and there would be nothing to export.
-      if (!parse_u64(next(), capacity) || capacity == 0) return usage(argv[0]);
+      // Observer(0) keeps no ring, and there would be nothing to export;
+      // past the ring's ceiling the Observer would throw.
+      if (!parse_u64(next(), capacity) || capacity == 0 ||
+          capacity > rqs::obs::TraceRing::kMaxCapacity) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--metrics") {
       print_metrics = true;
     } else {
