@@ -1,10 +1,43 @@
 #include "consensus/harness.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace rqs::consensus {
+
+namespace {
+
+/// Acceptors take ids 0..n-1, proposers kFirstProposerId.. and learners
+/// kFirstLearnerId.., all below ProcessSet::kMaxProcesses. A hard runtime
+/// check, as in StorageCluster: otherwise an overlap fails the
+/// registration of a taken id and an id past the ProcessSet aborts in its
+/// bounds guard, and neither names the field at fault.
+void check_id_layout(std::size_t acceptors, const ClusterConfig& cfg) {
+  const auto require = [](const char* field, std::size_t value,
+                          std::size_t bound, const char* why) {
+    if (value > bound) {
+      throw std::invalid_argument(std::string("ConsensusCluster: ") + field +
+                                  " = " + std::to_string(value) +
+                                  " exceeds " + std::to_string(bound) + " (" +
+                                  why + ")");
+    }
+  };
+  require("rqs.universe_size()", acceptors, kFirstProposerId,
+          "acceptor ids must stay below the first proposer id");
+  require("proposer_count", cfg.proposer_count,
+          kFirstLearnerId - kFirstProposerId,
+          "proposer ids must stay below the first learner id");
+  require("learner_count", cfg.learner_count,
+          ProcessSet::kMaxProcesses - kFirstLearnerId,
+          "learner ids must stay below the ProcessSet id space");
+}
+
+}  // namespace
 
 ConsensusCluster::ConsensusCluster(RefinedQuorumSystem rqs,
                                    const ClusterConfig& cfg)
     : sim_(cfg.delta), rqs_(std::move(rqs)) {
+  check_id_layout(rqs_.universe_size(), cfg);
   config_.rqs = &rqs_;
   config_.authority = &authority_;
   config_.retry = cfg.retry;

@@ -1,7 +1,9 @@
 #include "mc/execution.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <utility>
 
 #include "common/fnv.hpp"
 #include "storage/messages.hpp"
@@ -11,6 +13,37 @@ namespace rqs::mc {
 namespace {
 
 using scenario::ScheduleEntry;
+using scenario::SystemFamily;
+
+/// Number of SystemFamily enumerators (they run from 0 with no gaps). The
+/// switch names every family and has no default, so -Wswitch (an error
+/// under -Werror) stops the build when a family is added; the return must
+/// then name the new last one.
+constexpr std::size_t family_count() {
+  switch (SystemFamily{}) {
+    case SystemFamily::kFast5:
+    case SystemFamily::kThreeT1of1:
+    case SystemFamily::kThreeT1of2:
+    case SystemFamily::kExample7:
+    case SystemFamily::kGraded7:
+    case SystemFamily::kMasking4:
+    case SystemFamily::kFig1Broken5:
+    case SystemFamily::kTiny3:
+      break;
+  }
+  return static_cast<std::size_t>(SystemFamily::kTiny3) + 1;
+}
+
+/// One immutable system per family, built on first use. Every replay
+/// builds a cluster, which copies its system from here instead of
+/// rebuilding it. scenario::materialize() itself is untouched, so swarm
+/// workers share nothing.
+const RefinedQuorumSystem& family_system(SystemFamily f) {
+  static const auto systems = []<std::size_t... I>(std::index_sequence<I...>) {
+    return std::array{scenario::materialize(static_cast<SystemFamily>(I))...};
+  }(std::make_index_sequence<family_count()>{});
+  return systems[static_cast<std::size_t>(f)];
+}
 
 /// The runner's deployment of the spec, with every event at virtual time
 /// 0: selection order, not the clock, is the nondeterminism.
@@ -54,7 +87,7 @@ std::string to_string(const Choice& c) {
 
 McExecution::McExecution(const scenario::ScenarioSpec& spec)
     : spec_(spec),
-      cluster_(scenario::materialize(spec.family), zero_delta_config(spec)),
+      cluster_(family_system(spec.family), zero_delta_config(spec)),
       visibility_(cluster_.network(), cluster_.server_set()) {
   if (spec.protocol != scenario::Protocol::kStorage) {
     unsupported_ = "model checker supports storage specs only";
@@ -160,14 +193,14 @@ void McExecution::enabled(std::vector<Choice>& out) {
 
 // rqs-hot-path
 bool McExecution::fire(const Choice& c) {
-  sim::Simulation& sim = cluster_.sim();
+  std::size_t position = kInjection;
   if (c.kind == Choice::Kind::kInject) {
     if (c.id != injected_ || injected_ >= spec_.schedule.size()) return false;
-    inject_next();
   } else {
-    // Fire the queue-order-smallest event matching the canonical key;
+    // The queue-order-smallest event matching the canonical key;
     // payload-identical duplicates commute, so the pick is canonical.
-    std::size_t best = sim.queued_count();
+    sim::Simulation& sim = cluster_.sim();
+    position = sim.queued_count();
     std::uint64_t best_key = 0;
     for (std::size_t i = 0; i < sim.queued_count(); ++i) {
       const sim::Event& ev = sim.queued_event(i);
@@ -176,17 +209,32 @@ bool McExecution::fire(const Choice& c) {
       if (ev.kind() == sim::Event::kCallback) continue;
       const std::uint64_t id = is_timer ? timer_id(ev) : delivery_id(ev);
       if (id != c.id) continue;
-      if (best == sim.queued_count() || ev.key < best_key) {
-        best = i;
+      if (position == sim.queued_count() || ev.key < best_key) {
+        position = i;
         best_key = ev.key;
       }
     }
-    if (best == sim.queued_count()) return false;
-    sim.fire_queued(best);
+    if (position == sim.queued_count()) return false;
+  }
+  fire_at(c, position);
+  fired_position_ = position;
+  return true;
+}
+
+// rqs-hot-path
+void McExecution::fire_at([[maybe_unused]] const Choice& c,
+                          std::size_t position) {
+  if (position == kInjection) {
+    assert(c.kind == Choice::Kind::kInject && c.id == injected_);
+    inject_next();
+  } else {
+    sim::Simulation& sim = cluster_.sim();
+    assert(position < sim.queued_count() &&
+           event_choice(sim.queued_event(position)) == c);
+    sim.fire_queued(position);
   }
   drain_dead();
   refresh_ops();
-  return true;
 }
 
 void McExecution::inject_next() {

@@ -110,8 +110,25 @@ class McExecution {
   /// Fires the transition named `c`: injects the next schedule entry or
   /// dispatches the matching queued event, then drains dead events and
   /// records operation completions. False iff no enabled transition
-  /// matches (replay of a stale schedule).
+  /// matches (replay of a stale schedule). On success, fired_position()
+  /// says where `c` was found.
   bool fire(const Choice& c);
+
+  /// fired_position() of an injection.
+  static constexpr std::size_t kInjection = ~std::size_t{0};
+
+  /// The queue position of the event the last successful fire()
+  /// dispatched, or kInjection.
+  [[nodiscard]] std::size_t fired_position() const noexcept {
+    return fired_position_;
+  }
+
+  /// Takes the step fire(c) took at this point of an earlier execution of
+  /// the same spec, where fired_position() was `position`. A replay of the
+  /// same prefix from the initial state meets the same queue at every
+  /// step, so this dispatches `position` without hashing the queue to
+  /// find `c`. Debug builds assert that the event there is named `c`.
+  void fire_at(const Choice& c, std::size_t position);
 
   /// Canonical digest of the full state: process automata, live pending
   /// events (as a content multiset), crash set, injection cursor, logical
@@ -149,6 +166,7 @@ class McExecution {
   std::string unsupported_;
 
   std::size_t injected_{0};
+  std::size_t fired_position_{kInjection};
   std::uint64_t skipped_{0};    // busy-client entries that became no-ops
   std::uint64_t clock_{0};      // logical clock: ticks at op endpoints only
   std::vector<OpRec> ops_;

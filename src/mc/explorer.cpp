@@ -75,6 +75,9 @@ McResult explore(const scenario::ScenarioSpec& spec, const McOptions& opts) {
   std::map<std::uint64_t, ChoiceSet> cache;
   std::vector<Frame> stack;
   ChoiceSet path;
+  // Where fire() found each step of `path` (McExecution::fired_position):
+  // a replay dispatches these instead of searching the queue again.
+  std::vector<std::size_t> positions;
   std::set<std::string> seen_signatures;
   ChoiceSet enabled_buf;
   std::vector<std::string> viol_buf;
@@ -162,7 +165,10 @@ McResult explore(const scenario::ScenarioSpec& spec, const McOptions& opts) {
     Frame& top = stack.back();
     if (top.next >= top.to_explore.size()) {
       stack.pop_back();
-      if (!path.empty()) path.pop_back();
+      if (!path.empty()) {
+        path.pop_back();
+        positions.pop_back();
+      }
       synced = false;
       continue;
     }
@@ -172,10 +178,8 @@ McResult explore(const scenario::ScenarioSpec& spec, const McOptions& opts) {
     }
     if (!synced) {
       exec = std::make_unique<McExecution>(spec);
-      for (const Choice& c : path) {
-        const bool ok = exec->fire(c);
-        assert(ok);
-        (void)ok;
+      for (std::size_t i = 0; i < path.size(); ++i) {
+        exec->fire_at(path[i], positions[i]);
       }
       ++res.stats.replays;
       res.stats.transitions += path.size();
@@ -196,12 +200,14 @@ McResult explore(const scenario::ScenarioSpec& spec, const McOptions& opts) {
     ++res.stats.transitions;
     xdigest.mix(c.key());
     path.push_back(c);
+    positions.push_back(exec->fired_position());
 
     if (std::optional<Frame> child = arrive(std::move(child_sleep))) {
       stack.push_back(std::move(*child));
     } else {
       ++res.stats.executions;
       path.pop_back();
+      positions.pop_back();
       synced = false;
     }
   }
@@ -220,8 +226,11 @@ McResult explore(const scenario::ScenarioSpec& spec, const McOptions& opts) {
 
 std::vector<RoleBranch> explore_roles(const scenario::ScenarioSpec& spec,
                                       const McOptions& opts) {
+  // Only servers branch: an id outside the system builds no Byzantine
+  // process, as a crash of a non-server is ignored.
+  const std::size_t servers = scenario::materialize(spec.family).universe_size();
   std::vector<ProcessId> pool;
-  for (ProcessId id = 0; id < ProcessSet::kMaxProcesses; ++id) {
+  for (ProcessId id = 0; id < servers; ++id) {
     if (spec.byzantine.contains(id)) pool.push_back(id);
   }
   std::vector<RoleBranch> out;

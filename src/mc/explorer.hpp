@@ -113,10 +113,12 @@ struct RoleBranch {
   McResult result;
 };
 
-/// Runs explore() once per subset of spec.byzantine (the spec's role and
-/// forge strategy applied to exactly the coalition), smallest coalition
-/// first. Crash timing needs no such branching: kCrash entries already
-/// interleave freely with protocol transitions inside one exploration.
+/// Runs explore() once per subset of the servers in spec.byzantine (the
+/// spec's role and forge strategy applied to exactly the coalition),
+/// smallest coalition first. An id outside the system is ignored: it
+/// builds no Byzantine process. Crash timing needs no such branching:
+/// kCrash entries already interleave freely with protocol transitions
+/// inside one exploration.
 [[nodiscard]] std::vector<RoleBranch> explore_roles(
     const scenario::ScenarioSpec& spec, const McOptions& opts = {});
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace rqs::storage {
 
@@ -10,6 +11,26 @@ StorageCluster::StorageCluster(RefinedQuorumSystem rqs,
     : sim_(cfg.delta), rqs_(std::move(rqs)),
       servers_(ProcessSet::universe(rqs_.universe_size())),
       reader_count_(cfg.reader_count) {
+  // Hard runtime checks (not asserts: Release builds must diagnose these
+  // too) — client ids share the ProcessSet id space with servers. A server
+  // id at kWriterId would fail the writer's registration, and an id >=
+  // kMaxProcesses would trap in the process-set bounds guard; failing here
+  // instead names the misconfiguration.
+  if (rqs_.universe_size() > kWriterId) {
+    throw std::invalid_argument(
+        "StorageCluster: rqs.universe_size() = " +
+        std::to_string(rqs_.universe_size()) +
+        " exceeds " + std::to_string(kWriterId) +
+        " (server ids must stay below the first client id)");
+  }
+  if (cfg.key_count < 1 ||
+      writer_client_id(static_cast<ObjectId>(cfg.key_count), cfg.reader_count) >
+          ProcessSet::kMaxProcesses) {
+    throw std::invalid_argument(
+        "StorageCluster: key_count * (1 + reader_count) client ids exceed "
+        "the ProcessSet id space (need 40 + key_count * (1 + reader_count) "
+        "<= 64)");
+  }
   ByzantineStorageServer::ForgeFn forge = cfg.forge;
   if (!forge) forge = ByzantineStorageServer::forget_everything();
   for (ProcessId id = 0; id < rqs_.universe_size(); ++id) {
@@ -20,18 +41,6 @@ StorageCluster::StorageCluster(RefinedQuorumSystem rqs,
       servers_obj_.push_back(
           std::make_unique<RqsStorageServer>(sim_, id, cfg.compact_history));
     }
-  }
-  // Hard runtime check (not an assert: Release builds must diagnose this
-  // too) — client ids share the ProcessSet id space with servers. An id
-  // >= kMaxProcesses would trap in the process-set bounds guard; failing
-  // here instead names the misconfiguration rather than aborting.
-  if (cfg.key_count < 1 ||
-      writer_client_id(static_cast<ObjectId>(cfg.key_count), cfg.reader_count) >
-          ProcessSet::kMaxProcesses) {
-    throw std::invalid_argument(
-        "StorageCluster: key_count * (1 + reader_count) client ids exceed "
-        "the ProcessSet id space (need 40 + key_count * (1 + reader_count) "
-        "<= 64)");
   }
   keys_.resize(cfg.key_count);
   for (ObjectId key = 0; key < cfg.key_count; ++key) {

@@ -1,8 +1,11 @@
 // Best-case behaviour of the RQS consensus (Section 4.2): learners learn
 // in 2 / 3 / 4 message delays when a class 1 / 2 / 3 quorum of correct
 // acceptors is available — the (m, QC_m)-fast claims — plus agreement and
-// validity under benign conditions.
+// validity under benign conditions, and the cluster's process-id layout.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
 
 #include "consensus/harness.hpp"
 #include "core/constructions.hpp"
@@ -182,6 +185,47 @@ TEST(ConsensusBasicTest, DelaysOrderedByClassAcrossSystems) {
     ASSERT_TRUE(cluster.run_until_learned());
     EXPECT_EQ(cluster.learn_delays(0), expected);
   }
+}
+
+/// The what() of the error a cluster throws for `cfg`, or "" if it builds.
+std::string layout_error(RefinedQuorumSystem rqs, const ClusterConfig& cfg) {
+  try {
+    const ConsensusCluster cluster(std::move(rqs), cfg);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// The cheapest system over n processes: crash-only, one quorum.
+RefinedQuorumSystem whole_set_system(std::size_t n) {
+  return RefinedQuorumSystem(Adversary::none(n),
+                             {Quorum{ProcessSet::universe(n)}});
+}
+
+TEST(ConsensusClusterLayoutTest, RoleIdCollisionsAreRefusedByField) {
+  // Acceptors take ids 0..n-1, proposers 30..44 and learners 45..63.
+  EXPECT_EQ(layout_error(whole_set_system(30), {}), "");
+  EXPECT_NE(layout_error(whole_set_system(31), {}).find("universe_size"),
+            std::string::npos);
+  EXPECT_EQ(layout_error(make_3t1_instantiation(1),
+                         {.proposer_count = 15, .learner_count = 19}),
+            "");
+  EXPECT_NE(layout_error(make_3t1_instantiation(1), {.proposer_count = 16})
+                .find("proposer_count"),
+            std::string::npos);
+  EXPECT_NE(layout_error(make_3t1_instantiation(1), {.learner_count = 20})
+                .find("learner_count"),
+            std::string::npos);
+}
+
+TEST(ConsensusClusterLayoutTest, LargestLayoutDecides) {
+  ConsensusCluster cluster(make_3t1_instantiation(1),
+                           {.proposer_count = 15, .learner_count = 19});
+  cluster.propose(0, 7);
+  ASSERT_TRUE(cluster.run_until_learned());
+  EXPECT_EQ(cluster.agreed_value(), 7);
+  EXPECT_EQ(cluster.learn_delays(18), 2);  // learner id 63
 }
 
 }  // namespace

@@ -2,15 +2,18 @@
 // differential (equal violation sets and equal state sets, with the
 // reduction factor the acceptance bar demands), zero-violation
 // certificates for valid deployments, Byzantine role branching, and
-// schedule replay of discovered counterexamples.
+// schedule replay of discovered counterexamples, by choice and by the
+// recorded queue positions the explorer replays on backtrack.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "mc/explorer.hpp"
 #include "mc_pinned.hpp"
+#include "mc_replay.hpp"
 #include "storage/harness.hpp"
 
 namespace rqs::mc {
@@ -215,6 +218,21 @@ TEST(McRoleBranchingTest, OnlyTheFullCoalitionViolates) {
   }
 }
 
+TEST(McRoleBranchingTest, CoalitionMembersOutsideTheSystemAddNoBranch) {
+  // Id 5 is not a server of the n = 3 system, so it builds no Byzantine
+  // process; before, it doubled the branches with copies of the others.
+  ScenarioSpec spec = tiny3_byzantine();
+  spec.byzantine.insert(5);
+  const std::vector<RoleBranch> with = explore_roles(spec);
+  const std::vector<RoleBranch> without = explore_roles(tiny3_byzantine());
+  ASSERT_EQ(with.size(), without.size());
+  for (std::size_t i = 0; i < with.size(); ++i) {
+    EXPECT_EQ(with[i].coalition, without[i].coalition);
+    EXPECT_EQ(with[i].result.exploration_digest,
+              without[i].result.exploration_digest);
+  }
+}
+
 TEST(McReplayTest, ViolationSchedulesReplayToTheSameSignature) {
   const McResult r = explore(tiny3_byzantine());
   expect_pinned(r, {0xf6475d000dc29d52ull, 1046, 11107, 1045, 1795, 682, 30,
@@ -224,17 +242,37 @@ TEST(McReplayTest, ViolationSchedulesReplayToTheSameSignature) {
 
   McExecution exec(tiny3_byzantine());
   ASSERT_TRUE(exec.unsupported().empty());
+  std::vector<FiredStep> steps;
   for (const Choice& c : v.schedule) {
-    ASSERT_TRUE(exec.fire(c)) << to_string(c);
+    steps.push_back(fire_and_observe(exec, c));
   }
-  std::vector<std::string> viols;
-  exec.violations(viols);
   std::string joined;
-  for (const std::string& s : viols) {
+  for (const std::string& s : steps.back().violations) {
     if (!joined.empty()) joined += "; ";
     joined += s;
   }
   EXPECT_EQ(joined, v.signature);
+  // The explorer's backtrack replays by recorded queue position.
+  expect_position_replay_matches(tiny3_byzantine(), steps);
+}
+
+TEST(McReplayTest, RandomWalksReplayByPositionAsByChoice) {
+  std::mt19937_64 rng(7);
+  for (const ScenarioSpec& spec :
+       {tiny3_benign(), tiny3_byzantine(), anchor4()}) {
+    for (int walk = 0; walk < 5; ++walk) {
+      McExecution exec(spec);
+      std::vector<FiredStep> steps;
+      std::vector<Choice> enabled;
+      exec.enabled(enabled);
+      while (!enabled.empty() && steps.size() < 200) {
+        steps.push_back(fire_and_observe(exec, enabled[rng() % enabled.size()]));
+        enabled = steps.back().enabled;
+      }
+      ASSERT_GT(steps.size(), 3u);
+      expect_position_replay_matches(spec, steps);
+    }
+  }
 }
 
 TEST(McFragmentTest, UnsupportedSpecsAreRejectedNotMischecked) {

@@ -15,6 +15,7 @@
 
 #include "mc/explorer.hpp"
 #include "mc_pinned.hpp"
+#include "mc_replay.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/shrink.hpp"
 
@@ -95,13 +96,15 @@ TEST(McFig1Test, McViolationReplaysCanonically) {
   ASSERT_EQ(r.violations.size(), 1u);
   McExecution exec(spec);
   ASSERT_TRUE(exec.unsupported().empty());
+  std::vector<FiredStep> steps;
   for (const Choice& c : r.violations[0].schedule) {
-    ASSERT_TRUE(exec.fire(c)) << to_string(c);
+    steps.push_back(fire_and_observe(exec, c));
   }
-  std::vector<std::string> viols;
-  exec.violations(viols);
+  const std::vector<std::string>& viols = steps.back().violations;
   ASSERT_EQ(viols.size(), 1u);
   EXPECT_EQ(viols[0], r.violations[0].signature);
+  // The explorer's backtrack replays by recorded queue position.
+  expect_position_replay_matches(spec, steps);
 }
 
 TEST(McFig1Test, ProjectionReproducesUnderTheScenarioRunner) {

@@ -4,6 +4,9 @@
 // for cross-operation wr_ack aliasing.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/constructions.hpp"
 #include "storage/harness.hpp"
 
@@ -18,6 +21,22 @@ TEST(KeyedStorageTest, ClientIdLayoutKeepsLegacySingleKeyIds) {
   EXPECT_EQ(writer_client_id(1, 2), kWriterId + 3);
   EXPECT_EQ(reader_client_id(1, 1, 2), kWriterId + 5);
   EXPECT_LT(reader_client_id(5, 1, 2), ProcessSet::kMaxProcesses);
+}
+
+TEST(KeyedStorageTest, ServersOverlappingTheClientIdsAreRefused) {
+  // Servers take ids 0..n-1 below the writer's id 40.
+  const auto system = [](std::size_t n) {
+    return RefinedQuorumSystem(Adversary::none(n),
+                               {Quorum{ProcessSet::universe(n)}});
+  };
+  EXPECT_NO_THROW(StorageCluster(system(40), {}));
+  try {
+    StorageCluster cluster(system(41), {});
+    ADD_FAILURE() << "server 40 shares the writer's id";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("universe_size"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(KeyedStorageTest, DisjointKeysAreIndependentRegisters) {
