@@ -124,18 +124,23 @@ void BM_BroadcastFanout(benchmark::State& state) {
 }
 BENCHMARK(BM_BroadcastFanout)->Arg(4)->Arg(16)->Arg(63);
 
-/// Arms `live` timers, cancels every other one, re-arms on fire.
+/// On each fire re-arms its live timer and arms + cancels a doomed one.
 class TimerChurnProc final : public ProcessOf<TimerChurnProc, MessageList<>> {
  public:
   TimerChurnProc(Simulation& sim, ProcessId id) : ProcessOf(sim, id) {}
-  void on_timer(TimerId) override {
-    ++fired;
-    (void)set_timer(2);
-    const TimerId doomed = set_timer(3);
-    cancel_timer(doomed);
-  }
-  void kick() { (void)set_timer(1); }
+  void kick() { live_.arm(1); }
   std::uint64_t fired{0};
+
+ private:
+  void on_live() {
+    ++fired;
+    live_.arm(2);
+    doomed_.arm(3);
+    doomed_.cancel();
+  }
+
+  Timer live_{*this, [this] { on_live(); }};
+  Timer doomed_{*this, [] {}};
 };
 
 void BM_TimerChurn(benchmark::State& state) {

@@ -311,9 +311,10 @@ void RqsAcceptor::on_decided(Value v) {
 // ---------------------------------------------------------------------------
 
 // Protocol-visible locking/election state, field by field over the ordered
-// containers (never raw bytes). Excluded as observations: timer handles
-// (suspect_armed_/timeout carry the protocol-visible bits), the signer and
-// the tracker's sender tallies beyond the decision itself.
+// containers (never raw bytes). Excluded: the suspicion timer (a pending
+// expiry is a queued event, which the model checker digests on its own;
+// suspect_timeout_ is 5 Delta * 2^next_view_), the signer and the
+// tracker's sender tallies beyond the decision itself.
 void RqsAcceptor::digest_state(Fnv64& h) const {
   h.mix(view_);
   h.mix(static_cast<std::uint64_t>(prep_));
@@ -386,19 +387,17 @@ void RqsAcceptor::on(ProcessId from, const DecisionMsg& dec) {
   if (config_.acceptors.contains(from)) senders.insert(from);
   if (config_.rqs->has_quorum_in(senders)) {
     suspect_stopped_ = true;
-    if (suspect_armed_) cancel_timer(suspect_timer_);
+    suspect_timer_.cancel();
   }
 }
 
 void RqsAcceptor::arm_suspect_timer() {
-  if (suspect_armed_ || suspect_stopped_) return;
-  suspect_armed_ = true;
-  suspect_timer_ = set_timer(suspect_timeout_);
+  if (suspect_timer_.armed() || suspect_stopped_) return;
+  suspect_timer_.arm(suspect_timeout_);
 }
 
-void RqsAcceptor::on_timer(sim::TimerId timer) {
-  if (timer != suspect_timer_ || suspect_stopped_) return;
-  // Fig. 14 lines 1-5: exponential backoff, vote for the next leader.
+void RqsAcceptor::suspect() {
+  // Exponential backoff, vote for the next leader.
   suspect_timeout_ *= 2;
   ++next_view_;
   const ProcessId next_leader = config_.leader_of(next_view_);
@@ -407,7 +406,7 @@ void RqsAcceptor::on_timer(sim::TimerId timer) {
   msg->change.signer = id();
   msg->change.signature = signer_.sign(SignedViewChange::payload(next_view_));
   send(next_leader, std::move(msg));
-  suspect_timer_ = set_timer(suspect_timeout_);
+  suspect_timer_.arm(suspect_timeout_);
 }
 
 }  // namespace rqs::consensus

@@ -32,7 +32,6 @@ class RqsAcceptor
   // Election module (Fig. 14).
   void on(ProcessId from, const SyncMsg& m);
   void on(ProcessId from, const DecisionMsg& dec);
-  void on_timer(sim::TimerId timer) override;
   void digest_state(Fnv64& h) const override;
 
   [[nodiscard]] bool decided() const noexcept { return tracker_.decided(); }
@@ -83,6 +82,8 @@ class RqsAcceptor
 
   // --- Election module ---
   void arm_suspect_timer();
+  /// Fig. 14 lines 1-5: the suspicion timer expired.
+  void suspect();
 
   ConsensusConfig config_;
   sim::Signer signer_;
@@ -111,9 +112,8 @@ class RqsAcceptor
   std::map<StepView, std::map<ProcessId, SignedUpdate>> sign_collect_;
 
   // Election state.
-  bool suspect_armed_{false};
   bool suspect_stopped_{false};
-  sim::TimerId suspect_timer_{0};
+  sim::Timer suspect_timer_{*this, [this] { suspect(); }};
   sim::SimTime suspect_timeout_;
   ViewNumber next_view_{0};
   std::map<Value, ProcessSet> decision_senders_;

@@ -55,24 +55,6 @@ bool cand2(Value v, ViewNumber w, const VProof& vproof, ProcessSet q,
   });
 }
 
-bool c3(Value v, ViewNumber w, char variant, QuorumId q2id, ProcessSet b,
-        const VProof& vproof, ProcessSet q, const RefinedQuorumSystem& rqs) {
-  const ProcessSet q2 = rqs.quorum_set(q2id);
-  const bool p3 = (variant == 'a') ? rqs.p3a(q2, q, b) : rqs.p3b(q2, q, b);
-  if (!p3) return false;
-  for (const ProcessId a : (q2 & q) - b) {
-    const NewViewAckData* ack = ack_of(vproof, a);
-    if (ack == nullptr) return false;
-    if (ack->update[1] != v) return false;
-    if (ack->updateview[1].find(w) == ack->updateview[1].end()) return false;
-    const auto it = ack->updateq.find(StepView{1, w});
-    if (it == ack->updateq.end() || it->second.find(q2id) == it->second.end()) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// The acceptors of Q2 n Q that FAIL C3's per-acceptor consequent for
 /// (v, w, Q2): update[1] = v, w in Updateview[1], Q2 in Updateq[1, w].
 ProcessSet c3_miss(Value v, ViewNumber w, QuorumId q2id, const VProof& vproof,

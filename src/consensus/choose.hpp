@@ -25,13 +25,9 @@ struct ChooseResult {
 [[nodiscard]] bool cand2(Value v, ViewNumber w, const VProof& vproof,
                          ProcessSet q, const RefinedQuorumSystem& rqs);
 
-/// C3(v, w, char, Q2, B) (line 2): P3char(Q2, Q, B) holds and every
-/// acceptor of (Q2 n Q) \ B reports it 1-updated v in w with quorum Q2.
-[[nodiscard]] bool c3(Value v, ViewNumber w, char variant, QuorumId q2,
-                      ProcessSet b, const VProof& vproof, ProcessSet q,
-                      const RefinedQuorumSystem& rqs);
-
-/// Cand3(v, w, char) (line 3): exists (Q2, B) with C3(v, w, char, Q2, B).
+/// Cand3(v, w, char) (line 3): exists (Q2, B) with C3(v, w, char, Q2, B),
+/// where C3 (line 2) says P3char(Q2, Q, B) holds and every acceptor of
+/// (Q2 n Q) \ B reports it 1-updated v in w with quorum Q2.
 [[nodiscard]] bool cand3(Value v, ViewNumber w, char variant, const VProof& vproof,
                          ProcessSet q, const RefinedQuorumSystem& rqs);
 

@@ -54,7 +54,7 @@ void PaxosProposer::start_round() {
   // Jittered capped-exponential backoff instead of the old fixed 8-Delta
   // timer: two preempting proposers draw distinct per-process delays, so
   // one of them always gets a full phase-1+2 window to itself eventually.
-  retry_timer_ = set_timer(
+  retry_timer_.arm(
       RetryPolicy::delay(preemption_backoff(sim().delta()),
                          static_cast<std::uint64_t>(id()) << 32, attempt_ + 1));
 }
@@ -82,13 +82,11 @@ void PaxosProposer::on(ProcessId from, const P2bMsg& p2b) {
   responders_.insert(from);
   if (responders_.size() >= majority()) {
     phase_ = Phase::kIdle;  // chosen; learners hear the P2b broadcast
-    cancel_timer(retry_timer_);
+    retry_timer_.cancel();
   }
 }
 
-void PaxosProposer::on_timer(sim::TimerId timer) {
-  if (timer != retry_timer_ || phase_ == Phase::kIdle) return;
-  // Preempted or partitioned: retry with a higher ballot.
+void PaxosProposer::retry() {
   ++attempt_;
   ballot_ = Ballot{ballot_.round + 1, id()};
   start_round();

@@ -93,10 +93,11 @@ class PaxosProposer final
 
   void on(ProcessId from, const P1bMsg& p1b);
   void on(ProcessId from, const P2bMsg& p2b);
-  void on_timer(sim::TimerId timer) override;
 
  private:
   void start_round();
+  /// Preempted or partitioned: retry with a higher ballot.
+  void retry();
   [[nodiscard]] std::size_t majority() const { return acceptors_.size() / 2 + 1; }
 
   ProcessSet acceptors_;
@@ -107,7 +108,7 @@ class PaxosProposer final
   std::optional<Ballot> best_accepted_;
   Value best_value_{kBottom};
   std::uint32_t attempt_{0};
-  sim::TimerId retry_timer_{0};
+  sim::Timer retry_timer_{*this, [this] { retry(); }};
 };
 
 /// Counts only the P2b broadcast; the rest of the protocol never

@@ -23,10 +23,9 @@ class RqsLearner final
                            DecisionPullMsg, SyncMsg>> {
  public:
   RqsLearner(sim::Simulation& sim, ProcessId id, const ConsensusConfig& config)
-      : ProcessOf(sim, id),
-        config_(config),
-        tracker_(*config.rqs),
-        pull_timer_(set_timer(kPullPeriodDeltas * sim.delta())) {}
+      : ProcessOf(sim, id), config_(config), tracker_(*config.rqs) {
+    pull_.arm(kPullPeriodDeltas * sim.delta());
+  }
 
   [[nodiscard]] bool learned() const noexcept { return learned_; }
   [[nodiscard]] Value learned_value() const noexcept { return value_; }
@@ -45,14 +44,7 @@ class RqsLearner final
     if (config_.rqs->adversary().is_basic(senders)) learn(dec.value);
   }
 
-  void on_timer(sim::TimerId timer) override {
-    if (timer != pull_timer_ || learned_) return;
-    // Lines 102-103.
-    send_all(config_.acceptors, make_msg<DecisionPullMsg>());
-    pull_timer_ = set_timer(kPullPeriodDeltas * sim().delta());
-  }
-
-  /// Protocol-visible state only (learn_time_ and the timer handle are
+  /// Protocol-visible state only (learn_time_ and the pull timer are
   /// observations) — used by the duplicate-delivery equivalence suite.
   void digest_state(Fnv64& h) const override {
     h.mix(learned_ ? 1 : 0);
@@ -68,6 +60,13 @@ class RqsLearner final
 
  private:
   static constexpr sim::SimTime kPullPeriodDeltas = 10;
+
+  /// Lines 102-103: pull decisions until learned.
+  void pull() {
+    if (learned_) return;
+    send_all(config_.acceptors, make_msg<DecisionPullMsg>());
+    pull_.arm(kPullPeriodDeltas * sim().delta());
+  }
 
   void learn(Value v) {
     if (learned_) return;
@@ -95,7 +94,7 @@ class RqsLearner final
   bool learned_{false};
   Value value_{kNil};
   sim::SimTime learn_time_{0};
-  sim::TimerId pull_timer_;
+  sim::Timer pull_{*this, [this] { pull(); }};
 };
 
 }  // namespace rqs::consensus

@@ -9,7 +9,7 @@ namespace rqs::consensus {
 RqsProposer::RqsProposer(sim::Simulation& sim, ProcessId id,
                          const ConsensusConfig& config)
     : ProcessOf(sim, id), config_(config), signer_(*config.authority, id),
-      retx_(sim, id, config.retry) {}
+      retx_(*this, config.retry, [this] { resend(); }, [this] { give_up(); }) {}
 
 void RqsProposer::propose(Value v) {
   if (halted_) return;
@@ -18,8 +18,7 @@ void RqsProposer::propose(Value v) {
     proposed_ = true;
     // Fig. 14 lines 101-103: after a preset time, nudge acceptors' timers
     // with sync and probe for an existing decision.
-    sync_pending_ = true;
-    sync_timer_ = set_timer(3 * sim().delta());
+    sync_.arm(3 * sim().delta());
   }
   run_propose();
 }
@@ -195,32 +194,28 @@ void RqsProposer::digest_state(Fnv64& h) const {
   h.mix(static_cast<std::uint64_t>(prepared_value_));
 }
 
-void RqsProposer::on_timer(sim::TimerId timer) {
-  if (halted_) return;
-  using Fired = sim::Retransmitter::Fired;
-  const Fired fired = retx_.fire(timer, [this] {
-    if (auto* ob = sim().observer()) ob->count("consensus.propose.retransmit");
-    if (consulting_) {
-      send_all(config_.acceptors, new_view_msg());
-    } else if (prepare_sent_) {
-      broadcast_prepare();
-    }
-    // Re-probe alongside every retransmission: sync re-arms stopped-clock
-    // acceptors' suspicion timers and the pull surfaces decisions this
-    // proposer missed (which is what finally halts it).
-    send_all(config_.acceptors, make_msg<SyncMsg>());
-    send_all(config_.acceptors, make_msg<DecisionPullMsg>());
-  });
-  if (fired == Fired::kGaveUp) {
-    // Go quiet and let the acceptors' suspicion timers drive a view change
-    // toward the next leader (Fig. 14 lines 1-5).
-    if (auto* ob = sim().observer()) ob->count("consensus.propose.giveup");
-  }
-  if (fired != Fired::kNotMine) return;
-  if (timer != sync_timer_ || !sync_pending_) return;
-  sync_pending_ = false;
+void RqsProposer::probe() {
   send_all(config_.acceptors, make_msg<SyncMsg>());
   send_all(config_.acceptors, make_msg<DecisionPullMsg>());
+}
+
+void RqsProposer::resend() {
+  if (auto* ob = sim().observer()) ob->count("consensus.propose.retransmit");
+  if (consulting_) {
+    send_all(config_.acceptors, new_view_msg());
+  } else if (prepare_sent_) {
+    broadcast_prepare();
+  }
+  // Re-probe alongside every retransmission: sync re-arms stopped-clock
+  // acceptors' suspicion timers and the pull surfaces decisions this
+  // proposer missed (which is what finally halts it).
+  probe();
+}
+
+void RqsProposer::give_up() {
+  // Go quiet and let the acceptors' suspicion timers drive a view change
+  // toward the next leader (Fig. 14 lines 1-5).
+  if (auto* ob = sim().observer()) ob->count("consensus.propose.giveup");
 }
 
 }  // namespace rqs::consensus

@@ -32,14 +32,12 @@ class RqsProposer
   /// phase is skipped.
   void propose(Value v);
 
-  [[nodiscard]] bool has_proposed() const noexcept { return proposed_; }
   [[nodiscard]] bool halted() const noexcept { return halted_; }
   [[nodiscard]] ViewNumber current_view() const noexcept { return view_; }
 
   void on(ProcessId from, const NewViewAckMsg& ack);
   void on(ProcessId from, const ViewChangeMsg& vc);
   void on(ProcessId from, const DecisionMsg& dec);
-  void on_timer(sim::TimerId timer) override;
   void digest_state(Fnv64& h) const override;
 
  protected:
@@ -62,6 +60,12 @@ class RqsProposer
   /// retransmission.
   [[nodiscard]] sim::PooledMessage<NewViewMsg> new_view_msg();
   void start_retry();
+  /// Fig. 14 lines 102-103: nudge the acceptors' suspicion timers with
+  /// sync and pull any decision already reached.
+  void probe();
+  /// The retransmitter's reactions.
+  void resend();
+  void give_up();
 
   ConsensusConfig config_;
   sim::Signer signer_;
@@ -81,8 +85,8 @@ class RqsProposer
   // Election bookkeeping.
   std::map<ViewNumber, std::map<ProcessId, SignedViewChange>> view_changes_;
   std::map<Value, ProcessSet> decision_senders_;
-  sim::TimerId sync_timer_{0};
-  bool sync_pending_{false};
+  // Fig. 14 line 101: the preset time before the first probe.
+  sim::Timer sync_{*this, [this] { if (!halted_) probe(); }};
 
   // Retransmission (dormant unless config.retry.enabled). The proposer
   // resends its current phase's broadcast — the consult new_view or the

@@ -62,8 +62,6 @@ void Network::remove_rule(std::size_t id) {
                rules_.end());
 }
 
-void Network::clear_rules() { rules_.clear(); }
-
 std::size_t Network::block(ProcessSet froms, ProcessSet tos) {
   return add_rule([froms, tos](ProcessId from, ProcessId to, SimTime,
                                const Message&) -> std::optional<std::optional<SimTime>> {

@@ -129,7 +129,6 @@ class Network {
   /// with remove_rule.
   std::size_t add_rule(Rule rule);
   void remove_rule(std::size_t id);
-  void clear_rules();
 
   /// Convenience rules. All of them match directional (from, to) pairs.
   /// Blocks messages from any process in `froms` to any in `tos`,

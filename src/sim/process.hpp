@@ -1,6 +1,10 @@
 // Base classes for simulated processes (the paper's deterministic automata).
 #pragma once
 
+#include <cstddef>
+#include <new>
+#include <type_traits>
+
 #include "common/process_set.hpp"
 #include "sim/message.hpp"
 #include "sim/simulation.hpp"
@@ -28,16 +32,14 @@ class Process {
   /// advance during a step).
   virtual void on_message(ProcessId from, const Message& m) = 0;
 
-  /// A timer armed via set_timer fired.
-  virtual void on_timer(TimerId timer) { (void)timer; }
-
   /// Folds the process's protocol-visible state into `h` for the model
   /// checker's visited-state digest. Two states may collide only if every
   /// future behavior from them is identical, so overrides must cover every
   /// field that influences later steps — but must *exclude* values that
-  /// differ between equivalent schedules (TimerId handles: their
-  /// (generation, slot) encoding depends on global allocation order) and
-  /// should exclude observation-only counters so equivalent states merge.
+  /// differ between equivalent schedules (Timer::id(): its (generation,
+  /// slot) encoding depends on global allocation order; mix armed()
+  /// instead) and should exclude observation-only counters so equivalent
+  /// states merge.
   virtual void digest_state(Fnv64& h) const { (void)h; }
 
  protected:
@@ -55,10 +57,6 @@ class Process {
   /// Network::send_all).
   void send_all(ProcessSet targets, MessagePtr msg);
 
-  /// Arms a timer firing after `delay` virtual time units.
-  TimerId set_timer(SimTime delay) { return sim_.arm_timer(id_, delay); }
-  void cancel_timer(TimerId t) { sim_.cancel_timer(t); }
-
  private:
   template <class, class, class>
   friend class ProcessOf;
@@ -67,6 +65,70 @@ class Process {
 
   Simulation& sim_;
   ProcessId id_;
+};
+
+/// A `void()` reaction that owns no heap memory: a lambda capturing at
+/// most one pointer (typically `[this]`), stored in place, so building one
+/// never allocates.
+class Reaction {
+ public:
+  template <class F>
+    requires std::is_invocable_r_v<void, const F&> &&
+             std::is_trivially_copyable_v<F> &&
+             (sizeof(F) <= sizeof(void*)) && (alignof(F) <= alignof(void*))
+  Reaction(F f) noexcept  // implicit: a lambda argument reads as a Reaction
+      : run_([](const void* stored) {
+          (*std::launder(static_cast<const F*>(stored)))();
+        }) {
+    ::new (static_cast<void*>(store_)) F(f);
+  }
+
+  void operator()() const { run_(store_); }
+
+ private:
+  alignas(void*) std::byte store_[sizeof(void*)];
+  void (*run_)(const void*);
+};
+
+/// One named timeout of a process, bound to the handler its expiry runs:
+/// the only way to queue an expiry, so every armed timer has a handler by
+/// construction. A member of its owner, built with the owner and the
+/// handler. The simulation keeps its address while an expiry is queued,
+/// so it neither copies nor moves. A crashed owner's timers freeze with
+/// it: the expiry is dropped unrun and armed() keeps its value.
+class Timer {
+ public:
+  Timer(Process& owner, Reaction on_expiry) noexcept
+      : owner_(owner), on_expiry_(on_expiry) {}
+
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
+  /// True from arm() until the expiry runs the handler or cancel().
+  [[nodiscard]] bool armed() const noexcept { return id_ != 0; }
+  /// The pending expiry's id, 0 when idle.
+  [[nodiscard]] TimerId id() const noexcept { return id_; }
+
+  /// Queues an expiry `delay` virtual time units from now, cancelling a
+  /// pending one first.
+  void arm(SimTime delay) {
+    cancel();
+    id_ = owner_.sim().arm_timer(*this, delay);
+  }
+
+  /// Drops the pending expiry; a no-op when idle.
+  void cancel() {
+    if (id_ == 0) return;
+    owner_.sim().cancel_timer(id_);
+    id_ = 0;
+  }
+
+ private:
+  friend class Simulation;
+
+  Process& owner_;
+  Reaction on_expiry_;
+  TimerId id_{0};
 };
 
 /// Base of every process: the paper's "upon receiving m" clauses, one per

@@ -147,17 +147,18 @@ void Simulation::expand_pending_fanouts() {
   }
 }
 
-TimerId Simulation::arm_timer(ProcessId owner, SimTime delay) {
+TimerId Simulation::arm_timer(Timer& timer, SimTime delay) {
   std::uint32_t slot;
   if (!timer_free_.empty()) {
     slot = timer_free_.back();
     timer_free_.pop_back();
-    timer_slots_[slot].active = true;
+    timer_slots_[slot].timer = &timer;
   } else {
     slot = static_cast<std::uint32_t>(timer_slots_.size());
-    timer_slots_.push_back(TimerSlot{1, true});
+    timer_slots_.push_back(TimerSlot{1, &timer});
   }
   const TimerId id = (TimerId{timer_slots_[slot].gen} << 32) | slot;
+  const ProcessId owner = timer.owner_.id();
   if (timer_arms_.size() <= owner) timer_arms_.resize(owner + 1, 0);
   SimTime at = now_ + delay;
   if (at < now_) at = now_;
@@ -175,7 +176,7 @@ void Simulation::cancel_timer(TimerId id) {
   // A stale id (its timer already fired: generation bumped on slot reuse)
   // must be a no-op — that is the point of the generation scheme.
   if (slot < timer_slots_.size() && timer_slots_[slot].gen == gen) {
-    timer_slots_[slot].active = false;
+    timer_slots_[slot].timer = nullptr;
   }
 }
 
@@ -185,10 +186,10 @@ void Simulation::cancel_timer(TimerId id) {
 // state digests or canonical per trace), so two events with different
 // targets commute — firing them in either order reaches the same state.
 // Events that would not invoke a handler at all (event_live() == false:
-// delivery to a crashed or unregistered process, a cancelled timer) are
-// no-ops up to bookkeeping and are not scheduling choices. Keep these two
-// functions in lockstep with dispatch(): a new early-return there is a new
-// dead-event case here.
+// delivery to a crashed or unregistered process, a cancelled expiry or one
+// of a crashed owner) are no-ops up to bookkeeping and are not scheduling
+// choices. Keep these two functions in lockstep with dispatch(): a new
+// early-return there is a new dead-event case here.
 ProcessId Simulation::event_target(const Event& ev) const {
   switch (ev.kind()) {
     case Event::kDelivery:
@@ -211,8 +212,7 @@ bool Simulation::event_live(const Event& ev) const {
       const auto slot = static_cast<std::uint32_t>(ev.timer.id & 0xffffffffu);
       const auto gen = static_cast<std::uint32_t>(ev.timer.id >> 32);
       return slot < timer_slots_.size() && timer_slots_[slot].gen == gen &&
-             timer_slots_[slot].active && !crashed(ev.timer.owner) &&
-             process(ev.timer.owner) != nullptr;
+             timer_slots_[slot].timer != nullptr && !crashed(ev.timer.owner);
     }
     case Event::kCallback:
       return true;
@@ -259,18 +259,18 @@ void Simulation::dispatch(const Event& ev) {
       TimerSlot& s = timer_slots_[slot];
       assert(s.gen == static_cast<std::uint32_t>(id >> 32) &&
              "slot recycled before its event popped");
-      const bool cancelled = !s.active;
-      // Free the slot *before* the callback: cancelling the just-fired id
-      // inside on_timer is a stale no-op, and re-arming may legally reuse
-      // the slot under a fresh generation.
-      s.active = false;
+      Timer* const timer = s.timer;
+      // Free the slot and idle the Timer *before* its handler: the handler
+      // sees armed() false, cancelling there is a no-op, and re-arming may
+      // legally reuse the slot under a fresh generation. A crashed owner's
+      // Timer is left as it was: the process takes no further step.
+      s.timer = nullptr;
       if (++s.gen == 0) s.gen = 1;
       timer_free_.push_back(slot);  // rqs-lint: allow(hot-path-alloc) bounded by the peak in-flight timer count, then recycled
-      if (cancelled || crashed(ev.timer.owner)) return;
-      Process* p = process(ev.timer.owner);
-      if (p == nullptr) return;
+      if (timer == nullptr || crashed(ev.timer.owner)) return;
       if (obs_ != nullptr) obs_->on_timer(now_, ev.timer.owner, id);
-      p->on_timer(id);
+      timer->id_ = 0;
+      timer->on_expiry_();
       return;
     }
     case Event::kCallback: {

@@ -10,7 +10,8 @@
 //
 // Hot-path design: the event queue is a hand-rolled 4-ary min-heap of POD
 // tagged-union events (delivery / timer / callback / fan-out). Deliveries
-// park a raw refcounted message pointer, timers carry their id inline, and
+// park a raw refcounted message pointer, timers carry their id inline (the
+// id's slot remembers the sim::Timer whose handler the expiry runs), and
 // the rare schedule_at() callbacks touch a std::function (stored in a slot
 // vector on the side, so heap nodes stay trivially copyable). A broadcast on
 // the network's fast path is one fan-out entry whose side slot holds the
@@ -49,10 +50,11 @@ inline constexpr SimTime kDefaultDelta = 1000;
 
 class Process;
 class Network;
+class Timer;
 
-/// Identifier of a pending timer; cancel() uses it. Encodes (generation,
-/// slot) so slots can be recycled after a timer fires or is cancelled
-/// without a stale id ever matching a newer timer. Never 0.
+/// Identifier of a pending timer expiry. Encodes (generation, slot) so
+/// slots can be recycled after an expiry fires or is cancelled without a
+/// stale id ever matching a newer one. Never 0.
 using TimerId = std::uint64_t;
 
 /// One queued event: exactly 32 bytes of POD. Heap sift operations are
@@ -268,11 +270,6 @@ class Simulation {
   /// those of one deliver_at() per target in ascending id order.
   void fan_out(SimTime at, ProcessId from, ProcessSet targets, MessagePtr msg);
 
-  /// Arms a timer for process `owner` firing at now()+delay; returns an id
-  /// passed back to Process::on_timer.
-  TimerId arm_timer(ProcessId owner, SimTime delay);
-  void cancel_timer(TimerId id);
-
   /// Runs until the event queue is empty or `deadline` is passed
   /// (events at exactly `deadline` still fire). Returns the time of the
   /// last fired event.
@@ -308,7 +305,7 @@ class Simulation {
     return queue_.raw()[i];
   }
   /// True iff dispatching `ev` now would invoke a handler: a delivery to a
-  /// live registered process, or an armed un-cancelled timer of a live
+  /// live registered process, or an un-cancelled timer expiry of a live
   /// owner. Dead events are no-ops; the explorer drains them eagerly
   /// instead of treating them as scheduling choices.
   [[nodiscard]] bool event_live(const Event& ev) const;
@@ -352,14 +349,21 @@ class Simulation {
   }
 
  private:
+  friend class Timer;
+
   // Phase bit of Event::key; see Event.
   static constexpr std::uint64_t kDeliveryPhase = 0;
   static constexpr std::uint64_t kTimerPhase = std::uint64_t{1} << 63;
 
   struct TimerSlot {
     std::uint32_t gen;  // bumped on free; never 0
-    bool active;        // false once cancelled (event still queued)
+    Timer* timer;       // whose handler the expiry runs; null once cancelled
   };
+
+  /// Queues `timer`'s expiry at now()+delay (Timer::arm).
+  TimerId arm_timer(Timer& timer, SimTime delay);
+  /// Marks the expiry `id` cancelled; a stale id is a no-op (Timer::cancel).
+  void cancel_timer(TimerId id);
 
   struct FanoutSlot {
     MessagePtr msg;     // one reference, shared by the remaining targets

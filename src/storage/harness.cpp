@@ -63,7 +63,13 @@ RoundNumber StorageCluster::blocking_write(ObjectId key, Value v) {
   async_write(key, v);
   while (!keys_[key].write_done && sim_.step()) {
   }
-  assert(keys_[key].write_done && "write did not terminate (no live quorum?)");
+  // Hard check, not an assert: in Release the rounds of the previous write
+  // would come back as this one's.
+  if (!keys_[key].write_done) {
+    throw std::runtime_error("StorageCluster::blocking_write: the write on key " +
+                             std::to_string(key) +
+                             " did not terminate (no live quorum?)");
+  }
   return keys_[key].writer->last_write_rounds();
 }
 
@@ -72,7 +78,12 @@ StorageCluster::ReadOutcome StorageCluster::blocking_read(ObjectId key,
   async_read(key, i);
   while (!keys_[key].read_done[i] && sim_.step()) {
   }
-  assert(keys_[key].read_done[i] && "read did not terminate (no live quorum?)");
+  if (!keys_[key].read_done[i]) {
+    throw std::runtime_error("StorageCluster::blocking_read: reader " +
+                             std::to_string(i) + " of key " +
+                             std::to_string(key) +
+                             " did not terminate (no live quorum?)");
+  }
   return ReadOutcome{keys_[key].read_value[i],
                      keys_[key].readers[i]->last_read_rounds()};
 }

@@ -88,6 +88,8 @@ class StorageCluster {
   void crash(ProcessId id) { sim_.crash(id); }
 
   /// Runs write(v) on a key to completion; returns the rounds it took.
+  /// Throws std::runtime_error when the queue drains first (no live
+  /// quorum), as blocking_read does.
   RoundNumber blocking_write(Value v) { return blocking_write(0, v); }
   RoundNumber blocking_write(ObjectId key, Value v);
 

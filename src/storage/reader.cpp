@@ -12,7 +12,9 @@ RqsReader::RqsReader(sim::Simulation& sim, ProcessId id,
                      const RefinedQuorumSystem& rqs, ProcessSet servers,
                      Mode mode, ObjectId key, RetryPolicy::Config retry)
     : ProcessOf(sim, id), rqs_(rqs), servers_(servers), mode_(mode),
-      key_(key), retx_(sim, id, retry), history_(rqs.universe_size()) {}
+      key_(key),
+      retx_(*this, retry, [this] { resend(); }, [this] { fail_over(); }),
+      history_(rqs.universe_size()) {}
 
 void RqsReader::read(DoneFn done) {
   assert(!busy() && "one outstanding operation per client");
@@ -171,12 +173,9 @@ void RqsReader::start_collect_round() {
               static_cast<std::uint8_t>(read_rnd_));
   }
   round_acks_ = ProcessSet{};
-  if (read_rnd_ == 1) {  // line 24
-    timer_expired_ = false;
-    timer_ = set_timer(2 * sim().delta());
-  } else {
-    timer_expired_ = true;
-  }
+  // Line 24: round 1 only. Later rounds find the gate idle: round 1 ended
+  // only after it fired.
+  if (read_rnd_ == 1) gate_.arm(2 * sim().delta());
   send_all(servers_, collect_msg());  // line 25
   start_retry();
 }
@@ -246,34 +245,31 @@ void RqsReader::on(ProcessId from, const WrAck& ack) {
   maybe_finish_writeback();
 }
 
-void RqsReader::on_timer(sim::TimerId timer) {
-  using Fired = sim::Retransmitter::Fired;
-  const Fired fired = retx_.fire(timer, [this] {
-    if (auto* ob = sim().observer()) ob->count("storage.read.retransmit");
-    if (phase_ == Phase::kCollect) {
-      send_all(servers_ - round_acks_, collect_msg());
-    } else {
-      send_all(servers_ - wb_acks_, writeback_msg());
-    }
-  });
-  if (fired != Fired::kNotMine) {
-    retried_op_ = true;
-    if (fired == Fired::kGaveUp) {
-      // Failover to a fresh quorum attempt: a new collect round (collect
-      // phase) or a fresh-nonce rebroadcast of the same writeback round
-      // (writeback phases); either resets the ack set.
-      if (auto* ob = sim().observer()) ob->count("storage.read.failover");
-      if (phase_ == Phase::kCollect) {
-        start_collect_round();
-      } else {
-        const QuorumIdSet set = wb_set_;  // copy: start_writeback reassigns it
-        start_writeback(wb_round_, set, phase_);
-      }
-    }
-    return;
+void RqsReader::resend() {
+  retried_op_ = true;
+  if (auto* ob = sim().observer()) ob->count("storage.read.retransmit");
+  if (phase_ == Phase::kCollect) {
+    send_all(servers_ - round_acks_, collect_msg());
+  } else {
+    send_all(servers_ - wb_acks_, writeback_msg());
   }
-  if (timer != timer_) return;
-  timer_expired_ = true;
+}
+
+void RqsReader::fail_over() {
+  // A fresh quorum attempt: a new collect round (collect phase) or a
+  // fresh-nonce rebroadcast of the same writeback round (writeback
+  // phases); either resets the ack set.
+  retried_op_ = true;
+  if (auto* ob = sim().observer()) ob->count("storage.read.failover");
+  if (phase_ == Phase::kCollect) {
+    start_collect_round();
+  } else {
+    const QuorumIdSet set = wb_set_;  // copy: start_writeback reassigns it
+    start_writeback(wb_round_, set, phase_);
+  }
+}
+
+void RqsReader::on_gate() {
   if (phase_ == Phase::kCollect) {
     maybe_finish_collect_round();
   } else if (phase_ == Phase::kWriteback1) {
@@ -284,7 +280,7 @@ void RqsReader::on_timer(sim::TimerId timer) {
 void RqsReader::maybe_finish_collect_round() {
   // Line 26: acks of this round from some quorum; line 28: in round 1,
   // additionally the 2*Delta timer.
-  if (!timer_expired_) return;
+  if (gate_.armed()) return;
   if (!rqs_.has_quorum_in(round_acks_)) return;
   end_collect_round();
 }
@@ -369,8 +365,7 @@ void RqsReader::after_selection() {
       return;
     }
     // Lines 43-46: guarded round-1 writeback carrying X = BCD(csel, 2, 1).
-    timer_expired_ = false;
-    timer_ = set_timer(2 * sim().delta());
+    gate_.arm(2 * sim().delta());
     wb_target_ = std::move(bcd2_1);
     start_writeback(1, wb_target_, Phase::kWriteback1);
     return;
@@ -410,7 +405,7 @@ void RqsReader::maybe_finish_writeback() {
       return;
     case Phase::kWriteback1: {
       // Line 45: also wait for the timer before the line 46 check.
-      if (!timer_expired_) return;
+      if (gate_.armed()) return;
       // Line 46: acks from some quorum of X => the read completes.
       if (rqs_.has_quorum_in(wb_acks_, wb_target_)) {
         finish(csel_.val);
@@ -459,16 +454,15 @@ void RqsReader::finish(Value v) {
   // the compaction piggyback. A regular read's csel may be a concurrent,
   // incomplete write, so kRegular never advances the floor.
   if (mode_ == Mode::kAtomic && csel_.ts > completed_.ts) completed_ = csel_;
-  if (!timer_expired_) cancel_timer(timer_);
-  timer_expired_ = true;
+  gate_.cancel();
   DoneFn done = std::move(done_);
   done_ = nullptr;
   if (done) done(v);
 }
 
 // Model-checker state digest. Covers every field that steers a future step
-// of the read state machine; excludes the timer_ handle (TimerIds are not
-// canonical across equivalent schedules — timer_expired_ carries the
+// of the read state machine; excludes the gate's id (timer ids are not
+// canonical across equivalent schedules — armed() carries the
 // protocol-visible bit), last_rounds_ / read_started_ (observation only)
 // and the done_ callback (its liveness is implied by phase_).
 void RqsReader::digest_state(Fnv64& h) const {
@@ -482,7 +476,7 @@ void RqsReader::digest_state(Fnv64& h) const {
   digest_into(h, round_acks_);
   digest_into(h, qc2_prime_);
   digest_into(h, highest_ts_);
-  h.mix(timer_expired_ ? 1 : 0);
+  h.mix(gate_.armed() ? 0 : 1);  // Fig. 7's "timeout expired"
   digest_into(h, csel_);
   digest_into(h, completed_);
   h.mix(wb_round_);

@@ -64,16 +64,10 @@ class RqsReader final
   [[nodiscard]] bool busy() const noexcept { return phase_ != Phase::kIdle; }
   /// Total rounds (collect + writeback) of the last completed read.
   [[nodiscard]] RoundNumber last_read_rounds() const noexcept { return last_rounds_; }
-  /// The pair selected (line 35) by the last completed read.
-  [[nodiscard]] TsValue last_selected() const noexcept { return csel_; }
   [[nodiscard]] ObjectId key() const noexcept { return key_; }
-  /// The highest pair this reader knows to be complete (atomic mode only:
-  /// a regular read's csel may be a concurrent, incomplete write).
-  [[nodiscard]] TsValue known_completed() const noexcept { return completed_; }
 
   void on(ProcessId from, const RdAck& ack);
   void on(ProcessId from, const WrAck& ack);
-  void on_timer(sim::TimerId timer) override;
   void digest_state(Fnv64& h) const override;
 
  private:
@@ -117,6 +111,13 @@ class RqsReader final
   [[nodiscard]] sim::PooledMessage<RdMsg> collect_msg();
   [[nodiscard]] sim::PooledMessage<WrMsg> writeback_msg();
   void start_retry();
+  /// The gate's handler: the timeout of collect round 1 or of the guarded
+  /// writeback expired.
+  void on_gate();
+  /// The retransmitter's reactions: re-send the current round's message to
+  /// the servers that have not acked it; once it gives up, fail over.
+  void resend();
+  void fail_over();
 
   const RefinedQuorumSystem& rqs_;
   ProcessSet servers_;
@@ -139,8 +140,9 @@ class RqsReader final
   ProcessSet round_acks_;                       // servers acking this round
   QuorumIdSet qc2_prime_;                       // QC'2 (lines 30-31)
   Timestamp highest_ts_{0};
-  bool timer_expired_{true};
-  sim::TimerId timer_{0};
+  // The 2*Delta timeout of collect round 1 (line 24) and of the guarded
+  // writeback (line 45); idle = expired.
+  sim::Timer gate_{*this, [this] { on_gate(); }};
   TsValue csel_{kInitialPair};
   TsValue completed_{kInitialPair};
 

@@ -51,17 +51,12 @@ class RqsStorageServer
     const auto it = keys_.find(key);
     return it == keys_.end() ? kEmpty : it->second.history;
   }
-  /// Creates the key's state on demand (may allocate).
-  [[nodiscard]] ServerHistory& mutable_history(ObjectId key = 0) {
-    return keys_[key].history;
-  }
   /// Highest complete timestamp the server has learned for the key (rows
   /// below it are compacted away when compaction is enabled).
   [[nodiscard]] Timestamp floor(ObjectId key = 0) const noexcept {
     const auto it = keys_.find(key);
     return it == keys_.end() ? Timestamp{} : it->second.floor;
   }
-  [[nodiscard]] bool compaction_enabled() const noexcept { return compact_; }
 
   /// rd_ack payload accounting for the scaling benches: snapshots sent and
   /// their cumulative row/slot counts since the last reset.

@@ -11,7 +11,9 @@ RqsWriter::RqsWriter(sim::Simulation& sim, ProcessId id,
                      ObjectId key, std::uint32_t rank,
                      RetryPolicy::Config retry)
     : ProcessOf(sim, id), rqs_(rqs), servers_(servers), key_(key),
-      rank_(rank), retx_(sim, id, retry), ts_(0, rank) {}
+      rank_(rank),
+      retx_(*this, retry, [this] { resend(); }, [this] { fail_over(); }),
+      ts_(0, rank) {}
 
 void RqsWriter::write(Value v, DoneFn done) {
   assert(!busy() && "one outstanding operation per client");
@@ -35,12 +37,9 @@ void RqsWriter::start_round() {
   acked_ = ProcessSet{};
   op_ = ++op_seq_;
   send_all(servers_, round_msg());
-  if (round_ < 3) {  // line 11: trigger(timeout) only in rounds 1 and 2
-    timer_expired_ = false;
-    timer_ = set_timer(2 * sim().delta());
-  } else {
-    timer_expired_ = true;
-  }
+  // Line 11: trigger(timeout) only in rounds 1 and 2. Round 3 finds the
+  // gate idle: round 2 ended only after it fired.
+  if (round_ < 3) gate_.arm(2 * sim().delta());
   retx_.start((static_cast<std::uint64_t>(id()) << 32) ^ op_);
 }
 
@@ -65,30 +64,23 @@ void RqsWriter::on(ProcessId from, const WrAck& ack) {
   maybe_finish_round();
 }
 
-void RqsWriter::on_timer(sim::TimerId timer) {
-  using Fired = sim::Retransmitter::Fired;
-  const Fired fired = retx_.fire(timer, [this] {
-    if (auto* ob = sim().observer()) ob->count("storage.write.retransmit");
-    send_all(servers_ - acked_, round_msg());
-  });
-  if (fired != Fired::kNotMine) {
-    retried_op_ = true;
-    if (fired == Fired::kGaveUp) {
-      // Failover: restart the round with a fresh nonce, which resets the
-      // ack set and courts a fresh quorum.
-      if (auto* ob = sim().observer()) ob->count("storage.write.failover");
-      start_round();
-    }
-    return;
-  }
-  if (timer != timer_) return;
-  timer_expired_ = true;
-  maybe_finish_round();
+void RqsWriter::resend() {
+  retried_op_ = true;
+  if (auto* ob = sim().observer()) ob->count("storage.write.retransmit");
+  send_all(servers_ - acked_, round_msg());
+}
+
+void RqsWriter::fail_over() {
+  // Restart the round with a fresh nonce, which resets the ack set and
+  // courts a fresh quorum.
+  retried_op_ = true;
+  if (auto* ob = sim().observer()) ob->count("storage.write.failover");
+  start_round();
 }
 
 void RqsWriter::maybe_finish_round() {
   // Line 12: wait for acks from some quorum AND timeout expiration.
-  if (!timer_expired_) return;
+  if (gate_.armed()) return;
   if (!rqs_.has_quorum_in(acked_)) return;
 
   switch (round_) {
@@ -149,15 +141,15 @@ void RqsWriter::complete() {
   last_rounds_ = round_;
   round_ = 0;
   completed_ = TsValue{ts_, value_};
-  if (!timer_expired_) cancel_timer(timer_);
+  gate_.cancel();
   retx_.stop();
   DoneFn done = std::move(done_);
   done_ = nullptr;
   if (done) done();
 }
 
-// Model-checker state digest; same exclusion rules as RqsReader (timer_
-// handle, last_rounds_ / write_started_, the done_ callback).
+// Model-checker state digest; same exclusion rules as RqsReader (the gate's
+// id, last_rounds_ / write_started_, the done_ callback).
 void RqsWriter::digest_state(Fnv64& h) const {
   digest_into(h, ts_);
   h.mix(static_cast<std::uint64_t>(value_));
@@ -167,7 +159,7 @@ void RqsWriter::digest_state(Fnv64& h) const {
   h.mix(op_seq_);
   digest_into(h, acked_);
   digest_into(h, qc2_prime_);
-  h.mix(timer_expired_ ? 1 : 0);
+  h.mix(gate_.armed() ? 0 : 1);  // Fig. 5's "timeout expired"
   h.mix(retx_.attempt());
 }
 

@@ -58,15 +58,16 @@ class RqsWriter final
   /// The writer's current local timestamp.
   [[nodiscard]] Timestamp timestamp() const noexcept { return ts_; }
   [[nodiscard]] ObjectId key() const noexcept { return key_; }
-  /// The pair of the last write that completed (initial if none yet).
-  [[nodiscard]] TsValue last_completed() const noexcept { return completed_; }
 
   void on(ProcessId from, const WrAck& ack);
-  void on_timer(sim::TimerId timer) override;
   void digest_state(Fnv64& h) const override;
 
  private:
   void start_round();
+  /// The retransmitter's reactions: re-send the round's wr to the servers
+  /// that have not acked it; once it gives up, restart the round.
+  void resend();
+  void fail_over();
   /// The current round's wr, shared by the first send and every same-nonce
   /// retransmission (servers re-ack it idempotently).
   [[nodiscard]] sim::PooledMessage<WrMsg> round_msg();
@@ -89,8 +90,8 @@ class RqsWriter final
   std::uint64_t op_seq_{0};
   ProcessSet acked_;      // servers that acked the current round
   QuorumIdSet qc2_prime_; // the paper's QC'2
-  bool timer_expired_{true};
-  sim::TimerId timer_{0};
+  // The 2*Delta timeout of rounds 1 and 2 (line 11); idle = expired.
+  sim::Timer gate_{*this, [this] { maybe_finish_round(); }};
   RoundNumber last_rounds_{0};
   sim::SimTime write_started_{0};
   bool retried_op_{false};  // any retry timer fired during the current write

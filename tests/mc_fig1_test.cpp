@@ -49,8 +49,16 @@ ScenarioSpec fig1_spec(SystemFamily family) {
   return s;
 }
 
+/// The reduced broken-5 search, explored once and shared by the tests that
+/// read it (each search replays 105,542 arrivals).
+const McResult& broken5() {
+  static const McResult result =
+      explore(fig1_spec(SystemFamily::kFig1Broken5));
+  return result;
+}
+
 TEST(McFig1Test, ExhaustiveSearchRediscoversTheReadInversion) {
-  const McResult r = explore(fig1_spec(SystemFamily::kFig1Broken5));
+  const McResult& r = broken5();
   ASSERT_TRUE(r.error.empty()) << r.error;
   ASSERT_TRUE(r.complete) << "search must exhaust the bounded space";
   expect_pinned(r, {0xcb708dfefe72d940ull, 76754, 984269, 76753, 105542, 26291,
@@ -65,7 +73,7 @@ TEST(McFig1Test, ExhaustiveSearchRediscoversTheReadInversion) {
 TEST(McFig1Test, NaiveAndDporAgreeOnTheViolationSet) {
   McOptions nosleep;
   nosleep.use_sleep_sets = false;
-  const McResult reduced = explore(fig1_spec(SystemFamily::kFig1Broken5));
+  const McResult& reduced = broken5();
   const McResult exhaustive =
       explore(fig1_spec(SystemFamily::kFig1Broken5), nosleep);
   ASSERT_TRUE(reduced.complete);
@@ -92,7 +100,7 @@ TEST(McFig1Test, RepairedFast5CertifiesCleanOnTheSameSchedule) {
 
 TEST(McFig1Test, McViolationReplaysCanonically) {
   const ScenarioSpec spec = fig1_spec(SystemFamily::kFig1Broken5);
-  const McResult r = explore(spec);
+  const McResult& r = broken5();
   ASSERT_EQ(r.violations.size(), 1u);
   McExecution exec(spec);
   ASSERT_TRUE(exec.unsupported().empty());

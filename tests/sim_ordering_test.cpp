@@ -6,8 +6,9 @@
 //     instant — the synchrony bound Delta is an upper bound, so a message
 //     sent within a timeout window counts when the timeout expires;
 //   * FIFO schedule order within a phase, across senders and event kinds;
-//   * cancel_timer semantics around the fire instant: a same-instant
-//     delivery can still cancel (its phase comes first), a stale id is a
+//   * Timer::cancel semantics around the fire instant: a same-instant
+//     delivery can still cancel (its phase comes first), cancelling an
+//     idle timer does nothing, and a stale id (a crashed owner's) is a
 //     no-op even after its slot is recycled.
 // Plus the bookkeeping bounds: timer and callback slots are recycled, so a
 // long churn run keeps both structures at the in-flight peak, not at the
@@ -33,7 +34,8 @@ struct NoteMsg final : TypedMessage<NoteMsg, MessageList<NoteMsg>, 64> {
   [[nodiscard]] std::string_view tag() const override { return "NOTE"; }
 };
 
-/// Appends "m<note>" per message and "t" per timer fire to a shared log.
+/// Appends "m<note>" per message and "t<id>" per expiry of its timer to a
+/// shared log.
 class Logger final : public ProcessOf<Logger, MessageList<NoteMsg>> {
  public:
   Logger(Simulation& sim, ProcessId id, std::vector<std::string>& log)
@@ -42,17 +44,10 @@ class Logger final : public ProcessOf<Logger, MessageList<NoteMsg>> {
   void on(ProcessId, const NoteMsg& note) {
     log_.push_back("m" + std::to_string(note.note));
   }
-  void on_timer(TimerId t) override {
-    log_.push_back("t");
-    fired.push_back(t);
-  }
 
-  using Process::cancel_timer;
   using Process::send;
-  using Process::set_timer;
 
-  std::vector<TimerId> fired;
-  TimerId pending{0};
+  Timer timer{*this, [this] { log_.push_back("t" + std::to_string(id())); }};
 
  private:
   std::vector<std::string>& log_;
@@ -70,22 +65,22 @@ TEST(SimOrderingTest, DeliveryBeforeTimerAtSameInstant) {
   Logger a(sim, 0, log), b(sim, 1, log);
   // Timer armed first, message sent second — both due at t = 10. The
   // delivery must still win: phase beats arrival order.
-  (void)b.set_timer(10);
+  b.timer.arm(10);
   a.send(1, note(sim, 1));
   sim.run();
-  EXPECT_EQ(log, (std::vector<std::string>{"m1", "t"}));
+  EXPECT_EQ(log, (std::vector<std::string>{"m1", "t1"}));
 }
 
 TEST(SimOrderingTest, CallbackSharesDeliveryPhaseBeforeTimers) {
   Simulation sim(10);
   std::vector<std::string> log;
   Logger a(sim, 0, log), b(sim, 1, log);
-  (void)b.set_timer(10);
+  b.timer.arm(10);
   a.send(1, note(sim, 1));                             // due 10, seq after timer
   sim.schedule_at(10, [&] { log.push_back("cb"); });   // due 10, seq last
   sim.run();
   // Delivery phase is FIFO among messages and callbacks; the timer is last.
-  EXPECT_EQ(log, (std::vector<std::string>{"m1", "cb", "t"}));
+  EXPECT_EQ(log, (std::vector<std::string>{"m1", "cb", "t1"}));
 }
 
 TEST(SimOrderingTest, FifoWithinPhaseAcrossSenders) {
@@ -102,13 +97,13 @@ TEST(SimOrderingTest, FifoWithinPhaseAcrossSenders) {
 TEST(SimOrderingTest, TimersFifoWithinPhase) {
   Simulation sim(10);
   std::vector<std::string> log;
-  Logger a(sim, 0, log);
-  const TimerId t1 = a.set_timer(10);
-  const TimerId t2 = a.set_timer(10);
+  Logger a(sim, 0, log), b(sim, 1, log), c(sim, 2, log);
+  // Arm order, not owner id, decides among expiries due together.
+  b.timer.arm(10);
+  c.timer.arm(10);
+  a.timer.arm(10);
   sim.run();
-  ASSERT_EQ(a.fired.size(), 2u);
-  EXPECT_EQ(a.fired[0], t1);
-  EXPECT_EQ(a.fired[1], t2);
+  EXPECT_EQ(log, (std::vector<std::string>{"t1", "t2", "t0"}));
 }
 
 TEST(SimOrderingTest, SameInstantDeliveryCancelsTimer) {
@@ -123,9 +118,7 @@ TEST(SimOrderingTest, SameInstantDeliveryCancelsTimer) {
    public:
     Canceller(Simulation& sim, ProcessId id, Logger& victim)
         : ProcessOf(sim, id), victim_(victim) {}
-    void on(ProcessId, const NoteMsg&) {
-      victim_.cancel_timer(victim_.pending);
-    }
+    void on(ProcessId, const NoteMsg&) { victim_.timer.cancel(); }
     using Process::send;
 
    private:
@@ -133,38 +126,70 @@ TEST(SimOrderingTest, SameInstantDeliveryCancelsTimer) {
   } canceller(sim, 0, b);
 
   // Deliver the cancel trigger to the canceller at t=10 (b's timer also 10).
-  b.pending = b.set_timer(10);
+  b.timer.arm(10);
   canceller.send(0, note(sim, 0));  // self-send, arrives t = 10, phase kDelivery
   sim.run();
   EXPECT_EQ(log, (std::vector<std::string>{}));  // timer never fired
-  EXPECT_TRUE(b.fired.empty());
+  EXPECT_FALSE(b.timer.armed());
 }
 
 TEST(SimOrderingTest, SameInstantCallbackCancelsTimer) {
   Simulation sim(10);
   std::vector<std::string> log;
   Logger a(sim, 0, log);
-  const TimerId t = a.set_timer(10);
-  sim.schedule_at(10, [&] { a.cancel_timer(t); });
+  a.timer.arm(10);
+  sim.schedule_at(10, [&] { a.timer.cancel(); });
   sim.run();
-  EXPECT_TRUE(a.fired.empty());
+  EXPECT_TRUE(log.empty());
 }
 
-TEST(SimOrderingTest, StaleCancelAfterRecycleIsNoOp) {
+TEST(SimOrderingTest, CancellingAnIdleTimerDoesNothing) {
+  Simulation sim(10);
+  std::vector<std::string> log;
+  Logger a(sim, 0, log), b(sim, 1, log);
+  b.timer.arm(10);
+  a.timer.cancel();  // never armed
+  sim.run();
+  a.timer.arm(10);
+  sim.run();
+  // a's expiry ran, so a is idle; b reuses the freed slot.
+  EXPECT_FALSE(a.timer.armed());
+  b.timer.arm(10);
+  a.timer.cancel();
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"t1", "t0", "t1"}));
+}
+
+TEST(SimOrderingTest, CrashedOwnersTimerNeverRunsItsHandler) {
   Simulation sim(10);
   std::vector<std::string> log;
   Logger a(sim, 0, log);
-  const TimerId t1 = a.set_timer(10);
+  a.timer.arm(10);
+  sim.schedule_at(5, [&] { sim.crash(0); });
   sim.run();
-  ASSERT_EQ(a.fired, (std::vector<TimerId>{t1}));
-  // t2 recycles t1's slot under a fresh generation; cancelling the stale
-  // t1 id must not touch it.
-  const TimerId t2 = a.set_timer(10);
-  EXPECT_NE(t1, t2);
-  a.cancel_timer(t1);
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(sim.now(), 10);  // the expiry still popped
+  // Frozen with its owner: a crashed process takes no further step.
+  EXPECT_TRUE(a.timer.armed());
+}
+
+TEST(SimOrderingTest, StaleCancelAfterRecycleIsNoOp) {
+  // A crashed owner's timer keeps the id of an expiry that has popped and
+  // freed its slot. Another timer then reuses the slot under a fresh
+  // generation; cancelling the stale id must not touch it.
+  Simulation sim(10);
+  std::vector<std::string> log;
+  Logger a(sim, 0, log), b(sim, 1, log);
+  a.timer.arm(10);
+  const TimerId stale = a.timer.id();
+  sim.crash(0);
   sim.run();
-  ASSERT_EQ(a.fired.size(), 2u);
-  EXPECT_EQ(a.fired[1], t2);
+  b.timer.arm(10);
+  ASSERT_EQ(b.timer.id() & 0xffffffffu, stale & 0xffffffffu);  // same slot
+  EXPECT_NE(b.timer.id(), stale);
+  a.timer.cancel();
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"t1"}));
 }
 
 TEST(SimOrderingTest, CancelInsideOwnFireIsNoOpAndReArmGetsFreshId) {
@@ -172,19 +197,26 @@ TEST(SimOrderingTest, CancelInsideOwnFireIsNoOpAndReArmGetsFreshId) {
   class ReArm final : public ProcessOf<ReArm, MessageList<>> {
    public:
     ReArm(Simulation& sim, ProcessId id) : ProcessOf(sim, id) {}
-    void on_timer(TimerId t) override {
-      ids.push_back(t);
-      cancel_timer(t);  // stale by now: must not affect anything
-      if (ids.size() < 3) (void)set_timer(10);
-    }
-    using Process::set_timer;
-    std::vector<TimerId> ids;
+    std::vector<TimerId> ids;  // one per arm
+    std::size_t fires{0};
+    Timer timer{*this, [this] {
+      ++fires;
+      EXPECT_FALSE(timer.armed());
+      timer.cancel();  // idle inside its own handler: must not affect anything
+      if (ids.size() < 3) {
+        timer.arm(10);
+        ids.push_back(timer.id());
+      }
+    }};
   } p(sim, 0);
-  (void)p.set_timer(10);
+  p.timer.arm(10);
+  p.ids.push_back(p.timer.id());
   sim.run();
+  EXPECT_EQ(p.fires, 3u);
   ASSERT_EQ(p.ids.size(), 3u);
   EXPECT_NE(p.ids[0], p.ids[1]);
   EXPECT_NE(p.ids[1], p.ids[2]);
+  EXPECT_EQ(sim.timer_slot_capacity(), 1u);  // each re-arm reused the slot
   EXPECT_EQ(sim.now(), 30);
 }
 
@@ -194,15 +226,14 @@ TEST(SimOrderingTest, TimerSlotsStayBoundedUnderChurn) {
   // churn must keep the slot table at the in-flight peak.
   Simulation sim(10);
   std::vector<std::string> log;
-  Logger a(sim, 0, log);
+  Logger keep(sim, 0, log), drop(sim, 1, log);
   for (int round = 0; round < 10000; ++round) {
-    const TimerId keep = a.set_timer(5);
-    const TimerId drop = a.set_timer(7);
-    a.cancel_timer(drop);
+    keep.timer.arm(5);
+    drop.timer.arm(7);
+    drop.timer.cancel();
     sim.run();
-    ASSERT_EQ(a.fired.back(), keep);
   }
-  EXPECT_EQ(a.fired.size(), 10000u);
+  EXPECT_EQ(log, std::vector<std::string>(10000, "t0"));
   EXPECT_LE(sim.timer_slot_capacity(), 2u);  // peak in-flight, not 20000
 }
 
@@ -255,8 +286,8 @@ TEST(SimOrderingTest, MessagePoolRecyclesBlocksAcrossARun) {
 // steps, same counts, the same view for the model checker, and no message
 // reference left behind.
 
-/// Logs "<receiver>:m<note>" per delivery and "t" per timer fire, then
-/// runs `hook` once if one is set.
+/// Logs "<receiver>:m<note>" per delivery and "t" per expiry of its timer,
+/// then runs `hook` once if one is set.
 class Recorder final : public ProcessOf<Recorder, MessageList<NoteMsg>> {
  public:
   Recorder(Simulation& sim, ProcessId id, std::vector<std::string>& log)
@@ -266,13 +297,12 @@ class Recorder final : public ProcessOf<Recorder, MessageList<NoteMsg>> {
     log_.push_back(std::to_string(id()) + ":m" + std::to_string(n.note));
     if (hook) std::exchange(hook, nullptr)();
   }
-  void on_timer(TimerId) override { log_.push_back("t"); }
 
   using Process::send;
   using Process::send_all;
-  using Process::set_timer;
 
   std::function<void()> hook;
+  Timer timer{*this, [this] { log_.push_back("t"); }};
 
  private:
   std::vector<std::string>& log_;
@@ -310,7 +340,7 @@ TEST(SimOrderingTest, SameInstantTimerFiresAfterEveryFanoutTarget) {
   Simulation sim(10);
   std::vector<std::string> log;
   auto sinks = recorders(sim, 4, log);
-  (void)sinks[2]->set_timer(10);  // armed first, due with the broadcast
+  sinks[2]->timer.arm(10);  // armed first, due with the broadcast
   sinks[0]->send_all(ProcessSet::universe(4), note(sim, 1));
   sim.run();
   EXPECT_EQ(log, (std::vector<std::string>{"0:m1", "1:m1", "2:m1", "3:m1", "t"}));

@@ -37,12 +37,9 @@ class Recorder final : public ProcessOf<Recorder, MessageList<PingMsg>> {
       send(from, std::move(reply));
     }
   }
-  void on_timer(TimerId t) override { timers.push_back({t, now()}); }
 
   using Process::send;      // widen for tests
   using Process::send_all;
-  using Process::set_timer;
-  using Process::cancel_timer;
 
   struct Rx {
     ProcessId from;
@@ -50,7 +47,6 @@ class Recorder final : public ProcessOf<Recorder, MessageList<PingMsg>> {
     SimTime at;
   };
   std::vector<Rx> received;
-  std::vector<std::pair<TimerId, SimTime>> timers;
 
  private:
   bool echo_;
@@ -90,7 +86,6 @@ TEST(SimTest, UnlistedMessageTypeReachesNoHandler) {
   sim.run();
   EXPECT_EQ(sim.messages_delivered(), 1u);
   EXPECT_TRUE(b.received.empty());
-  EXPECT_TRUE(b.timers.empty());
   EXPECT_EQ(sim.network().messages_sent(), 1u);
 }
 
@@ -128,14 +123,21 @@ TEST(SimTest, CrashMidFlightSuppressesDelivery) {
 
 TEST(SimTest, TimersFireAndCancel) {
   Simulation sim(10);
-  Recorder a(sim, 0);
-  const TimerId t1 = a.set_timer(30);
-  const TimerId t2 = a.set_timer(50);
-  a.cancel_timer(t2);
+  class Alarms final : public ProcessOf<Alarms, MessageList<>> {
+   public:
+    Alarms(Simulation& sim, ProcessId id) : ProcessOf(sim, id) {}
+    std::vector<std::pair<int, SimTime>> fired;
+    Timer first{*this, [this] { fired.emplace_back(1, now()); }};
+    Timer second{*this, [this] { fired.emplace_back(2, now()); }};
+  } a(sim, 0);
+  a.first.arm(30);
+  a.second.arm(50);
+  EXPECT_TRUE(a.second.armed());
+  a.second.cancel();
+  EXPECT_FALSE(a.second.armed());
   sim.run();
-  ASSERT_EQ(a.timers.size(), 1u);
-  EXPECT_EQ(a.timers[0].first, t1);
-  EXPECT_EQ(a.timers[0].second, 30);
+  EXPECT_EQ(a.fired, (std::vector<std::pair<int, SimTime>>{{1, 30}}));
+  EXPECT_FALSE(a.first.armed());
 }
 
 TEST(SimTest, ScheduledCallbacksRunInTimeOrder) {

@@ -3,6 +3,8 @@
 // read/write contention.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/constructions.hpp"
 #include "sim/network.hpp"
 #include "storage/harness.hpp"
@@ -148,6 +150,17 @@ TEST(StorageFaultTest, ThirdRoundFallback) {
   const auto rd = cluster.blocking_read(0);
   EXPECT_EQ(rd.value, 2);
   EXPECT_TRUE(cluster.checker().check().atomic);
+}
+
+TEST(StorageFaultTest, BlockingOpsThrowWhenNoServerAnswers) {
+  // With every server crashed the queue drains before the op completes.
+  // The blocking calls must say so, not return the previous write's rounds
+  // or a bottom read.
+  StorageCluster cluster(make_fig1_fast5(), {.reader_count = 1});
+  EXPECT_EQ(cluster.blocking_write(1), 1u);
+  for (ProcessId s = 0; s < 5; ++s) cluster.crash(s);
+  EXPECT_THROW(cluster.blocking_write(9), std::runtime_error);
+  EXPECT_THROW(cluster.blocking_read(0), std::runtime_error);
 }
 
 }  // namespace

@@ -30,16 +30,6 @@ compiler warning enforces. This linter machine-checks them:
                   Placement new (`new (block) T`) is allocation-free and
                   permitted.
 
-  retry-timer     Every set_timer call site in protocol code must bind the
-                  returned TimerId to a member — `member_ = set_timer(...)`
-                  or the ctor-init form `member_(set_timer(...))` — that an
-                  on_timer body in the same file (or its paired
-                  header/source) names. An armed timer whose id nobody
-                  checks fires into a handler that ignores it, which is
-                  exactly how a retransmission layer silently stops
-                  retransmitting. `// rqs-lint: allow(timer)` waives a
-                  deliberate fire-and-forget site.
-
 Suppressions: a `// rqs-lint: allow(<rule>) <reason>` comment suppresses
 that rule on its own line, or on the next line when the marker line is
 comment-only. File-level allowances live in ALLOWLIST below — extend it
@@ -104,16 +94,6 @@ HOTPATH_PATTERNS = [
 HOT_PATH_MARK = re.compile(r"^\s*//\s*rqs-hot-path\b")
 ALLOW_MARK = re.compile(r"//\s*rqs-lint:\s*allow\(([a-z\-, ]+)\)")
 COMMENT_ONLY = re.compile(r"^\s*(//|/\*|\*)")
-
-# retry-timer: a call site binds the TimerId with `member_ = set_timer(`
-# or the ctor-init form `member_(set_timer(`; the API's own declaration
-# (`TimerId set_timer(SimTime)`) is the one shape with a type ahead of the
-# name and is skipped. "timer" is accepted as the allow() spelling so the
-# waiver reads as prose at the call site.
-SET_TIMER_CALL = re.compile(r"\bset_timer\s*\(")
-SET_TIMER_BIND = re.compile(r"\b(\w+)\s*(?:=|\()\s*set_timer\s*\(")
-SET_TIMER_DECL = re.compile(r"\bTimerId\s+set_timer\s*\(")
-ON_TIMER_SIG = re.compile(r"\bvoid\s+(?:[\w:]+::)?on_timer\s*\(")
 
 class Finding:
     def __init__(self, path: Path, line: int, rule: str, msg: str):
@@ -222,110 +202,6 @@ def hot_path_lines(raw_lines: list[str], code_lines: list[str]) -> set[int]:
 
 
 # --------------------------------------------------------------------------
-# retry-timer support: tokens referenced inside on_timer bodies
-# --------------------------------------------------------------------------
-
-_on_timer_cache: dict[Path, frozenset[str]] = {}
-
-
-def on_timer_tokens(path: Path) -> frozenset[str]:
-    """Word tokens appearing inside on_timer *definition* bodies in `path`
-    (comments and strings stripped, so prose cannot mark a timer handled).
-    Empty when the file holds only declarations."""
-    path = path.resolve()
-    cached = _on_timer_cache.get(path)
-    if cached is not None:
-        return cached
-    try:
-        code = strip_code(path.read_text(encoding="utf-8").splitlines())
-    except (OSError, UnicodeDecodeError):
-        code = []
-    tokens: set[str] = set()
-    n = len(code)
-    i = 0
-    while i < n:
-        m = ON_TIMER_SIG.search(code[i])
-        if not m:
-            i += 1
-            continue
-        # '{' before ';' opens a definition body; ';' means a declaration.
-        j, col = i, m.end()
-        open_line = open_col = -1
-        while j < n:
-            seg = code[j][col:]
-            bpos, spos = seg.find("{"), seg.find(";")
-            if bpos != -1 and (spos == -1 or bpos < spos):
-                open_line, open_col = j, col + bpos
-                break
-            if spos != -1:
-                break
-            j, col = j + 1, 0
-        if open_line < 0:
-            i = j + 1
-            continue
-        depth, k, kcol, done = 0, open_line, open_col, False
-        while k < n and not done:
-            for c in code[k][kcol:]:
-                if c == "{":
-                    depth += 1
-                elif c == "}":
-                    depth -= 1
-                    if depth == 0:
-                        done = True
-                        break
-            tokens.update(re.findall(r"\w+", code[k][kcol:]))
-            if not done:
-                k, kcol = k + 1, 0
-        i = k + 1
-    out = frozenset(tokens)
-    _on_timer_cache[path] = out
-    return out
-
-
-def handled_timer_names(path: Path) -> frozenset[str]:
-    """Tokens named by on_timer bodies in `path` or its paired
-    header/source (learner.hpp arms in the header it handles in; the
-    storage/consensus automata arm in the .cpp their .hpp declares)."""
-    names = set(on_timer_tokens(path))
-    siblings = {".cpp": (".hpp", ".h"), ".cc": (".hpp", ".h"),
-                ".hpp": (".cpp", ".cc"), ".h": (".cpp", ".cc")}
-    for ext in siblings.get(path.suffix, ()):
-        sib = path.with_suffix(ext)
-        if sib.exists():
-            names |= on_timer_tokens(sib)
-    return frozenset(names)
-
-
-def check_retry_timer(path: Path, code: list[str], allowed: list[set[str]],
-                      findings: list[Finding]) -> None:
-    handled: frozenset[str] | None = None  # computed lazily, once per file
-    for idx, cl in enumerate(code):
-        if not SET_TIMER_CALL.search(cl) or SET_TIMER_DECL.search(cl):
-            continue
-        if "retry-timer" in allowed[idx] or "timer" in allowed[idx]:
-            continue
-        m = SET_TIMER_BIND.search(cl)
-        if not m:
-            findings.append(Finding(
-                path, idx + 1, "retry-timer",
-                "set_timer result is not bound to a TimerId member "
-                "(`member_ = set_timer(...)` or `member_(set_timer(...))`): "
-                "an unidentifiable timer can be neither matched in on_timer "
-                "nor cancelled; bind it or mark `// rqs-lint: allow(timer)`"))
-            continue
-        name = m.group(1)
-        if handled is None:
-            handled = handled_timer_names(path)
-        if name not in handled:
-            findings.append(Finding(
-                path, idx + 1, "retry-timer",
-                f"{name} is armed via set_timer but no on_timer body in "
-                f"this file or its paired header/source names it: the "
-                f"timer fires into a handler that ignores it; handle "
-                f"{name} in on_timer or mark `// rqs-lint: allow(timer)`"))
-
-
-# --------------------------------------------------------------------------
 # Per-file checks
 # --------------------------------------------------------------------------
 
@@ -360,8 +236,6 @@ def scan_file(path: Path, rel: str, findings: list[Finding]) -> None:
                     "digests; use a flat sorted container or std::map/set"))
 
     if in_protocol:
-        if "retry-timer" not in file_allow:
-            check_retry_timer(path, code, allowed, findings)
         hot = hot_path_lines(raw, code)
         for idx in sorted(hot):
             if "hot-path-alloc" in file_allow or "hot-path-alloc" in allowed[idx]:
