@@ -1,5 +1,6 @@
 #include "consensus/harness.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -82,20 +83,14 @@ void ConsensusCluster::propose(std::size_t i, Value v) {
 }
 
 bool ConsensusCluster::run_until_learned(sim::SimTime deadline_deltas) {
-  const sim::SimTime deadline = sim_.now() + deadline_deltas * sim_.delta();
-  while (!sim_.idle() && sim_.now() <= deadline) {
-    bool all = true;
-    for (const auto& l : learners_) {
-      if (!sim_.crashed(l->id()) && !l->learned()) all = false;
-    }
-    if (all) return true;
-    sim_.step();
-  }
-  bool all = true;
-  for (const auto& l : learners_) {
-    if (!sim_.crashed(l->id()) && !l->learned()) all = false;
-  }
-  return all;
+  return sim_.run_until(
+      [this] {
+        return std::all_of(learners_.begin(), learners_.end(),
+                           [this](const auto& l) {
+                             return sim_.crashed(l->id()) || l->learned();
+                           });
+      },
+      sim_.now() + deadline_deltas * sim_.delta());
 }
 
 std::optional<sim::SimTime> ConsensusCluster::learn_delays(std::size_t i) const {

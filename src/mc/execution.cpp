@@ -184,57 +184,34 @@ void McExecution::enabled(std::vector<Choice>& out) {
   for (std::size_t i = 0; i < queued; ++i) {
     const sim::Event& ev = sim.queued_event(i);
     assert(sim.event_live(ev));  // drain_dead() ran after the last fire
+    Choice c = event_choice(ev);
+    c.position = static_cast<std::uint32_t>(i);
     // rqs-lint: allow(hot-path-alloc) amortized: caller reuses the vector
-    out.push_back(event_choice(ev));
+    out.push_back(c);
   }
-  std::sort(out.begin(), out.end());
+  // Payload-identical events tie on (kind, id); the smallest Event::key
+  // goes first, and unique() keeps it. Their firings are interchangeable,
+  // so the pick is canonical. The one injection never ties.
+  std::sort(out.begin(), out.end(), [&sim](const Choice& a, const Choice& b) {
+    if (a < b) return true;
+    if (b < a || a.kind == Choice::Kind::kInject) return false;
+    return sim.queued_event(a.position).key < sim.queued_event(b.position).key;
+  });
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
 // rqs-hot-path
-bool McExecution::fire(const Choice& c) {
-  std::size_t position = kInjection;
+void McExecution::fire(const Choice& c) {
   if (c.kind == Choice::Kind::kInject) {
-    if (c.id != injected_ || injected_ >= spec_.schedule.size()) return false;
-  } else {
-    // The queue-order-smallest event matching the canonical key;
-    // payload-identical duplicates commute, so the pick is canonical.
-    sim::Simulation& sim = cluster_.sim();
-    position = sim.queued_count();
-    std::uint64_t best_key = 0;
-    for (std::size_t i = 0; i < sim.queued_count(); ++i) {
-      const sim::Event& ev = sim.queued_event(i);
-      const bool is_timer = ev.kind() == sim::Event::kTimer;
-      if (is_timer != (c.kind == Choice::Kind::kTimer)) continue;
-      if (ev.kind() == sim::Event::kCallback) continue;
-      const std::uint64_t id = is_timer ? timer_id(ev) : delivery_id(ev);
-      if (id != c.id) continue;
-      if (position == sim.queued_count() || ev.key < best_key) {
-        position = i;
-        best_key = ev.key;
-      }
-    }
-    if (position == sim.queued_count()) return false;
-  }
-  fire_at(c, position);
-  fired_position_ = position;
-  return true;
-}
-
-// rqs-hot-path
-void McExecution::fire_at([[maybe_unused]] const Choice& c,
-                          std::size_t position) {
-  if (position == kInjection) {
-    assert(c.kind == Choice::Kind::kInject && c.id == injected_);
+    assert(c.id == injected_ && injected_ < spec_.schedule.size());
     inject_next();
   } else {
     sim::Simulation& sim = cluster_.sim();
-    assert(position < sim.queued_count() &&
-           event_choice(sim.queued_event(position)) == c);
-    sim.fire_queued(position);
+    assert(c.position < sim.queued_count() &&
+           event_choice(sim.queued_event(c.position)) == c);
+    sim.fire_queued(c.position);
   }
   drain_dead();
-  refresh_ops();
 }
 
 void McExecution::inject_next() {
@@ -245,11 +222,7 @@ void McExecution::inject_next() {
   }
   if (!scenario::start_storage_op(cluster_, visibility_, e)) {
     ++skipped_;  // client busy: the entry is a no-op
-    return;
   }
-  const bool write = e.kind == ScheduleEntry::Kind::kWrite;
-  ops_.push_back(OpRec{write, e.key, write ? 0 : e.client, ++clock_, 0,
-                       write ? e.value : kBottom, false});
 }
 
 void McExecution::drain_dead() {
@@ -272,28 +245,12 @@ void McExecution::drain_dead() {
   }
 }
 
-void McExecution::refresh_ops() {
-  for (OpRec& op : ops_) {
-    if (op.completed) continue;
-    if (op.is_write) {
-      if (cluster_.write_done(op.key)) {
-        op.completed = true;
-        op.responded = ++clock_;
-      }
-    } else if (cluster_.read_done(op.key, op.reader)) {
-      op.completed = true;
-      op.responded = ++clock_;
-      op.value = cluster_.last_read_value(op.key, op.reader);
-    }
-  }
-}
-
 // rqs-hot-path
 std::uint64_t McExecution::digest() {
   Fnv64 h;
   h.mix(injected_);
   h.mix(skipped_);
-  h.mix(clock_);
+  h.mix(cluster_.endpoints());
 
   // Crash set + process automata, in fixed id order. The id range covers
   // servers (0..n-1) and the contiguous per-key client blocks.
@@ -331,15 +288,16 @@ std::uint64_t McExecution::digest() {
   h.mix(scratch_.size());
   for (const std::uint64_t d : scratch_) h.mix(d);
 
-  // Operation log with logical endpoints: merged states must agree on
+  // Operation log with endpoint ordinals: merged states must agree on
   // every future atomicity verdict, not just on automaton state.
-  h.mix(ops_.size());
-  for (const OpRec& op : ops_) {
+  const auto& ops = cluster_.operations();
+  h.mix(ops.size());
+  for (const auto& op : ops) {
     h.mix(static_cast<std::uint64_t>(op.is_write));
     h.mix(op.key);
     h.mix(op.reader);
     h.mix(op.invoked);
-    h.mix(static_cast<std::uint64_t>(op.completed));
+    h.mix(static_cast<std::uint64_t>(op.completed()));
     h.mix(op.responded);
     h.mix(static_cast<std::uint64_t>(op.value));
   }
@@ -348,22 +306,22 @@ std::uint64_t McExecution::digest() {
 
 void McExecution::violations(std::vector<std::string>& out) const {
   out.clear();
+  const auto& ops = cluster_.operations();
   for (ObjectId key = 0; key < spec_.key_count; ++key) {
     storage::AtomicityChecker ck;
-    for (const OpRec& op : ops_) {
-      if (op.is_write && op.key == key && op.completed) {
+    for (const auto& op : ops) {
+      if (op.is_write && op.key == key && op.completed()) {
         ck.add_write(static_cast<sim::SimTime>(op.invoked),
-                     static_cast<sim::SimTime>(op.responded),
-                     op.value);
+                     static_cast<sim::SimTime>(op.responded), op.value);
       }
     }
-    for (const OpRec& op : ops_) {
-      if (op.is_write && op.key == key && !op.completed) {
+    for (const auto& op : ops) {
+      if (op.is_write && op.key == key && !op.completed()) {
         ck.add_pending_write(static_cast<sim::SimTime>(op.invoked), op.value);
       }
     }
-    for (const OpRec& op : ops_) {
-      if (!op.is_write && op.key == key && op.completed) {
+    for (const auto& op : ops) {
+      if (!op.is_write && op.key == key && op.completed()) {
         ck.add_read(static_cast<sim::SimTime>(op.invoked),
                     static_cast<sim::SimTime>(op.responded), op.value);
       }

@@ -18,9 +18,11 @@
 //
 // Operation endpoints. With delta = 0 the simulation clock is useless for
 // atomicity checking (every operation would overlap every other), so the
-// execution keeps a logical clock that ticks exactly at operation
-// endpoints: once per injection of a client operation and once per
-// completion. Endpoints only move at client-side transitions, and all
+// checker times operations by the cluster's operation log, whose ordinals
+// tick exactly at operation endpoints: once per invocation (an injected
+// client operation) and once per response. At most one operation
+// completes per fired event, so the ordinals order the endpoints as the
+// firings do. Endpoints only move at client-side transitions, and all
 // client-side transitions are declared mutually dependent — their relative
 // order is invariant within an equivalence class — so the recorded
 // intervals, and the per-key AtomicityChecker verdicts computed from them,
@@ -42,17 +44,22 @@ namespace rqs::mc {
 struct Choice {
   enum class Kind : std::uint8_t { kInject = 0, kDeliver = 1, kTimer = 2 };
 
-  Kind kind{Kind::kInject};
   /// Canonical content key (schedule index / delivery content hash /
   /// timer owner+ordinal hash). Together with `kind` it identifies the
   /// transition within a state; identical keys denote payload-identical
   /// events whose firings are interchangeable.
   std::uint64_t id{0};
+  /// Where the named event sits in the queue of the state enabled() listed
+  /// it in (unused for injections): among payload-identical events, the
+  /// one with the smallest Event::key. Not part of the choice's identity,
+  /// so ==, < and key() ignore it.
+  std::uint32_t position{0};
   /// The process whose state the transition mutates (kInvalidProcess for
   /// fault injections with no single target).
   ProcessId target{kInvalidProcess};
-  /// Participates in the logical client clock (see file comment). All
-  /// client-side transitions are mutually dependent.
+  Kind kind{Kind::kInject};
+  /// Moves an operation endpoint (see file comment). All client-side
+  /// transitions are mutually dependent.
   bool client_side{true};
   /// Conflicts with everything (crash / partition injections: they change
   /// which *other* transitions are live).
@@ -71,12 +78,21 @@ struct Choice {
   }
 };
 
+// The digest cache keeps a sleep set of choices for each distinct state
+// (84,082 in one mc-fig1 pass). A 32-byte Choice (a 64-bit position, with
+// `kind` ahead of `id`) raised mc-fig1's peak RSS from 11.8 to 12.9 MiB,
+// +9% against a 10% bound.
+static_assert(sizeof(Choice) == 24,
+              "Choice must stay 24 bytes: sleep sets hold one per state");
+
 /// The independence relation of the partial-order reduction: two
 /// co-enabled transitions commute iff neither is global, they target
 /// different processes, and they are not both client-side (client-side
-/// order defines the logical operation endpoints, so it is never reduced
-/// away). This mirrors the commutativity oracle next to the dispatch
-/// switch in src/sim/simulation.cpp.
+/// order defines the operation endpoints, so it is never reduced away).
+/// Dispatching an event mutates only the state of the target that
+/// McExecution::event_choice() names (delivery receiver, timer owner),
+/// plus simulator bookkeeping that is kept out of state digests or is
+/// canonical per trace, so events with different targets commute.
 [[nodiscard]] inline bool independent(const Choice& a,
                                       const Choice& b) noexcept {
   if (a.global || b.global) return false;
@@ -104,61 +120,44 @@ class McExecution {
   }
 
   /// All enabled transitions of the current state, sorted by (kind, id)
-  /// and deduplicated (payload-identical events collapse to one choice).
+  /// and deduplicated (payload-identical events collapse to one choice,
+  /// the one with the smallest Event::key). Each choice records the queue
+  /// position of the event it names.
   void enabled(std::vector<Choice>& out);
 
   /// Fires the transition named `c`: injects the next schedule entry or
-  /// dispatches the matching queued event, then drains dead events and
-  /// records operation completions. False iff no enabled transition
-  /// matches (replay of a stale schedule). On success, fired_position()
-  /// says where `c` was found.
-  bool fire(const Choice& c);
-
-  /// fired_position() of an injection.
-  static constexpr std::size_t kInjection = ~std::size_t{0};
-
-  /// The queue position of the event the last successful fire()
-  /// dispatched, or kInjection.
-  [[nodiscard]] std::size_t fired_position() const noexcept {
-    return fired_position_;
-  }
-
-  /// Takes the step fire(c) took at this point of an earlier execution of
-  /// the same spec, where fired_position() was `position`. A replay of the
-  /// same prefix from the initial state meets the same queue at every
-  /// step, so this dispatches `position` without hashing the queue to
-  /// find `c`. Debug builds assert that the event there is named `c`.
-  void fire_at(const Choice& c, std::size_t position);
+  /// dispatches the queued event at c.position, then drains dead events.
+  /// `c` must come from enabled() at this state, or at the same step of an
+  /// earlier execution of the same spec that fired the same choices: that
+  /// replay meets the same queue. Debug builds assert that the event at
+  /// c.position is named `c`.
+  void fire(const Choice& c);
 
   /// Canonical digest of the full state: process automata, live pending
-  /// events (as a content multiset), crash set, injection cursor, logical
-  /// clock and the operation log. Equal across every interleaving of the
-  /// same trace; see digest_state() contracts in sim/process.hpp.
+  /// events (as a content multiset), crash set, injection cursor and the
+  /// cluster's operation log with its endpoint count. Equal across every
+  /// interleaving of the same trace; see digest_state() contracts in
+  /// sim/process.hpp.
   [[nodiscard]] std::uint64_t digest();
 
   /// Canonical atomicity verdicts of the operation log so far (one string
-  /// per violation, keyed per register). Completed operations never
-  /// un-complete, so violations are monotone along an execution.
+  /// per violation, keyed per register; reads in invocation order).
+  /// Completed operations never un-complete, so violations are monotone
+  /// along an execution.
   void violations(std::vector<std::string>& out) const;
 
- private:
-  struct OpRec {
-    bool is_write{false};
-    ObjectId key{0};
-    std::size_t reader{0};      // reader index (reads only)
-    std::uint64_t invoked{0};   // logical client clock
-    std::uint64_t responded{0};
-    Value value{kBottom};
-    bool completed{false};
-  };
+  /// The deployment under exploration, for tests that inspect its queue
+  /// and operation log. Anything fired except through fire() leaves the
+  /// execution out of step with the explorer's choices.
+  [[nodiscard]] storage::StorageCluster& cluster() noexcept { return cluster_; }
 
+ private:
   [[nodiscard]] bool is_client(ProcessId id) const noexcept {
     return id >= storage::kWriterId;
   }
   [[nodiscard]] Choice event_choice(const sim::Event& ev) const;
   void inject_next();
   void drain_dead();
-  void refresh_ops();
 
   scenario::ScenarioSpec spec_;
   storage::StorageCluster cluster_;
@@ -166,10 +165,7 @@ class McExecution {
   std::string unsupported_;
 
   std::size_t injected_{0};
-  std::size_t fired_position_{kInjection};
   std::uint64_t skipped_{0};    // busy-client entries that became no-ops
-  std::uint64_t clock_{0};      // logical clock: ticks at op endpoints only
-  std::vector<OpRec> ops_;
 
   std::vector<std::uint64_t> scratch_;  // digest: pending-event hashes
 };

@@ -1,7 +1,6 @@
 #include "mc/explorer.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
 #include <memory>
 #include <optional>
@@ -75,9 +74,6 @@ McResult explore(const scenario::ScenarioSpec& spec, const McOptions& opts) {
   std::map<std::uint64_t, ChoiceSet> cache;
   std::vector<Frame> stack;
   ChoiceSet path;
-  // Where fire() found each step of `path` (McExecution::fired_position):
-  // a replay dispatches these instead of searching the queue again.
-  std::vector<std::size_t> positions;
   std::set<std::string> seen_signatures;
   ChoiceSet enabled_buf;
   std::vector<std::string> viol_buf;
@@ -121,7 +117,10 @@ McResult explore(const scenario::ScenarioSpec& spec, const McOptions& opts) {
           return std::nullopt;
         }
         exec->enabled(enabled_buf);
-        frame.to_explore = intersection(revisit, enabled_buf);
+        // Copied from enabled_buf, the first range: the stored choices
+        // carry queue positions of an earlier state with this digest,
+        // whose queue layout can differ.
+        frame.to_explore = intersection(enabled_buf, revisit);
         frame.sleep = difference(enabled_buf, frame.to_explore);
         if (frame.to_explore.empty()) {
           ++res.stats.cache_pruned;
@@ -165,10 +164,7 @@ McResult explore(const scenario::ScenarioSpec& spec, const McOptions& opts) {
     Frame& top = stack.back();
     if (top.next >= top.to_explore.size()) {
       stack.pop_back();
-      if (!path.empty()) {
-        path.pop_back();
-        positions.pop_back();
-      }
+      if (!path.empty()) path.pop_back();
       synced = false;
       continue;
     }
@@ -177,10 +173,10 @@ McResult explore(const scenario::ScenarioSpec& spec, const McOptions& opts) {
       break;
     }
     if (!synced) {
+      // The same prefix from the initial state meets the same queue at
+      // every step, so each path choice's position still names its event.
       exec = std::make_unique<McExecution>(spec);
-      for (std::size_t i = 0; i < path.size(); ++i) {
-        exec->fire_at(path[i], positions[i]);
-      }
+      for (const Choice& c : path) exec->fire(c);
       ++res.stats.replays;
       res.stats.transitions += path.size();
       synced = true;
@@ -194,20 +190,16 @@ McResult explore(const scenario::ScenarioSpec& spec, const McOptions& opts) {
       }
       insert_sorted(top.sleep, c);  // c sleeps for the later siblings
     }
-    const bool ok = exec->fire(c);
-    assert(ok);
-    (void)ok;
+    exec->fire(c);
     ++res.stats.transitions;
     xdigest.mix(c.key());
     path.push_back(c);
-    positions.push_back(exec->fired_position());
 
     if (std::optional<Frame> child = arrive(std::move(child_sleep))) {
       stack.push_back(std::move(*child));
     } else {
       ++res.stats.executions;
       path.pop_back();
-      positions.pop_back();
       synced = false;
     }
   }

@@ -9,8 +9,8 @@
 //  * Sleep sets. After exploring transition t at state s, t is put to
 //    sleep for s's later subtrees; a child inherits the sleeping
 //    transitions that are independent of the edge taken (the persistent
-//    independence relation lives in mc/execution.hpp, mirroring the
-//    dispatch-switch commutativity oracle in src/sim/simulation.cpp).
+//    independence relation is mc::independent() in mc/execution.hpp, over
+//    the targets McExecution::event_choice() names).
 //    Interleavings that merely permute independent transitions are pruned
 //    without being run.
 //
@@ -73,7 +73,7 @@ struct McViolation {
   /// identical across every interleaving reaching an equivalent state.
   std::string signature;
   /// The canonical schedule that reached the violating state, replayable
-  /// with McExecution::fire.
+  /// with McExecution::fire on a fresh execution of the spec.
   std::vector<Choice> schedule;
 };
 

@@ -49,17 +49,6 @@ std::vector<ScheduleEntry> sorted_schedule(const ScenarioSpec& spec) {
   return entries;
 }
 
-/// One started client operation, as the runner tracked it.
-struct OpRecord {
-  ScheduleEntry::Kind kind{ScheduleEntry::Kind::kWrite};
-  std::size_t client{0};     // reader/proposer index; unused for writes
-  ObjectId key{0};           // storage: the register operated on
-  std::size_t entry_pos{0};  // position in the *sorted* schedule
-  sim::SimTime invoked{0};
-  Value value{kBottom};
-  bool completed{false};
-};
-
 /// Servers a client can rely on for the rest of the run, for the liveness
 /// predicate: the intersection of every visibility restriction the client's
 /// operations impose from `entry_pos` on, minus anything a partition that
@@ -117,9 +106,9 @@ ProcessSet crash_targets(const std::vector<ScheduleEntry>& entries,
   return out;
 }
 
-/// The storage part of a run: its cluster, the operations its entries
-/// started, the per-key atomicity and liveness verdicts and the digest of
-/// the per-key histories.
+/// The storage part of a run: its cluster (whose log holds the operations
+/// the entries started), the per-key atomicity and liveness verdicts and
+/// the digest of the per-key histories.
 struct StoragePart {
   /// Virtual Deltas the run is driven past the last scheduled time, so
   /// delayed messages and retries settle before verdicts.
@@ -127,7 +116,8 @@ struct StoragePart {
 
   storage::StorageCluster cluster;
   VisibilityRules visibility;
-  std::vector<OpRecord> ops;
+  /// The sorted-schedule position of each entry in cluster.operations().
+  std::vector<std::size_t> entry_pos;
 
   StoragePart(const ScenarioSpec& spec, const ScenarioRunner::Options& opts)
       : cluster(materialize(spec.family),
@@ -140,43 +130,22 @@ struct StoragePart {
 
   bool start(const ScheduleEntry& e, std::size_t pos) {
     if (!start_storage_op(cluster, visibility, e)) return false;
-    // Writes record client 0: the liveness predicate matches on it.
-    const bool write = e.kind == ScheduleEntry::Kind::kWrite;
-    ops.push_back({e.kind, write ? 0 : e.client, e.key, pos,
-                   cluster.sim().now(), write ? e.value : kBottom, false});
+    entry_pos.push_back(pos);
     return true;
   }
 
   void judge(const ScenarioSpec& spec,
              const std::vector<ScheduleEntry>& entries, ProcessSet correct,
              bool spec_valid, ScenarioResult& res) {
-    // Mark completions: ops of one client finish in order, so only each
-    // client's last operation can still be in flight.
-    for (OpRecord& op : ops) op.completed = true;
-    for (ObjectId key = 0; key < spec.key_count; ++key) {
-      if (cluster.write_done(key)) continue;
-      for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
-        if (it->kind == ScheduleEntry::Kind::kWrite && it->key == key) {
-          it->completed = false;
-          cluster.checker(key).add_pending_write(it->invoked, it->value);
-          break;
-        }
-      }
-    }
-    for (ObjectId key = 0; key < spec.key_count; ++key) {
-      for (std::size_t r = 0; r < spec.reader_count; ++r) {
-        if (cluster.read_done(key, r)) continue;
-        for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
-          if (it->kind == ScheduleEntry::Kind::kRead && it->client == r &&
-              it->key == key) {
-            it->completed = false;
-            break;
-          }
-        }
-      }
-    }
+    const auto& ops = cluster.operations();
     res.ops_started = ops.size();
-    for (const OpRecord& op : ops) res.ops_completed += op.completed ? 1 : 0;
+    for (const auto& op : ops) {
+      if (op.completed()) {
+        ++res.ops_completed;
+      } else if (op.is_write) {
+        cluster.checker(op.key).add_pending_write(op.invoked_at, op.value);
+      }
+    }
 
     // Safety: every key's complete history (with its pending write, if any)
     // must be atomic — unconditionally, even for invalid specs (that is the
@@ -200,19 +169,23 @@ struct StoragePart {
         has_permanent_window(entries, ScheduleEntry::Kind::kAsynchrony)) {
       return;
     }
-    for (const OpRecord& op : ops) {
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const auto& op = ops[i];
+      const auto kind =
+          op.is_write ? ScheduleEntry::Kind::kWrite : ScheduleEntry::Kind::kRead;
+      // A write's reader field is 0: the liveness predicate matches on it.
       const ProcessId client_id =
-          op.kind == ScheduleEntry::Kind::kWrite
+          op.is_write
               ? storage::writer_client_id(op.key, spec.reader_count)
-              : storage::reader_client_id(op.key, op.client, spec.reader_count);
+              : storage::reader_client_id(op.key, op.reader, spec.reader_count);
       const ProcessSet vis =
-          client_reachable(entries, cluster.server_set(), client_id, op.kind,
-                           op.client, op.key, op.entry_pos, op.invoked);
+          client_reachable(entries, cluster.server_set(), client_id, kind,
+                           op.reader, op.key, entry_pos[i], op.invoked_at);
       if (!cluster.rqs().has_quorum_in(vis & correct)) continue;  // no promise
       ++res.liveness_checked;
-      if (!op.completed) {
+      if (!op.completed()) {
         res.violations.push_back(
-            "liveness: " + entries[op.entry_pos].to_string() +
+            "liveness: " + entries[entry_pos[i]].to_string() +
             " has a correct reachable quorum but never completed");
       }
     }
@@ -243,22 +216,27 @@ struct ConsensusPart {
   /// delayed messages, view changes and retries settle before verdicts.
   static constexpr sim::SimTime kDrainDeltas = 2000;
 
+  /// One started proposal: who proposed what.
+  struct Proposal {
+    std::size_t client{0};
+    Value value{kBottom};
+  };
+
   consensus::ConsensusCluster cluster;
-  std::vector<OpRecord> proposals;
+  std::vector<Proposal> proposals;
   std::vector<bool> proposed;
 
   ConsensusPart(const ScenarioSpec& spec, const ScenarioRunner::Options&)
       : cluster(materialize(spec.family), consensus_config(spec)),
         proposed(spec.proposer_count, false) {}
 
-  bool start(const ScheduleEntry& e, std::size_t pos) {
+  bool start(const ScheduleEntry& e, std::size_t /*pos*/) {
     if (e.kind != ScheduleEntry::Kind::kPropose ||
         e.client >= proposed.size() || proposed[e.client]) {
       return false;
     }
     proposed[e.client] = true;
-    proposals.push_back(
-        {e.kind, e.client, 0, pos, cluster.sim().now(), e.value, false});
+    proposals.push_back({e.client, e.value});
     cluster.propose(e.client, e.value);
     return true;
   }
@@ -300,7 +278,7 @@ struct ConsensusPart {
       auto allowed = [&](Value v) {
         if (spec.byzantine_proposer && v == spec.fake_value) return true;
         return std::any_of(proposals.begin(), proposals.end(),
-                           [v](const OpRecord& p) { return p.value == v; });
+                           [v](const Proposal& p) { return p.value == v; });
       };
       if (learned && !allowed(*learned)) {
         res.violations.push_back("validity: learned never-proposed value " +
@@ -322,7 +300,7 @@ struct ConsensusPart {
     // blackout still voids termination; finite windows and sub-1.0 drop
     // probabilities are recovered from.
     const bool correct_proposed = std::any_of(
-        proposals.begin(), proposals.end(), [&](const OpRecord& p) {
+        proposals.begin(), proposals.end(), [&](const Proposal& p) {
           return !(spec.byzantine_proposer && p.client == 0);
         });
     if (spec_valid && correct_proposed && !has_unrecoverable_loss(entries) &&

@@ -180,30 +180,12 @@ void Simulation::cancel_timer(TimerId id) {
   }
 }
 
-// Commutativity oracle for the model checker (src/mc). It mirrors the
-// dispatch switch below: dispatching an event mutates exactly the state of
-// event_target() (plus simulation bookkeeping that is either excluded from
-// state digests or canonical per trace), so two events with different
-// targets commute — firing them in either order reaches the same state.
-// Events that would not invoke a handler at all (event_live() == false:
-// delivery to a crashed or unregistered process, a cancelled expiry or one
-// of a crashed owner) are no-ops up to bookkeeping and are not scheduling
-// choices. Keep these two functions in lockstep with dispatch(): a new
-// early-return there is a new dead-event case here.
-ProcessId Simulation::event_target(const Event& ev) const {
-  switch (ev.kind()) {
-    case Event::kDelivery:
-      return ev.delivery.to;
-    case Event::kTimer:
-      return ev.timer.owner;
-    case Event::kCallback:
-      return kNoProcess;
-    case Event::kFanout:  // its next delivery
-      return fanouts_[ev.fanout.slot].targets.first();
-  }
-  return kNoProcess;
-}
-
+// Dead-event oracle for the model checker (src/mc). It mirrors the
+// dispatch switch below: an event for which event_live() is false
+// (delivery to a crashed or unregistered process, a cancelled expiry or
+// one of a crashed owner) invokes no handler, so it is a no-op up to
+// bookkeeping and not a scheduling choice. Keep it in lockstep with
+// dispatch(): a new early-return there is a new dead-event case here.
 bool Simulation::event_live(const Event& ev) const {
   switch (ev.kind()) {
     case Event::kDelivery:
@@ -216,10 +198,10 @@ bool Simulation::event_live(const Event& ev) const {
     }
     case Event::kCallback:
       return true;
-    case Event::kFanout: {  // its next delivery
-      const ProcessId to = fanouts_[ev.fanout.slot].targets.first();
-      return !crashed(to) && process(to) != nullptr;
-    }
+    case Event::kFanout:
+      // queued_event() expands fan-outs first, so no caller passes one.
+      assert(false && "fan-out reached event_live()");
+      return false;
   }
   return false;
 }

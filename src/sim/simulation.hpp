@@ -275,6 +275,18 @@ class Simulation {
   /// last fired event.
   SimTime run(SimTime deadline = std::numeric_limits<SimTime>::max());
 
+  /// Steps until `done()` holds; false when the queue is empty or now()
+  /// is past `deadline` first. Both are checked before each step, so the
+  /// step that carries now() past `deadline` still fires.
+  template <typename Done>
+  bool run_until(Done done, SimTime deadline) {
+    while (!done()) {
+      if (queue_.empty() || now_ > deadline) return false;
+      step();
+    }
+    return true;
+  }
+
   /// Fires the single next event; false if the queue is empty.
   bool step();
 
@@ -282,15 +294,12 @@ class Simulation {
 
   // --- Model-checker ordering hooks (src/mc) -----------------------------
   // The schedule-space explorer drives the queue directly: it enumerates
-  // the pending events, asks which would actually reach a handler and whose
-  // state each one mutates (the commutativity oracle, implemented next to
-  // the dispatch switch in simulation.cpp), and fires them in arbitrary
-  // order — selection order, not virtual time, is the nondeterminism it
-  // explores, so mc runs use delta = 0 and every event sits at now().
-
-  /// Sentinel returned by event_target() for events with no single owning
-  /// process (schedule_at callbacks mutate arbitrary state).
-  static constexpr ProcessId kNoProcess = ~ProcessId{0};
+  // the pending events, asks which would actually reach a handler, and
+  // fires them in arbitrary order — selection order, not virtual time, is
+  // the nondeterminism it explores, so mc runs use delta = 0 and every
+  // event sits at now(). Whose state each event mutates, and so which
+  // events commute, is the model checker's to say (mc::McExecution's
+  // event_choice() and mc::independent()).
 
   // queued_count(), queued_event() and fire_queued() first expand every
   // pending fan-out into per-target deliveries under their reserved keys,
@@ -304,14 +313,12 @@ class Simulation {
     expand_fanouts();
     return queue_.raw()[i];
   }
-  /// True iff dispatching `ev` now would invoke a handler: a delivery to a
-  /// live registered process, or an un-cancelled timer expiry of a live
-  /// owner. Dead events are no-ops; the explorer drains them eagerly
-  /// instead of treating them as scheduling choices.
+  /// True iff dispatching `ev`, an event queued_event() returned, now
+  /// would invoke a handler: a delivery to a live registered process, or
+  /// an un-cancelled timer expiry of a live owner. Dead events are no-ops;
+  /// the explorer drains them eagerly instead of treating them as
+  /// scheduling choices.
   [[nodiscard]] bool event_live(const Event& ev) const;
-  /// The process whose state dispatching `ev` mutates (delivery receiver /
-  /// timer owner), or kNoProcess for callbacks.
-  [[nodiscard]] ProcessId event_target(const Event& ev) const;
   /// Removes the i-th queued event (any heap position) and dispatches it
   /// at now(). Returns false if `i` is out of range.
   bool fire_queued(std::size_t i);

@@ -54,18 +54,15 @@ StorageCluster::StorageCluster(RefinedQuorumSystem rqs,
           RqsReader::Mode::kAtomic, key, cfg.retry));
       kc.read_done.push_back(true);
       kc.read_value.push_back(kBottom);
-      kc.read_invoked.push_back(0);
     }
   }
 }
 
 RoundNumber StorageCluster::blocking_write(ObjectId key, Value v) {
   async_write(key, v);
-  while (!keys_[key].write_done && sim_.step()) {
-  }
   // Hard check, not an assert: in Release the rounds of the previous write
   // would come back as this one's.
-  if (!keys_[key].write_done) {
+  if (!drive([&] { return keys_[key].write_done; })) {
     throw std::runtime_error("StorageCluster::blocking_write: the write on key " +
                              std::to_string(key) +
                              " did not terminate (no live quorum?)");
@@ -76,9 +73,7 @@ RoundNumber StorageCluster::blocking_write(ObjectId key, Value v) {
 StorageCluster::ReadOutcome StorageCluster::blocking_read(ObjectId key,
                                                           std::size_t i) {
   async_read(key, i);
-  while (!keys_[key].read_done[i] && sim_.step()) {
-  }
-  if (!keys_[key].read_done[i]) {
+  if (!drive([&] { return keys_[key].read_done[i]; })) {
     throw std::runtime_error("StorageCluster::blocking_read: reader " +
                              std::to_string(i) + " of key " +
                              std::to_string(key) +
@@ -92,11 +87,14 @@ void StorageCluster::async_write(ObjectId key, Value v) {
   KeyClients& kc = keys_.at(key);
   assert(kc.write_done);
   kc.write_done = false;
-  kc.write_invoked = sim_.now();
-  kc.writer->write(v, [this, key, v] {
-    KeyClients& done_kc = keys_[key];
+  log_.push_back({.is_write = true, .key = key, .invoked_at = sim_.now(),
+                  .invoked = ++endpoints_, .value = v});
+  kc.writer->write(v, [this, op = log_.size() - 1] {
+    Operation& o = log_[op];
+    o.responded = ++endpoints_;
+    KeyClients& done_kc = keys_[o.key];
     done_kc.write_done = true;
-    done_kc.checker.add_write(done_kc.write_invoked, sim_.now(), v);
+    done_kc.checker.add_write(o.invoked_at, sim_.now(), o.value);
   });
 }
 
@@ -104,12 +102,16 @@ void StorageCluster::async_read(ObjectId key, std::size_t i) {
   KeyClients& kc = keys_.at(key);
   assert(kc.read_done.at(i));
   kc.read_done[i] = false;
-  kc.read_invoked[i] = sim_.now();
-  kc.readers[i]->read([this, key, i](Value v) {
-    KeyClients& done_kc = keys_[key];
-    done_kc.read_done[i] = true;
-    done_kc.read_value[i] = v;
-    done_kc.checker.add_read(done_kc.read_invoked[i], sim_.now(), v);
+  log_.push_back({.key = key, .reader = i, .invoked_at = sim_.now(),
+                  .invoked = ++endpoints_});
+  kc.readers[i]->read([this, op = log_.size() - 1](Value v) {
+    Operation& o = log_[op];
+    o.responded = ++endpoints_;
+    o.value = v;
+    KeyClients& done_kc = keys_[o.key];
+    done_kc.read_done[o.reader] = true;
+    done_kc.read_value[o.reader] = v;
+    done_kc.checker.add_read(o.invoked_at, sim_.now(), v);
   });
 }
 

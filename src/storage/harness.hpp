@@ -3,11 +3,14 @@
 // Builds servers 0..n-1 (benign or Byzantine) over a given refined quorum
 // system, plus per-key client sessions of the keyed register space: one
 // writer and `reader_count` readers per key. Offers "blocking" operations
-// that drive the simulation until the operation's response step, and
-// records every completed operation into a per-key AtomicityChecker. Used
-// by tests, benches and examples.
+// that drive the simulation until the operation's response step. Every
+// started operation enters one log (invocation and response, numbered in
+// the order they happen), and every completed one is recorded into a
+// per-key AtomicityChecker. Used by tests, benches, examples, the scenario
+// runner and the model checker.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -87,9 +90,18 @@ class StorageCluster {
   /// Crashes a server (or client) now.
   void crash(ProcessId id) { sim_.crash(id); }
 
+  /// Virtual Deltas a blocking operation may drive the simulation before
+  /// it gives up. With retry on and no live quorum the client fails over
+  /// and restarts its round forever, so the queue never drains and only
+  /// this bound ends the drive. The longest blocking operation in the
+  /// tests takes 12 Deltas, the longest in bench_loss_recovery (50% loss,
+  /// retry on, seeded) 882; the bound sits an order of magnitude above.
+  static constexpr sim::SimTime kBlockingDeadlineDeltas = 10'000;
+
   /// Runs write(v) on a key to completion; returns the rounds it took.
-  /// Throws std::runtime_error when the queue drains first (no live
-  /// quorum), as blocking_read does.
+  /// Throws std::runtime_error when the queue drains or
+  /// kBlockingDeadlineDeltas pass first (no live quorum), as
+  /// blocking_read does.
   RoundNumber blocking_write(Value v) { return blocking_write(0, v); }
   RoundNumber blocking_write(ObjectId key, Value v);
 
@@ -124,10 +136,37 @@ class StorageCluster {
     return keys_.at(key).write_done;
   }
 
-  /// The checker accumulating all completed operations on a key.
+  /// The checker accumulating all completed operations on a key, reads
+  /// in completion order.
   [[nodiscard]] AtomicityChecker& checker(ObjectId key = 0) {
     return keys_.at(key).checker;
   }
+
+  /// One started operation. Invocations and responses are numbered 1, 2,
+  /// ... in the order they happen across the cluster: an order of
+  /// endpoints that, unlike the virtual clock, still separates operations
+  /// when every event sits at one instant (the model checker's delta = 0).
+  struct Operation {
+    bool is_write{false};
+    ObjectId key{0};
+    std::size_t reader{0};       ///< reader index; 0 for writes
+    sim::SimTime invoked_at{0};  ///< virtual time of the invocation
+    std::uint64_t invoked{0};    ///< endpoint ordinal of the invocation
+    /// Endpoint ordinal of the response; 0 while pending.
+    std::uint64_t responded{0};
+    /// The written value, or the read's return once it completes.
+    Value value{kBottom};
+
+    [[nodiscard]] bool completed() const noexcept { return responded != 0; }
+  };
+
+  /// Every operation started by async_write/async_read (and so by the
+  /// blocking calls), in invocation order.
+  [[nodiscard]] const std::vector<Operation>& operations() const noexcept {
+    return log_;
+  }
+  /// Invocations plus responses so far: the last ordinal handed out.
+  [[nodiscard]] std::uint64_t endpoints() const noexcept { return endpoints_; }
 
  private:
   struct KeyClients {
@@ -135,11 +174,17 @@ class StorageCluster {
     std::vector<std::unique_ptr<RqsReader>> readers;
     AtomicityChecker checker;
     bool write_done{true};
-    sim::SimTime write_invoked{0};
     std::vector<bool> read_done;
     std::vector<Value> read_value;
-    std::vector<sim::SimTime> read_invoked;
   };
+
+  /// Steps the simulation until `done()` holds; false when the queue
+  /// drains or kBlockingDeadlineDeltas pass first.
+  template <typename Done>
+  bool drive(Done done) {
+    return sim_.run_until(done,
+                          sim_.now() + kBlockingDeadlineDeltas * sim_.delta());
+  }
 
   sim::Simulation sim_;
   RefinedQuorumSystem rqs_;
@@ -147,6 +192,8 @@ class StorageCluster {
   std::size_t reader_count_;
   std::vector<std::unique_ptr<RqsStorageServer>> servers_obj_;
   std::vector<KeyClients> keys_;
+  std::vector<Operation> log_;
+  std::uint64_t endpoints_{0};
 };
 
 }  // namespace rqs::storage

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/network.hpp"
 
 namespace rqs::consensus {
@@ -36,20 +38,12 @@ class PaxosHarness {
   PaxosLearner& learner(std::size_t i) { return *learners_.at(i); }
 
   bool run_until_learned(sim::SimTime deadline_deltas = 500) {
-    const sim::SimTime deadline =
-        sim_.now() + deadline_deltas * sim_.delta();
-    while (!sim_.idle() && sim_.now() <= deadline) {
-      bool all = true;
-      for (const auto& l : learners_) {
-        if (!l->learned()) all = false;
-      }
-      if (all) return true;
-      sim_.step();
-    }
-    for (const auto& l : learners_) {
-      if (!l->learned()) return false;
-    }
-    return true;
+    return sim_.run_until(
+        [this] {
+          return std::all_of(learners_.begin(), learners_.end(),
+                             [](const auto& l) { return l->learned(); });
+        },
+        sim_.now() + deadline_deltas * sim_.delta());
   }
 
  private:

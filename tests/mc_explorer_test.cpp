@@ -1,9 +1,9 @@
 // Model checker core: determinism of the exploration, the naive-vs-DPOR
 // differential (equal violation sets and equal state sets, with the
 // reduction factor the acceptance bar demands), zero-violation
-// certificates for valid deployments, Byzantine role branching, and
-// schedule replay of discovered counterexamples, by choice and by the
-// recorded queue positions the explorer replays on backtrack.
+// certificates for valid deployments, Byzantine role branching, schedule
+// replay of discovered counterexamples, and the queue position each
+// choice carries, which fire() and the explorer's backtrack replays use.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -252,27 +252,37 @@ TEST(McReplayTest, ViolationSchedulesReplayToTheSameSignature) {
     joined += s;
   }
   EXPECT_EQ(joined, v.signature);
-  // The explorer's backtrack replays by recorded queue position.
-  expect_position_replay_matches(tiny3_byzantine(), steps);
+  // The explorer's backtrack replays the path on a fresh execution.
+  expect_replay_matches(tiny3_byzantine(), steps);
 }
 
-TEST(McReplayTest, RandomWalksReplayByPositionAsByChoice) {
-  std::mt19937_64 rng(7);
+TEST(McReplayTest, RandomWalksReplayToTheSameStates) {
+  // Every walk also checks each choice's position against the reference
+  // scan, the search fire() made before choices carried a position.
+  std::uint64_t seed = 7;
   for (const ScenarioSpec& spec :
        {tiny3_benign(), tiny3_byzantine(), anchor4()}) {
-    for (int walk = 0; walk < 5; ++walk) {
-      McExecution exec(spec);
-      std::vector<FiredStep> steps;
-      std::vector<Choice> enabled;
-      exec.enabled(enabled);
-      while (!enabled.empty() && steps.size() < 200) {
-        steps.push_back(fire_and_observe(exec, enabled[rng() % enabled.size()]));
-        enabled = steps.back().enabled;
-      }
-      ASSERT_GT(steps.size(), 3u);
-      expect_position_replay_matches(spec, steps);
-    }
+    expect_random_walks_replay(spec, seed++, 5);
   }
+}
+
+TEST(McReplayTest, PayloadIdenticalTwinsCollapseToTheSmallestKey) {
+  // The explorable fragment has no duplication, so the walks above never
+  // queue two payload-identical events. Duplicating every send on the
+  // execution's own network queues a twin for each delivery, the copy
+  // under the smaller key.
+  std::mt19937_64 rng(3);
+  McExecution exec(tiny3_benign());
+  exec.cluster().network().set_duplication(1.0, /*seed=*/1);
+  std::size_t twins = 0;
+  std::vector<Choice> enabled;
+  exec.enabled(enabled);
+  while (!enabled.empty()) {
+    twins += expect_reference_positions(exec, enabled);
+    exec.fire(enabled[rng() % enabled.size()]);
+    exec.enabled(enabled);
+  }
+  EXPECT_GT(twins, 0u);
 }
 
 TEST(McFragmentTest, UnsupportedSpecsAreRejectedNotMischecked) {
@@ -320,7 +330,7 @@ TEST(McFragmentTest, CrashOfANonServerIsIgnoredAsInTheRunner) {
     std::vector<Choice> enabled;
     exec.enabled(enabled);
     EXPECT_EQ(enabled.size(), 1u);  // the one injection
-    EXPECT_TRUE(exec.fire(enabled.front()));
+    exec.fire(enabled.front());
     return exec.digest();
   };
   EXPECT_EQ(digest_after(storage::kWriterId), digest_after(kInvalidProcess));

@@ -111,8 +111,13 @@ TEST(McFig1Test, McViolationReplaysCanonically) {
   const std::vector<std::string>& viols = steps.back().violations;
   ASSERT_EQ(viols.size(), 1u);
   EXPECT_EQ(viols[0], r.violations[0].signature);
-  // The explorer's backtrack replays by recorded queue position.
-  expect_position_replay_matches(spec, steps);
+  // The explorer's backtrack replays the path on a fresh execution.
+  expect_replay_matches(spec, steps);
+}
+
+TEST(McFig1Test, RandomWalksReplayToTheSameStates) {
+  // As McReplayTest's walks, on the five-server broken system.
+  expect_random_walks_replay(fig1_spec(SystemFamily::kFig1Broken5), 5, 5);
 }
 
 TEST(McFig1Test, ProjectionReproducesUnderTheScenarioRunner) {

@@ -3,6 +3,7 @@
 // atomicity per key and the swarm stays violation-free on valid systems.
 #include <gtest/gtest.h>
 
+#include "scenario/deployment.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/swarm.hpp"
@@ -62,6 +63,30 @@ TEST(KeyedScenarioTest, HandcraftedMultiKeyScheduleChecksPerKey) {
   EXPECT_GT(result.liveness_checked, 0u);
   // Deterministic: the same spec reruns to the same digest.
   EXPECT_EQ(runner.run(spec).trace_digest, result.trace_digest);
+}
+
+TEST(KeyedScenarioTest, AStartRefusedForABusyClientAddsNoLogEntry) {
+  ScenarioSpec spec;
+  spec.protocol = Protocol::kStorage;
+  spec.family = SystemFamily::kFast5;
+  spec.reader_count = 1;
+  storage::StorageCluster cluster(materialize(spec.family),
+                                  storage_config(spec));
+  VisibilityRules visibility(cluster.network(), cluster.server_set());
+  ScheduleEntry w;
+  w.kind = ScheduleEntry::Kind::kWrite;
+  w.value = 1;
+  ScheduleEntry r;
+  r.kind = ScheduleEntry::Kind::kRead;
+  r.client = 0;
+  ASSERT_TRUE(start_storage_op(cluster, visibility, w));
+  ASSERT_TRUE(start_storage_op(cluster, visibility, r));
+  w.value = 2;
+  EXPECT_FALSE(start_storage_op(cluster, visibility, w));  // writer busy
+  EXPECT_FALSE(start_storage_op(cluster, visibility, r));  // reader busy
+  ASSERT_EQ(cluster.operations().size(), 2u);
+  EXPECT_EQ(cluster.operations()[0].value, 1);
+  EXPECT_EQ(cluster.endpoints(), 2u);
 }
 
 TEST(KeyedScenarioTest, KeyedSwarmOnValidSystemsHasNoViolations) {

@@ -3,6 +3,8 @@
 // (m, QC_m)-fast claims of Theorem 9 across several quorum systems.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/constructions.hpp"
 #include "storage/harness.hpp"
 
@@ -185,6 +187,48 @@ TEST(StorageBasicTest, ServerHistoriesFillAfterWrite) {
     if (cluster.server(id).history().at(1, 1).pair == (TsValue{1, 3})) ++holders;
   }
   EXPECT_EQ(holders, 5u);
+}
+
+TEST(StorageBasicTest, OperationLogNumbersEndpointsInTheOrderTheyHappen) {
+  StorageCluster cluster(make_fig1_fast5(), {.reader_count = 1});
+  const std::vector<StorageCluster::Operation>& log = cluster.operations();
+  cluster.blocking_write(7);
+  const sim::SimTime read_at = cluster.sim().now();
+  ASSERT_GT(read_at, 0);
+  cluster.async_read(0);
+  ASSERT_EQ(log.size(), 2u);
+  while (!cluster.read_done(0)) {
+    // A read's value appears with its response, not before.
+    EXPECT_FALSE(log[1].completed());
+    EXPECT_EQ(log[1].responded, 0u);
+    EXPECT_TRUE(is_bottom(log[1].value));
+    ASSERT_TRUE(cluster.sim().step());
+  }
+  EXPECT_TRUE(log[0].is_write);
+  EXPECT_EQ(log[0].key, 0u);
+  EXPECT_EQ(log[0].reader, 0u);
+  EXPECT_EQ(log[0].invoked_at, 0);
+  EXPECT_EQ(log[0].invoked, 1u);
+  EXPECT_EQ(log[0].responded, 2u);
+  EXPECT_EQ(log[0].value, 7);
+  EXPECT_FALSE(log[1].is_write);
+  EXPECT_EQ(log[1].invoked_at, read_at);
+  EXPECT_EQ(log[1].invoked, 3u);
+  EXPECT_EQ(log[1].responded, 4u);
+  EXPECT_TRUE(log[1].completed());
+  EXPECT_EQ(log[1].value, 7);
+  EXPECT_EQ(cluster.endpoints(), 4u);
+
+  // With no server left the write stays pending: invoked, never responded.
+  for (ProcessId s = 0; s < 5; ++s) cluster.crash(s);
+  cluster.async_write(9);
+  cluster.sim().run();
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log[2].invoked, 5u);
+  EXPECT_EQ(log[2].responded, 0u);
+  EXPECT_FALSE(log[2].completed());
+  EXPECT_EQ(log[2].value, 9);
+  EXPECT_EQ(cluster.endpoints(), 5u);
 }
 
 }  // namespace

@@ -153,14 +153,27 @@ TEST(StorageFaultTest, ThirdRoundFallback) {
 }
 
 TEST(StorageFaultTest, BlockingOpsThrowWhenNoServerAnswers) {
-  // With every server crashed the queue drains before the op completes.
-  // The blocking calls must say so, not return the previous write's rounds
-  // or a bottom read.
-  StorageCluster cluster(make_fig1_fast5(), {.reader_count = 1});
-  EXPECT_EQ(cluster.blocking_write(1), 1u);
-  for (ProcessId s = 0; s < 5; ++s) cluster.crash(s);
-  EXPECT_THROW(cluster.blocking_write(9), std::runtime_error);
-  EXPECT_THROW(cluster.blocking_read(0), std::runtime_error);
+  // With every server crashed the op never completes. Without retry the
+  // queue drains first; with retry the client fails over and restarts its
+  // round forever, so only the drive's virtual deadline ends it. The
+  // blocking calls must say so, not return the previous write's rounds or
+  // a bottom read, and not spin.
+  for (const bool retry : {false, true}) {
+    StorageCluster cluster(
+        make_fig1_fast5(),
+        {.reader_count = 1, .retry = {.enabled = retry, .max_attempts = 4}});
+    EXPECT_EQ(cluster.blocking_write(1), 1u);
+    for (ProcessId s = 0; s < 5; ++s) cluster.crash(s);
+    const sim::SimTime start = cluster.sim().now();
+    EXPECT_THROW(cluster.blocking_write(9), std::runtime_error);
+    if (retry) {
+      EXPECT_FALSE(cluster.sim().idle());  // the writer is still retrying
+      EXPECT_GT(cluster.sim().now(),
+                start + StorageCluster::kBlockingDeadlineDeltas *
+                            sim::kDefaultDelta);
+    }
+    EXPECT_THROW(cluster.blocking_read(0), std::runtime_error);
+  }
 }
 
 }  // namespace
