@@ -56,12 +56,14 @@ void print_tables() {
                            5 * sim::kDefaultDelta);
   sc.async_write(2);
   const auto rd = sc.blocking_read(0);
-  while (!sc.write_done() && sc.sim().step()) {
-  }
-  rqs::bench::print_row(
+  const bool wrote =
+      storage::StorageCluster::drive(sc.sim(), [&] { return sc.write_done(); });
+  const bool atomic = sc.checker().check().atomic;
+  rqs::bench::check_row(
       "read concurrent with slow write",
       "read=" + std::to_string(rd.rounds) + " rounds, atomic=" +
-          (sc.checker().check().atomic ? "yes" : "NO"));
+          (atomic ? "yes" : "NO") + (wrote ? "" : ", slow write unfinished"),
+      wrote && atomic);
 }
 
 void BM_DegradationSweep(benchmark::State& state) {

@@ -78,11 +78,12 @@ sim::SimTime storage_blackout_recovery(const RefinedQuorumSystem& sys) {
   c.network().set_loss(0.0, kSeed);
   const sim::SimTime healed = c.sim().now();
   // Event-step (run(now + Δ) would spin: now() only advances as events
-  // fire, and the next backoff rung can be further than Δ away).
-  while (!c.write_done() && c.sim().now() < healed + 400 * kDelta &&
-         c.sim().step()) {
-  }
-  return c.write_done() ? c.sim().now() - healed : -1;
+  // fire, and the next backoff rung can be further than Δ away) until
+  // 400Δ after the heal; run_until's deadline is inclusive.
+  return c.sim().run_until([&] { return c.write_done(); },
+                           healed + 400 * kDelta - 1)
+             ? c.sim().now() - healed
+             : -1;
 }
 
 struct ConsensusRow {

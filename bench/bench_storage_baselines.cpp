@@ -56,18 +56,6 @@ void print_tables() {
   }
 }
 
-// Fresh cluster per iteration (10 op pairs): unbounded histories.
-void BM_RqsStorageOpPair(benchmark::State& state) {
-  for (auto _ : state) {
-    StorageCluster cluster(make_fig1_fast5(), {.reader_count = 1});
-    for (Value v = 1; v <= 10; ++v) {
-      cluster.blocking_write(v);
-      benchmark::DoNotOptimize(cluster.blocking_read(0).value);
-    }
-  }
-}
-BENCHMARK(BM_RqsStorageOpPair)->Unit(benchmark::kMicrosecond);
-
 void BM_AbdOpPair(benchmark::State& state) {
   sim::Simulation sim;
   const ProcessSet servers = ProcessSet::universe(5);
@@ -81,7 +69,9 @@ void BM_AbdOpPair(benchmark::State& state) {
   for (auto _ : state) {
     bool wdone = false;
     writer.write(++v, [&] { wdone = true; });  // ABD state is O(1)
-    while (!wdone && sim.step()) {
+    if (!StorageCluster::drive(sim, [&] { return wdone; })) {
+      state.SkipWithError("an ABD write did not complete");
+      break;
     }
     bool rdone = false;
     Value out = kBottom;
@@ -89,7 +79,9 @@ void BM_AbdOpPair(benchmark::State& state) {
       rdone = true;
       out = r;
     });
-    while (!rdone && sim.step()) {
+    if (!StorageCluster::drive(sim, [&] { return rdone; })) {
+      state.SkipWithError("an ABD read did not complete");
+      break;
     }
     benchmark::DoNotOptimize(out);
   }

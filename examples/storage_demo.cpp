@@ -64,7 +64,10 @@ int main() {
                                   5 * sim::kDefaultDelta);
     cluster.async_write(401);
     const auto rd1 = cluster.blocking_read(0);
-    while (!cluster.write_done() && cluster.sim().step()) {
+    if (!StorageCluster::drive(cluster.sim(),
+                               [&] { return cluster.write_done(); })) {
+      std::printf("  the slow write did not complete\n");
+      return 1;
     }
     const auto rd2 = cluster.blocking_read(1);
     std::printf("  concurrent read -> %s; later read -> %s\n",

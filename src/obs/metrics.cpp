@@ -33,41 +33,8 @@ std::int64_t LatencyHistogram::percentile(double p) const noexcept {
 }
 
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
-  for (const auto& [name, value] : other.counters) {
-    const auto it = std::lower_bound(
-        counters.begin(), counters.end(), name,
-        [](const auto& a, const std::string& b) { return a.first < b; });
-    if (it != counters.end() && it->first == name) {
-      it->second += value;
-    } else {
-      counters.insert(it, {name, value});
-    }
-  }
-  for (const auto& [name, hist] : other.histograms) {
-    const auto it = std::lower_bound(
-        histograms.begin(), histograms.end(), name,
-        [](const auto& a, const std::string& b) { return a.first < b; });
-    if (it != histograms.end() && it->first == name) {
-      it->second.merge(hist);
-    } else {
-      histograms.insert(it, {name, hist});
-    }
-  }
-}
-
-std::uint64_t MetricsSnapshot::counter(std::string_view name) const noexcept {
-  for (const auto& [n, v] : counters) {
-    if (n == name) return v;
-  }
-  return 0;
-}
-
-const LatencyHistogram* MetricsSnapshot::histogram(
-    std::string_view name) const noexcept {
-  for (const auto& [n, h] : histograms) {
-    if (n == name) return &h;
-  }
-  return nullptr;
+  for (const auto& [name, value] : other.counters) counters[name] += value;
+  for (const auto& [name, h] : other.histograms) histograms[name].merge(h);
 }
 
 std::string MetricsSnapshot::to_string() const {
@@ -81,22 +48,15 @@ std::string MetricsSnapshot::to_string() const {
   return out;
 }
 
-std::uint64_t MetricsRegistry::counter(std::string_view name) const noexcept {
-  const auto it = std::lower_bound(
-      counters_.begin(), counters_.end(), name,
-      [](const auto& a, std::string_view b) { return a.first < b; });
-  return it != counters_.end() && it->first == name ? it->second : 0;
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   snap.counters.reserve(counters_.size());
   for (const auto& [name, value] : counters_) {
-    snap.counters.emplace_back(std::string(name), value);
+    snap.counters.try_emplace(name, value);
   }
   snap.histograms.reserve(histograms_.size());
   for (const auto& [name, h] : histograms_) {
-    snap.histograms.emplace_back(std::string(name), *h);
+    snap.histograms.try_emplace(name, *h);
   }
   return snap;
 }

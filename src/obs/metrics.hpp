@@ -21,7 +21,8 @@
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
+
+#include "common/flat_map.hpp"
 
 namespace rqs::obs {
 
@@ -111,16 +112,21 @@ class LatencyHistogram {
 /// percentiles stay correct after cross-worker merges). Mergeable; the
 /// merge is commutative and associative.
 struct MetricsSnapshot {
-  std::vector<std::pair<std::string, std::uint64_t>> counters;  // name-sorted
-  std::vector<std::pair<std::string, LatencyHistogram>> histograms;
+  FlatMap<std::string, std::uint64_t> counters;
+  FlatMap<std::string, LatencyHistogram> histograms;
 
   void merge(const MetricsSnapshot& other);
 
   /// Counter value by name (0 if absent).
-  [[nodiscard]] std::uint64_t counter(std::string_view name) const noexcept;
+  [[nodiscard]] std::uint64_t counter(std::string_view name) const noexcept {
+    const std::uint64_t* v = counters.find(name);
+    return v != nullptr ? *v : 0;
+  }
   /// Histogram by name (null if absent).
   [[nodiscard]] const LatencyHistogram* histogram(
-      std::string_view name) const noexcept;
+      std::string_view name) const noexcept {
+    return histograms.find(name);
+  }
 
   [[nodiscard]] bool empty() const noexcept {
     return counters.empty() && histograms.empty();
@@ -130,34 +136,28 @@ struct MetricsSnapshot {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Registry of named counters and histograms. Lookups follow the
-/// TagCounts idiom: a flat name-sorted vector probed by binary search, so
-/// the steady state (every name seen before) never allocates.
+/// Registry of named counters and histograms, each a FlatMap keyed by the
+/// name view, so the steady state (every name seen before) never
+/// allocates. Histograms are boxed: a first-sight insert shifts the
+/// entries behind it, and a pointer is cheaper to shift than a histogram.
 class MetricsRegistry {
  public:
   // rqs-hot-path
   void bump(std::string_view name, std::uint64_t by = 1) {
-    const auto it = std::lower_bound(
-        counters_.begin(), counters_.end(), name,
-        [](const auto& a, std::string_view b) { return a.first < b; });
-    if (it != counters_.end() && it->first == name) {
-      it->second += by;
-      return;
-    }
-    counters_.insert(it, {name, by});  // rqs-lint: allow(hot-path-alloc) cold first-sight insert; the sorted vector reaches steady state after each name's first bump
+    counters_[name] += by;
   }
 
   // rqs-hot-path
   [[nodiscard]] LatencyHistogram& histogram(std::string_view name) {
-    const auto it = std::lower_bound(
-        histograms_.begin(), histograms_.end(), name,
-        [](const auto& a, std::string_view b) { return a.first < b; });
-    if (it != histograms_.end() && it->first == name) return *it->second;
-    const auto ins = histograms_.insert(it, {name, std::make_unique<LatencyHistogram>()});  // rqs-lint: allow(hot-path-alloc) cold first-sight insert, as with counters
-    return *ins->second;
+    std::unique_ptr<LatencyHistogram>& h = histograms_[name];
+    if (!h) h = std::make_unique<LatencyHistogram>();  // rqs-lint: allow(hot-path-alloc) cold first-sight allocation, as with the table insert
+    return *h;
   }
 
-  [[nodiscard]] std::uint64_t counter(std::string_view name) const noexcept;
+  [[nodiscard]] std::uint64_t counter(std::string_view name) const noexcept {
+    const std::uint64_t* v = counters_.find(name);
+    return v != nullptr ? *v : 0;
+  }
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
@@ -167,9 +167,8 @@ class MetricsRegistry {
   }
 
  private:
-  std::vector<std::pair<std::string_view, std::uint64_t>> counters_;
-  std::vector<std::pair<std::string_view, std::unique_ptr<LatencyHistogram>>>
-      histograms_;
+  FlatMap<std::string_view, std::uint64_t> counters_;
+  FlatMap<std::string_view, std::unique_ptr<LatencyHistogram>> histograms_;
 };
 
 }  // namespace rqs::obs

@@ -4,20 +4,10 @@ namespace rqs::obs {
 
 MetricsSnapshot Observer::snapshot() const {
   MetricsSnapshot snap = metrics_.snapshot();
-  MetricsSnapshot sim;
-  sim.counters.emplace_back("sim.delivers", delivers_);
-  sim.counters.emplace_back("sim.sends", sends_);
-  sim.counters.emplace_back("sim.timers", timers_);
-  snap.merge(sim);
+  snap.counters["sim.delivers"] += delivers_;
+  snap.counters["sim.sends"] += sends_;
+  snap.counters["sim.timers"] += timers_;
   return snap;
-}
-
-std::string_view Observer::message_tag(std::uint32_t type) const noexcept {
-  const auto it = std::lower_bound(
-      tags_.begin(), tags_.end(), type,
-      [](const auto& a, std::uint32_t b) { return a.first < b; });
-  return it != tags_.end() && it->first == type ? it->second
-                                                : std::string_view{};
 }
 
 }  // namespace rqs::obs

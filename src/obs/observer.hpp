@@ -10,13 +10,11 @@
 // into the protocols: observation can never change a golden digest.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string_view>
-#include <utility>
-#include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/types.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -140,23 +138,22 @@ class Observer {
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// Tag of an interned message type ("" if never seen while tracing).
-  [[nodiscard]] std::string_view message_tag(std::uint32_t type) const noexcept;
+  [[nodiscard]] std::string_view message_tag(std::uint32_t type) const noexcept {
+    const std::string_view* tag = tags_.find(type);
+    return tag != nullptr ? *tag : std::string_view{};
+  }
 
  private:
   // rqs-hot-path
   void intern(std::uint32_t type, std::string_view tag) {
-    const auto it = std::lower_bound(
-        tags_.begin(), tags_.end(), type,
-        [](const auto& a, std::uint32_t b) { return a.first < b; });
-    if (it != tags_.end() && it->first == type) return;
-    tags_.insert(it, {type, tag});  // rqs-lint: allow(hot-path-alloc) cold first-sight insert, one per distinct message type
+    tags_.try_emplace(type, tag);
   }
 
   MetricsRegistry metrics_;
   std::optional<TraceRing> ring_;
   // Message tags are static-storage string_views (Message::tag), interned
   // by type hash for export.
-  std::vector<std::pair<std::uint32_t, std::string_view>> tags_;
+  FlatMap<std::uint32_t, std::string_view> tags_;
   std::uint64_t sends_{0};
   std::uint64_t delivers_{0};
   std::uint64_t timers_{0};

@@ -12,13 +12,13 @@
 // broadcast as one fan-out event instead of one event per target.
 #pragma once
 
-#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <optional>
-#include <stdexcept>
 #include <string_view>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/process_set.hpp"
 #include "common/retry.hpp"
 #include "sim/message.hpp"
@@ -26,61 +26,11 @@
 
 namespace rqs::sim {
 
-/// Per-tag send counters on a small flat sorted vector. Tag sets are tiny
-/// (a dozen static literals per protocol) and stable after warm-up, so a
-/// branchy binary search over one cache line beats the old std::map probe
-/// on every send. Keys are the tag views themselves (static literals per
-/// Message::tag's contract) — counting never copies a string.
-class TagCounts {
- public:
-  using value_type = std::pair<std::string_view, std::uint64_t>;
-  using const_iterator = std::vector<value_type>::const_iterator;
-
-  // rqs-hot-path
-  void bump(std::string_view tag, std::uint64_t n = 1) {
-    const auto it = lower(tag);
-    if (it != v_.end() && it->first == tag) {
-      it->second += n;
-    } else {
-      v_.insert(it, {tag, n});  // rqs-lint: allow(hot-path-alloc) cold — once per distinct tag, a dozen static literals per protocol
-    }
-  }
-
-  /// map::at-compatible: throws std::out_of_range for an unseen tag.
-  [[nodiscard]] std::uint64_t at(std::string_view tag) const {
-    const auto it = lower(tag);
-    if (it == v_.end() || it->first != tag) {
-      throw std::out_of_range("TagCounts::at: no such tag");
-    }
-    return it->second;
-  }
-  /// map::count-compatible: 0 or 1.
-  [[nodiscard]] std::size_t count(std::string_view tag) const noexcept {
-    const auto it = lower(tag);
-    return it != v_.end() && it->first == tag ? 1 : 0;
-  }
-
-  [[nodiscard]] const_iterator begin() const noexcept { return v_.begin(); }
-  [[nodiscard]] const_iterator end() const noexcept { return v_.end(); }
-  [[nodiscard]] std::size_t size() const noexcept { return v_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return v_.empty(); }
-  void clear() noexcept { v_.clear(); }
-
- private:
-  [[nodiscard]] std::vector<value_type>::iterator lower(std::string_view tag) {
-    return std::lower_bound(
-        v_.begin(), v_.end(), tag,
-        [](const value_type& e, std::string_view t) { return e.first < t; });
-  }
-  [[nodiscard]] std::vector<value_type>::const_iterator lower(
-      std::string_view tag) const {
-    return std::lower_bound(
-        v_.begin(), v_.end(), tag,
-        [](const value_type& e, std::string_view t) { return e.first < t; });
-  }
-
-  std::vector<value_type> v_;  // sorted by tag
-};
+/// Per-tag send counters. Tag sets are tiny (a dozen static literals per
+/// protocol) and stable after warm-up, so counting is a binary search over
+/// one cache line. Keys are the tag views themselves (static literals per
+/// Message::tag's contract): counting never copies a string.
+using TagCounts = FlatMap<std::string_view, std::uint64_t>;
 
 class Network {
  public:
@@ -98,7 +48,7 @@ class Network {
   void send(ProcessId from, ProcessId to, MessagePtr msg) {
     if (sim_.crashed(from)) return;
     ++sent_;
-    sent_by_tag_.bump(msg->tag());
+    ++sent_by_tag_[msg->tag()];
     if (fast_path()) {
       // Synchronous fault-free steady state: no rule scan, no loss draw,
       // straight into the event queue.
@@ -121,7 +71,7 @@ class Network {
     }
     if (sim_.crashed(from) || targets.empty()) return;
     sent_ += targets.size();
-    sent_by_tag_.bump(msg->tag(), targets.size());
+    sent_by_tag_[msg->tag()] += targets.size();
     sim_.fan_out(sim_.now() + default_delay_, from, targets, std::move(msg));
   }
 

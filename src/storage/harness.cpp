@@ -1,6 +1,5 @@
 #include "storage/harness.hpp"
 
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -52,7 +51,6 @@ StorageCluster::StorageCluster(RefinedQuorumSystem rqs,
       kc.readers.push_back(std::make_unique<RqsReader>(
           sim_, reader_client_id(key, i, cfg.reader_count), rqs_, servers_,
           RqsReader::Mode::kAtomic, key, cfg.retry));
-      kc.read_done.push_back(true);
       kc.read_value.push_back(kBottom);
     }
   }
@@ -62,7 +60,7 @@ RoundNumber StorageCluster::blocking_write(ObjectId key, Value v) {
   async_write(key, v);
   // Hard check, not an assert: in Release the rounds of the previous write
   // would come back as this one's.
-  if (!drive([&] { return keys_[key].write_done; })) {
+  if (!drive(sim_, [&] { return write_done(key); })) {
     throw std::runtime_error("StorageCluster::blocking_write: the write on key " +
                              std::to_string(key) +
                              " did not terminate (no live quorum?)");
@@ -73,7 +71,7 @@ RoundNumber StorageCluster::blocking_write(ObjectId key, Value v) {
 StorageCluster::ReadOutcome StorageCluster::blocking_read(ObjectId key,
                                                           std::size_t i) {
   async_read(key, i);
-  if (!drive([&] { return keys_[key].read_done[i]; })) {
+  if (!drive(sim_, [&] { return read_done(key, i); })) {
     throw std::runtime_error("StorageCluster::blocking_read: reader " +
                              std::to_string(i) + " of key " +
                              std::to_string(key) +
@@ -85,23 +83,17 @@ StorageCluster::ReadOutcome StorageCluster::blocking_read(ObjectId key,
 
 void StorageCluster::async_write(ObjectId key, Value v) {
   KeyClients& kc = keys_.at(key);
-  assert(kc.write_done);
-  kc.write_done = false;
   log_.push_back({.is_write = true, .key = key, .invoked_at = sim_.now(),
                   .invoked = ++endpoints_, .value = v});
   kc.writer->write(v, [this, op = log_.size() - 1] {
     Operation& o = log_[op];
     o.responded = ++endpoints_;
-    KeyClients& done_kc = keys_[o.key];
-    done_kc.write_done = true;
-    done_kc.checker.add_write(o.invoked_at, sim_.now(), o.value);
+    keys_[o.key].checker.add_write(o.invoked_at, sim_.now(), o.value);
   });
 }
 
 void StorageCluster::async_read(ObjectId key, std::size_t i) {
   KeyClients& kc = keys_.at(key);
-  assert(kc.read_done.at(i));
-  kc.read_done[i] = false;
   log_.push_back({.key = key, .reader = i, .invoked_at = sim_.now(),
                   .invoked = ++endpoints_});
   kc.readers[i]->read([this, op = log_.size() - 1](Value v) {
@@ -109,7 +101,6 @@ void StorageCluster::async_read(ObjectId key, std::size_t i) {
     o.responded = ++endpoints_;
     o.value = v;
     KeyClients& done_kc = keys_[o.key];
-    done_kc.read_done[o.reader] = true;
     done_kc.read_value[o.reader] = v;
     done_kc.checker.add_read(o.invoked_at, sim_.now(), v);
   });

@@ -98,6 +98,15 @@ class StorageCluster {
   /// retry on, seeded) 882; the bound sits an order of magnitude above.
   static constexpr sim::SimTime kBlockingDeadlineDeltas = 10'000;
 
+  /// Steps `s` until `done()` holds; false when the queue drains or
+  /// kBlockingDeadlineDeltas pass first. The blocking operations drive
+  /// with it, as do callers of the async ones and harnesses built on a
+  /// bare Simulation.
+  template <typename Done>
+  static bool drive(sim::Simulation& s, Done done) {
+    return s.run_until(done, s.now() + kBlockingDeadlineDeltas * s.delta());
+  }
+
   /// Runs write(v) on a key to completion; returns the rounds it took.
   /// Throws std::runtime_error when the queue drains or
   /// kBlockingDeadlineDeltas pass first (no live quorum), as
@@ -119,11 +128,12 @@ class StorageCluster {
   /// Starts a read without driving the simulation.
   void async_read(std::size_t i) { async_read(0, i); }
   void async_read(ObjectId key, std::size_t i);
-  /// True iff the async read started last on the key's reader i completed;
-  /// value available via last_read_value.
+  /// True iff the key's reader i has no read in flight: the read started
+  /// last completed (value via last_read_value). A crashed reader's read
+  /// never completes.
   [[nodiscard]] bool read_done(std::size_t i) const { return read_done(0, i); }
   [[nodiscard]] bool read_done(ObjectId key, std::size_t i) const {
-    return keys_.at(key).read_done.at(i);
+    return !keys_.at(key).readers.at(i)->busy();
   }
   [[nodiscard]] Value last_read_value(std::size_t i) const {
     return last_read_value(0, i);
@@ -133,7 +143,7 @@ class StorageCluster {
   }
   [[nodiscard]] bool write_done() const { return write_done(0); }
   [[nodiscard]] bool write_done(ObjectId key) const {
-    return keys_.at(key).write_done;
+    return !keys_.at(key).writer->busy();
   }
 
   /// The checker accumulating all completed operations on a key, reads
@@ -173,18 +183,8 @@ class StorageCluster {
     std::unique_ptr<RqsWriter> writer;
     std::vector<std::unique_ptr<RqsReader>> readers;
     AtomicityChecker checker;
-    bool write_done{true};
-    std::vector<bool> read_done;
     std::vector<Value> read_value;
   };
-
-  /// Steps the simulation until `done()` holds; false when the queue
-  /// drains or kBlockingDeadlineDeltas pass first.
-  template <typename Done>
-  bool drive(Done done) {
-    return sim_.run_until(done,
-                          sim_.now() + kBlockingDeadlineDeltas * sim_.delta());
-  }
 
   sim::Simulation sim_;
   RefinedQuorumSystem rqs_;

@@ -6,10 +6,10 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <initializer_list>
 #include <string_view>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/types.hpp"
 #include "core/rqs.hpp"
 #include "sim/message.hpp"
@@ -17,47 +17,11 @@
 namespace rqs::storage {
 
 /// A set of class 2 quorum identifiers (the paper's QC'2 / Set values).
-/// Flat sorted vector with set semantics: these sets hold a handful of ids
-/// (subsets of one system's class 2 quorums), so a contiguous search/insert
-/// beats std::set nodes — and copying one (each wr carries a QC'2 set, each
-/// rd_ack history slot carries its Set) is a single allocation at most.
-class QuorumIdSet {
- public:
-  using const_iterator = std::vector<QuorumId>::const_iterator;
-
-  QuorumIdSet() = default;
-  QuorumIdSet(std::initializer_list<QuorumId> ids) {
-    for (const QuorumId id : ids) insert(id);
-  }
-
-  void insert(QuorumId id) {
-    const auto it = std::lower_bound(v_.begin(), v_.end(), id);
-    if (it == v_.end() || *it != id) v_.insert(it, id);
-  }
-  template <typename It>
-  void insert(It first, It last) {
-    for (; first != last; ++first) insert(*first);
-  }
-
-  [[nodiscard]] const_iterator find(QuorumId id) const {
-    const auto it = std::lower_bound(v_.begin(), v_.end(), id);
-    return it != v_.end() && *it == id ? it : v_.end();
-  }
-  [[nodiscard]] bool contains(QuorumId id) const {
-    return std::binary_search(v_.begin(), v_.end(), id);
-  }
-
-  [[nodiscard]] const_iterator begin() const noexcept { return v_.begin(); }
-  [[nodiscard]] const_iterator end() const noexcept { return v_.end(); }
-  [[nodiscard]] std::size_t size() const noexcept { return v_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return v_.empty(); }
-  void clear() noexcept { v_.clear(); }
-
-  friend bool operator==(const QuorumIdSet&, const QuorumIdSet&) = default;
-
- private:
-  std::vector<QuorumId> v_;  // sorted, unique
-};
+/// These sets hold a handful of ids (subsets of one system's class 2
+/// quorums), so one sorted vector beats std::set nodes, and copying one
+/// (each wr carries a QC'2 set, each rd_ack history slot carries its Set)
+/// is a single allocation at most.
+using QuorumIdSet = FlatSet<QuorumId>;
 
 /// One slot of a server's history matrix: history[ts, rnd] = <pair, sets>.
 struct HistorySlot {

@@ -139,7 +139,7 @@ bool RqsReader::bcd1(const TsValue& c, RoundNumber r) const {
         const HistorySlot& s = slot(i, c.ts, r);
         if (s.pair != c || s.sets != first.sets) return false;
       }
-      return r != 2 || first.sets.find(qrid) != first.sets.end();
+      return r != 2 || first.sets.contains(qrid);
     });
   });
 }

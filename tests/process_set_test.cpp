@@ -1,10 +1,22 @@
-// Unit tests for ProcessSet: construction, algebra, iteration, ordering.
+// Unit tests for the common layer's sets: ProcessSet (construction,
+// algebra, iteration, ordering) and the sorted flat containers FlatSet /
+// FlatMap, checked against std::set / std::map as oracles.
 #include "common/process_set.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "common/flat_map.hpp"
+#include "common/rng.hpp"
 
 namespace rqs {
 namespace {
@@ -142,6 +154,107 @@ TEST(ProcessSetTest, ToString) {
 TEST(ProcessSetTest, FromMaskRoundTrip) {
   const ProcessSet s{0, 63};
   EXPECT_EQ(ProcessSet::from_mask(s.mask()), s);
+}
+
+TEST(FlatMapTest, SeededRandomOpsMatchStdMap) {
+  Rng rng(2026);
+  FlatMap<int, std::uint64_t> m;
+  std::map<int, std::uint64_t> oracle;
+  for (int i = 0; i < 4000; ++i) {
+    const int k = static_cast<int>(rng.uniform(-40, 40));
+    const auto v = static_cast<std::uint64_t>(rng.uniform(1, 1000));
+    switch (rng.uniform(0, 2)) {
+      case 0:  // never overwrites: both keep the first value
+        EXPECT_EQ(m.try_emplace(k, v), oracle.try_emplace(k, v).first->second);
+        break;
+      case 1:  // value-initializes on first sight
+        EXPECT_EQ(m[k] += v, oracle[k] += v);
+        break;
+      default: {
+        const auto it = oracle.find(k);
+        const std::uint64_t* got = m.find(k);
+        ASSERT_EQ(got != nullptr, it != oracle.end()) << "key " << k;
+        EXPECT_EQ(m.count(k), oracle.count(k));
+        if (it != oracle.end()) {
+          EXPECT_EQ(*got, it->second);
+          EXPECT_EQ(m.at(k), it->second);
+        } else {
+          EXPECT_THROW((void)m.at(k), std::out_of_range);
+        }
+      }
+    }
+    ASSERT_EQ(m.size(), oracle.size());
+  }
+  // Ordered, unique iteration.
+  using Entries = std::vector<std::pair<int, std::uint64_t>>;
+  EXPECT_EQ(Entries(m.begin(), m.end()), Entries(oracle.begin(), oracle.end()));
+  m.clear();
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.find(0), nullptr);
+}
+
+TEST(FlatMapTest, FirstSightAndAbsentKeys) {
+  FlatMap<int, std::string> m;
+  m.reserve(4);
+  EXPECT_EQ(m[7], "");  // value-initialized
+  EXPECT_EQ(m.try_emplace(3, 2, 'x'), "xx");  // built from the arguments
+  EXPECT_EQ(m.try_emplace(3, "other"), "xx");  // kept, not overwritten
+  m[7] = "seven";
+  EXPECT_EQ(m.at(7), "seven");
+  EXPECT_EQ(m.count(5), 0u);
+  EXPECT_EQ(m.find(5), nullptr);
+  EXPECT_THROW((void)m.at(5), std::out_of_range);
+  ASSERT_EQ(m.size(), 2u);
+  EXPECT_EQ(m.begin()->first, 3);
+}
+
+TEST(FlatMapTest, HeterogeneousLookup) {
+  // A literal into a string_view key: the tag counters' probe.
+  FlatMap<std::string_view, std::uint64_t> tags;
+  ++tags["WR_ACK"];
+  tags["WR"] += 5;
+  EXPECT_EQ(tags.at("WR"), 5u);
+  EXPECT_EQ(tags.count("RD"), 0u);
+  EXPECT_EQ(tags.begin()->first, "WR");
+  // A string_view into a string key: the metric snapshots' probe.
+  FlatMap<std::string, std::uint64_t> named;
+  const std::string owner = "storage.read.class1";
+  const std::string_view name = owner;
+  named.try_emplace(name, 4);
+  named[std::string_view("sim.sends")] += 2;
+  EXPECT_EQ(named.at(name), 4u);
+  EXPECT_EQ(*named.find(std::string_view("sim.sends")), 2u);
+  EXPECT_EQ(named.find(name.substr(0, 7)), nullptr);
+  EXPECT_EQ(named.begin()->first, "sim.sends");
+}
+
+TEST(FlatSetTest, SeededRandomInsertsMatchStdSet) {
+  Rng rng(26);
+  FlatSet<std::uint32_t> s;
+  std::set<std::uint32_t> oracle;
+  for (int i = 0; i < 2000; ++i) {
+    const auto id = static_cast<std::uint32_t>(rng.uniform(0, 60));
+    if (rng.chance(0.5)) {
+      s.insert(id);
+      oracle.insert(id);
+    } else {
+      EXPECT_EQ(s.contains(id), oracle.contains(id)) << "id " << id;
+    }
+    ASSERT_EQ(s.size(), oracle.size());
+  }
+  EXPECT_TRUE(std::equal(s.begin(), s.end(), oracle.begin(), oracle.end()));
+  FlatSet<std::uint32_t> ranged;
+  ranged.insert(oracle.rbegin(), oracle.rend());
+  EXPECT_EQ(ranged, s);
+  s.clear();
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(FlatSetTest, Equality) {
+  EXPECT_EQ((FlatSet<int>{3, 1, 2, 3}), (FlatSet<int>{1, 2, 3}));
+  EXPECT_NE((FlatSet<int>{1, 2}), (FlatSet<int>{1, 2, 3}));
+  EXPECT_NE((FlatSet<int>{}), (FlatSet<int>{0}));
+  EXPECT_EQ((FlatSet<int>{}), FlatSet<int>());
 }
 
 }  // namespace

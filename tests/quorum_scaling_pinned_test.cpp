@@ -97,12 +97,9 @@ Fingerprint network_fingerprint(sim::Simulation& s) {
   return f;
 }
 
-/// Steps `s` until `done()` holds, the queue drains, or the deadline passes.
-bool run_until(sim::Simulation& s, const std::function<bool()>& done) {
-  const sim::SimTime deadline = s.now() + kDeadlineDeltas * s.delta();
-  while (!done() && s.now() <= deadline && s.step()) {
-  }
-  return done();
+/// How far a drive may run: kDeadlineDeltas past now.
+sim::SimTime deadline(const sim::Simulation& s) {
+  return s.now() + kDeadlineDeltas * s.delta();
 }
 
 RefinedQuorumSystem graded7() { return make_graded_threshold(7, 1, 2, 1, 0); }
@@ -148,9 +145,11 @@ Fingerprint storage_run(RefinedQuorumSystem sys, std::size_t crashed,
   for (Value v = 1; v <= kPairs; ++v) {
     const std::size_t r = static_cast<std::size_t>(v % 2);
     c.async_write(v);
-    EXPECT_TRUE(run_until(c.sim(), [&] { return c.write_done(); })) << "write " << v;
+    EXPECT_TRUE(c.sim().run_until([&] { return c.write_done(); }, deadline(c.sim())))
+        << "write " << v;
     c.async_read(r);
-    EXPECT_TRUE(run_until(c.sim(), [&] { return c.read_done(r); })) << "read " << v;
+    EXPECT_TRUE(c.sim().run_until([&] { return c.read_done(r); }, deadline(c.sim())))
+        << "read " << v;
     EXPECT_EQ(c.last_read_value(r), v);
     rounds.push_back(std::to_string(c.writer().last_write_rounds()) + "/" +
                      std::to_string(c.reader(r).last_read_rounds()));
@@ -258,7 +257,7 @@ Fingerprint consensus_run(RefinedQuorumSystem sys, std::size_t crashed,
   // suspected.
   if (leader == Leader::kByzantine) c.propose(1, kProposal);
   EXPECT_TRUE(c.run_until_learned(kDeadlineDeltas));
-  if (stop == Stop::kIdle) run_until(c.sim(), [&] { return c.sim().idle(); });
+  if (stop == Stop::kIdle) c.sim().run_until([&] { return c.sim().idle(); }, deadline(c.sim()));
   EXPECT_EQ(c.agreed_value(), std::optional<Value>{kProposal});
 
   Fingerprint f = network_fingerprint(c.sim());

@@ -23,7 +23,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -92,15 +91,6 @@ RetryPolicy::Config retry(std::uint32_t max_attempts, std::uint64_t seed) {
   return cfg;
 }
 
-/// Steps `sim` until `done()` holds or `deltas` Deltas pass.
-bool run_until(sim::Simulation& sim, const std::function<bool()>& done,
-               sim::SimTime deltas) {
-  const sim::SimTime deadline = sim.now() + deltas * sim.delta();
-  while (!done() && sim.now() <= deadline && sim.step()) {
-  }
-  return done();
-}
-
 Pinned capture(storage::StorageCluster& c, const obs::Observer& ob) {
   Pinned p;
   p.end_time = c.sim().now();
@@ -146,7 +136,8 @@ TEST(RetryPinnedTest, WriteBlackout) {
   c.sim().run(120 * kDelta);
   EXPECT_FALSE(c.write_done());
   c.network().set_loss(0.0, 42);
-  ASSERT_TRUE(run_until(c.sim(), [&] { return c.write_done(); }, 400));
+  ASSERT_TRUE(c.sim().run_until([&] { return c.write_done(); },
+                                c.sim().now() + 400 * kDelta));
   expect_pinned(capture(c, ob),
                 {143690, 10,
                  {0x35a40c5ac5e8303bull, 0xa97392ab3227f9c1ull, 0xb4e4a73c23ceada0ull,
@@ -169,7 +160,8 @@ TEST(RetryPinnedTest, ReadBlackout) {
   c.sim().run(c.sim().now() + 120 * kDelta);
   EXPECT_FALSE(c.read_done(0));
   c.network().set_loss(0.0, 7);
-  ASSERT_TRUE(run_until(c.sim(), [&] { return c.read_done(0); }, 400));
+  ASSERT_TRUE(c.sim().run_until([&] { return c.read_done(0); },
+                                c.sim().now() + 400 * kDelta));
   EXPECT_EQ(c.last_read_value(0), 9);
   expect_pinned(capture(c, ob),
                 {143550, 38,
@@ -242,9 +234,11 @@ Pinned lossy_pairs(RefinedQuorumSystem rqs, double loss, std::uint64_t loss_seed
   c.network().set_loss(loss, loss_seed);
   for (Value v = 1; v <= 6; ++v) {
     c.async_write(v);
-    EXPECT_TRUE(run_until(c.sim(), [&] { return c.write_done(); }, 2000));
+    EXPECT_TRUE(c.sim().run_until([&] { return c.write_done(); },
+                                  c.sim().now() + 2000 * kDelta));
     c.async_read(0);
-    EXPECT_TRUE(run_until(c.sim(), [&] { return c.read_done(0); }, 2000));
+    EXPECT_TRUE(c.sim().run_until([&] { return c.read_done(0); },
+                                  c.sim().now() + 2000 * kDelta));
     EXPECT_EQ(c.last_read_value(0), v);
   }
   EXPECT_TRUE(c.checker().check().atomic);

@@ -107,5 +107,20 @@ TEST(KeyedScenarioTest, KeyedSwarmOnValidSystemsHasNoViolations) {
   EXPECT_EQ(run_swarm(single).digest, report.digest);
 }
 
+TEST(KeyedScenarioTest, SwarmWorkloadMixHasNoViolations) {
+  // The options of perfbench's `swarm` workload: the default generator mix
+  // (both protocols, every fault kind, retries armed under loss), up to 3
+  // keys, metrics collected, one worker; seeds 1..4000.
+  SwarmOptions opts;
+  opts.scenarios = 4000;
+  opts.threads = 1;
+  opts.base_seed = 1;
+  opts.generator.max_keys = 3;
+  opts.runner.collect_metrics = true;
+  const SwarmReport report = run_swarm(opts);
+  EXPECT_EQ(report.scenarios_run, 4000u);
+  EXPECT_EQ(report.violating, 0u) << report.summary();
+}
+
 }  // namespace
 }  // namespace rqs::scenario

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "storage/abd.hpp"
+#include "storage/harness.hpp"
 #include "storage/spec.hpp"
 
 namespace rqs::storage {
@@ -26,9 +27,7 @@ class AbdHarness {
     bool done = false;
     const auto invoked = sim_.now();
     writer_->write(v, [&] { done = true; });
-    while (!done && sim_.step()) {
-    }
-    ASSERT_TRUE(done);
+    ASSERT_TRUE(StorageCluster::drive(sim_, [&] { return done; }));
     checker_.add_write(invoked, sim_.now(), v);
   }
 
@@ -40,9 +39,7 @@ class AbdHarness {
       done = true;
       out = v;
     });
-    while (!done && sim_.step()) {
-    }
-    EXPECT_TRUE(done);
+    EXPECT_TRUE(StorageCluster::drive(sim_, [&] { return done; }));
     checker_.add_read(invoked, sim_.now(), out);
     return out;
   }

@@ -120,8 +120,7 @@ Trace run_mode(const DiffCase& c, bool compact) {
           ReadObs{cluster.last_read_value(0), cluster.reader(0).last_read_rounds()});
     }
   }
-  while (cluster.sim().step()) {
-  }
+  cluster.sim().run();
   EXPECT_TRUE(cluster.write_done());
   EXPECT_TRUE(cluster.read_done(0));
   EXPECT_TRUE(cluster.read_done(1));

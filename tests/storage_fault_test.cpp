@@ -90,10 +90,9 @@ TEST(StorageFaultTest, ReaderContentionDuringWrite) {
                                 5 * sim::kDefaultDelta);
   cluster.async_write(2);
   cluster.async_read(0);
-  while ((!cluster.write_done() || !cluster.read_done(0)) && cluster.sim().step()) {
-  }
-  ASSERT_TRUE(cluster.write_done());
-  ASSERT_TRUE(cluster.read_done(0));
+  ASSERT_TRUE(StorageCluster::drive(cluster.sim(), [&] {
+    return cluster.write_done() && cluster.read_done(0);
+  }));
   const auto rd2 = cluster.blocking_read(1);
   EXPECT_EQ(rd2.value, 2);
   EXPECT_TRUE(cluster.checker().check().atomic)

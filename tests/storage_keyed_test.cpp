@@ -79,8 +79,7 @@ TEST(KeyedStorageTest, InterleavedKeyedOpsStayAtomicPerKey) {
     }
     cluster.sim().run(cluster.sim().now() + 3 * sim::kDefaultDelta);
   }
-  while (cluster.sim().step()) {
-  }
+  cluster.sim().run();
   for (ObjectId key = 0; key < 3; ++key) {
     EXPECT_TRUE(cluster.write_done(key));
     EXPECT_TRUE(cluster.read_done(key, 0));
@@ -113,9 +112,7 @@ TEST(MultiWriterTest, LexicographicTimestampsNeverCollide) {
   bool done1 = false;
   w0.write(100, [&] { done0 = true; });
   w1.write(200, [&] { done1 = true; });
-  while ((!done0 || !done1) && sim.step()) {
-  }
-  ASSERT_TRUE(done0 && done1);
+  ASSERT_TRUE(StorageCluster::drive(sim, [&] { return done0 && done1; }));
   EXPECT_EQ(w0.timestamp(), (Timestamp{1, 0}));
   EXPECT_EQ(w1.timestamp(), (Timestamp{1, 1}));
   // Both rows coexist on every server: no silent overwrite.
@@ -131,9 +128,7 @@ TEST(MultiWriterTest, LexicographicTimestampsNeverCollide) {
     read_value = v;
     read_done = true;
   });
-  while (!read_done && sim.step()) {
-  }
-  ASSERT_TRUE(read_done);
+  ASSERT_TRUE(StorageCluster::drive(sim, [&] { return read_done; }));
   EXPECT_EQ(read_value, 200);  // (1, 1) > (1, 0) lexicographically
 }
 
@@ -165,9 +160,8 @@ TEST(WrAckAliasingTest, StaleWritebackAckCannotSatisfyNextReadsQuorum) {
   cluster.sim().run(read2_start + 2 * kDelta + kDelta / 2);
   ASSERT_FALSE(cluster.read_done(0));
   cluster.crash(1);
-  while (!cluster.read_done(0) && cluster.sim().step()) {
-  }
-  ASSERT_TRUE(cluster.read_done(0));
+  ASSERT_TRUE(StorageCluster::drive(cluster.sim(),
+                                    [&] { return cluster.read_done(0); }));
   EXPECT_EQ(cluster.last_read_value(0), 7);
   // Both writeback rounds waited for server 0's fresh (delayed) acks: the
   // buggy aliasing path would have completed before read2_start + 100

@@ -32,9 +32,7 @@ class RegularHarness {
 
   void blocking_write(Value v) {
     async_write(v);
-    while (!write_done_ && sim_.step()) {
-    }
-    ASSERT_TRUE(write_done_);
+    ASSERT_TRUE(StorageCluster::drive(sim_, [this] { return write_done_; }));
   }
 
   void async_write(Value v) {
@@ -54,8 +52,8 @@ class RegularHarness {
       out.done = true;
       out.value = v;
     });
-    const sim::SimTime deadline = sim_.now() + budget_deltas * sim_.delta();
-    while (!out.done && !sim_.idle() && sim_.now() <= deadline) sim_.step();
+    sim_.run_until([&] { return out.done; },
+                   sim_.now() + budget_deltas * sim_.delta());
     out.rounds = readers_[i]->last_read_rounds();
     return out;
   }

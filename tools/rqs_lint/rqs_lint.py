@@ -16,16 +16,20 @@ compiler warning enforces. This linter machine-checks them:
 
   unordered-iter  No std::unordered_{map,set,multimap,multiset} in
                   protocol/simulator code (src/sim, src/consensus,
-                  src/storage, src/scenario). Their iteration order is
-                  hash/libc++-version dependent; one stray iteration turns
-                  a golden digest into a coin flip. Use the repo's flat
-                  sorted containers (QuorumIdSet, TagCounts, ServerHistory)
-                  or std::map/std::set.
+                  src/storage, src/scenario, src/obs, src/mc). Their
+                  iteration order is hash/libc++-version dependent; one
+                  stray iteration turns a golden digest into a coin flip.
+                  Use the repo's sorted flat containers (FlatMap and
+                  FlatSet in common/flat_map.hpp, ServerHistory) or
+                  std::map/std::set.
 
-  hot-path-alloc  Functions annotated `// rqs-hot-path` must not allocate:
-                  no new / std::make_shared / std::make_unique, and no
-                  container-growth calls (push_back, emplace_back, emplace,
-                  insert, resize, reserve, append).
+  hot-path-alloc  Functions annotated `// rqs-hot-path`, anywhere in src/,
+                  must not allocate: no new / std::make_shared /
+                  std::make_unique, and no container-growth calls
+                  (push_back, emplace_back, emplace, insert, resize,
+                  reserve, append). FlatMap::try_emplace is annotated too,
+                  so the growth of every flat table is checked at its one
+                  insert.
                   This pins the PR-5 zero-allocation claim statically.
                   Placement new (`new (block) T`) is allocation-free and
                   permitted.
@@ -55,16 +59,13 @@ from pathlib import Path
 # Configuration
 # --------------------------------------------------------------------------
 
-# Directories (relative to the repo root) holding protocol/simulator code:
-# full rule set applies. src/obs is included because the observer sits on
-# the simulator dispatch path — its record/bump hot paths carry the same
-# zero-allocation obligation as the engine itself.
+# Directories (relative to the repo root) holding protocol/simulator code,
+# where unordered-iter applies. src/obs is included because the observer
+# sits on the simulator dispatch path. In src/common and src/core (pure
+# math and container code, not on any trace path) unordered iteration
+# cannot reach a digest; nondet and hot-path-alloc apply everywhere.
 PROTOCOL_DIRS = ("src/sim", "src/consensus", "src/storage", "src/scenario",
                  "src/obs", "src/mc")
-# Directories where only the nondeterminism rule applies (pure math /
-# container code, not on any trace path — unordered iteration there cannot
-# reach a digest, but a clock read could still leak into an API).
-SUPPORT_DIRS = ("src/common", "src/core")
 
 # File-level allowances: path suffix -> set of rules switched off, with the
 # justification required to live right here.
@@ -235,16 +236,14 @@ def scan_file(path: Path, rel: str, findings: list[Finding]) -> None:
                     "iteration order is hash-dependent and breaks golden "
                     "digests; use a flat sorted container or std::map/set"))
 
-    if in_protocol:
-        hot = hot_path_lines(raw, code)
-        for idx in sorted(hot):
-            if "hot-path-alloc" in file_allow or "hot-path-alloc" in allowed[idx]:
-                continue
-            for pat, msg in HOTPATH_PATTERNS:
-                if pat.search(code[idx]):
-                    findings.append(Finding(
-                        path, idx + 1, "hot-path-alloc",
-                        f"{msg} (function annotated // rqs-hot-path)"))
+    for idx in sorted(hot_path_lines(raw, code)):
+        if "hot-path-alloc" in file_allow or "hot-path-alloc" in allowed[idx]:
+            continue
+        for pat, msg in HOTPATH_PATTERNS:
+            if pat.search(code[idx]):
+                findings.append(Finding(
+                    path, idx + 1, "hot-path-alloc",
+                    f"{msg} (function annotated // rqs-hot-path)"))
 
 
 # --------------------------------------------------------------------------
