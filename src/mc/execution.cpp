@@ -34,10 +34,11 @@ constexpr std::size_t family_count() {
   return static_cast<std::size_t>(SystemFamily::kTiny3) + 1;
 }
 
-/// One immutable system per family, built on first use. Every replay
-/// builds a cluster, which copies its system from here instead of
-/// rebuilding it. scenario::materialize() itself is untouched, so swarm
-/// workers share nothing.
+/// One immutable system per family, built on first use. Every execution
+/// builds a cluster (one per search, and the tests' fresh ones), which
+/// copies its system from here instead of rebuilding it.
+/// scenario::materialize() itself is untouched, so swarm workers share
+/// nothing.
 const RefinedQuorumSystem& family_system(SystemFamily f) {
   static const auto systems = []<std::size_t... I>(std::index_sequence<I...>) {
     return std::array{scenario::materialize(static_cast<SystemFamily>(I))...};
@@ -212,6 +213,20 @@ void McExecution::fire(const Choice& c) {
     sim.fire_queued(c.position);
   }
   drain_dead();
+}
+
+void McExecution::save(State& s) {
+  cluster_.save(s.cluster_);
+  visibility_.save(s.visibility_);
+  s.injected_ = injected_;
+  s.skipped_ = skipped_;
+}
+
+void McExecution::restore(const State& s) {
+  cluster_.restore(s.cluster_);
+  visibility_.restore(s.visibility_);
+  injected_ = s.injected_;
+  skipped_ = s.skipped_;
 }
 
 void McExecution::inject_next() {

@@ -7,10 +7,11 @@
 // verdicts quantify over all asynchronous schedules of the spec, which is
 // the quantifier in the paper's safety claims.
 //
-// Canonical naming. The explorer re-executes prefixes from scratch
-// (stateless search), so every enabled transition carries a Choice key
-// that is stable across replays *and* across Mazurkiewicz-equivalent
-// interleavings: deliveries are named by (from, to, payload digest),
+// Canonical naming. The explorer's sleep sets and digest cache compare
+// transitions across the branches of its search, so every enabled
+// transition carries a Choice key that is stable across executions of the
+// spec *and* across Mazurkiewicz-equivalent interleavings: deliveries are
+// named by (from, to, payload digest),
 // timers by (owner, per-owner arm ordinal), injections by schedule index.
 // Simulation-assigned identities (event sequence numbers, TimerId
 // generation/slot encodings) depend on global allocation order and never
@@ -127,11 +128,33 @@ class McExecution {
 
   /// Fires the transition named `c`: injects the next schedule entry or
   /// dispatches the queued event at c.position, then drains dead events.
-  /// `c` must come from enabled() at this state, or at the same step of an
-  /// earlier execution of the same spec that fired the same choices: that
-  /// replay meets the same queue. Debug builds assert that the event at
-  /// c.position is named `c`.
+  /// `c` must come from enabled() at this state: listed here, or at this
+  /// state before a save() that restore() has put back, or at the same
+  /// step of an earlier execution of the same spec that fired the same
+  /// choices. Each of those meets the same queue. Debug builds assert that
+  /// the event at c.position is named `c`.
   void fire(const Choice& c);
+
+  /// The execution's state as save() leaves it for restore(): the
+  /// cluster's (its simulation, network, processes and operation log), the
+  /// visibility rules', the injection cursor and the count of skipped
+  /// entries. Destroy it before the execution.
+  class State {
+   private:
+    friend class McExecution;
+
+    storage::StorageCluster::State cluster_;
+    scenario::VisibilityRules::State visibility_;
+    std::size_t injected_{0};
+    std::uint64_t skipped_{0};
+  };
+
+  /// Writes the current state into `s`, reusing its buffers.
+  void save(State& s);
+  /// Puts back the state save() wrote into `s` from this execution. It
+  /// holds everything fire() changes, so the restored execution cannot be
+  /// told from a fresh one that fired the same choices.
+  void restore(const State& s);
 
   /// Canonical digest of the full state: process automata, live pending
   /// events (as a content multiset), crash set, injection cursor and the

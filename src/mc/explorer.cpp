@@ -1,8 +1,8 @@
 #include "mc/explorer.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <utility>
@@ -45,6 +45,7 @@ struct Frame {
   ChoiceSet to_explore;
   std::size_t next{0};
   ChoiceSet sleep;
+  std::uint64_t digest{0};  // of the frame's state, checked on restore
 };
 
 std::string join(const std::vector<std::string>& parts) {
@@ -61,11 +62,15 @@ std::string join(const std::vector<std::string>& parts) {
 McResult explore(const scenario::ScenarioSpec& spec, const McOptions& opts) {
   McResult res;
 
-  auto exec = std::make_unique<McExecution>(spec);
-  if (!exec->unsupported().empty()) {
-    res.error = exec->unsupported();
+  McExecution exec(spec);
+  if (!exec.unsupported().empty()) {
+    res.error = exec.unsupported();
     return res;
   }
+  // saved[k] holds the state of the frame at depth k, taken before its
+  // first choice fired when it has more to take. Declared after exec, so
+  // the states release their message references before exec's pool goes.
+  std::vector<McExecution::State> saved;
 
   Fnv64 xdigest;
   // digest -> sleep set the state was (last) explored with. Ordered map:
@@ -86,11 +91,11 @@ McResult explore(const scenario::ScenarioSpec& spec, const McOptions& opts) {
   const auto arrive = [&](ChoiceSet sleep_in) -> std::optional<Frame> {
     ++res.stats.states_visited;
     res.stats.max_depth_seen = std::max(res.stats.max_depth_seen, path.size());
-    const std::uint64_t d = exec->digest();
+    const std::uint64_t d = exec.digest();
     xdigest.mix(d);
     if (opts.collect_state_digests) res.state_digests.push_back(d);
 
-    exec->violations(viol_buf);
+    exec.violations(viol_buf);
     if (!viol_buf.empty()) {
       std::string sig = join(viol_buf);
       if (seen_signatures.insert(sig).second) {
@@ -103,6 +108,7 @@ McResult explore(const scenario::ScenarioSpec& spec, const McOptions& opts) {
     }
 
     Frame frame;
+    frame.digest = d;
     if (opts.use_state_cache) {
       const auto it = cache.find(d);
       if (it != cache.end()) {
@@ -116,7 +122,7 @@ McResult explore(const scenario::ScenarioSpec& spec, const McOptions& opts) {
           ++res.stats.cache_pruned;
           return std::nullopt;
         }
-        exec->enabled(enabled_buf);
+        exec.enabled(enabled_buf);
         // Copied from enabled_buf, the first range: the stored choices
         // carry queue positions of an earlier state with this digest,
         // whose queue layout can differ.
@@ -130,7 +136,7 @@ McResult explore(const scenario::ScenarioSpec& spec, const McOptions& opts) {
       }
     }
 
-    exec->enabled(enabled_buf);
+    exec.enabled(enabled_buf);
     if (enabled_buf.empty()) return std::nullopt;  // genuinely terminal
     if (path.size() >= opts.max_depth) {
       ++res.stats.truncated;
@@ -157,29 +163,33 @@ McResult explore(const scenario::ScenarioSpec& spec, const McOptions& opts) {
     ++res.stats.executions;
   }
 
-  // exec mirrors the state of stack.back() iff synced; on backtrack it is
-  // rebuilt lazily by replaying `path` from the initial state.
-  bool synced = true;
+  // exec holds the state of stack.back() before the frame's first choice
+  // fires; for each later one, the state saved then is restored.
   while (!stack.empty() && !aborted) {
     Frame& top = stack.back();
     if (top.next >= top.to_explore.size()) {
       stack.pop_back();
       if (!path.empty()) path.pop_back();
-      synced = false;
       continue;
     }
     if (res.stats.states_visited >= opts.max_states) {
       truncated = true;
       break;
     }
-    if (!synced) {
-      // The same prefix from the initial state meets the same queue at
-      // every step, so each path choice's position still names its event.
-      exec = std::make_unique<McExecution>(spec);
-      for (const Choice& c : path) exec->fire(c);
+    const std::size_t depth = path.size();
+    if (top.next == 0) {
+      if (top.to_explore.size() > 1) {
+        if (saved.size() <= depth) saved.resize(depth + 1);
+        exec.save(saved[depth]);
+      }
+    } else {
+      // The restored queue is laid out as saved, so each choice's position
+      // still names its event. Counted as the stateless search's replay of
+      // the path from the initial state would be.
+      exec.restore(saved[depth]);
+      assert(exec.digest() == top.digest);
       ++res.stats.replays;
-      res.stats.transitions += path.size();
-      synced = true;
+      res.stats.transitions += depth;
     }
 
     const Choice c = top.to_explore[top.next++];
@@ -190,7 +200,7 @@ McResult explore(const scenario::ScenarioSpec& spec, const McOptions& opts) {
       }
       insert_sorted(top.sleep, c);  // c sleeps for the later siblings
     }
-    exec->fire(c);
+    exec.fire(c);
     ++res.stats.transitions;
     xdigest.mix(c.key());
     path.push_back(c);
@@ -200,7 +210,6 @@ McResult explore(const scenario::ScenarioSpec& spec, const McOptions& opts) {
     } else {
       ++res.stats.executions;
       path.pop_back();
-      synced = false;
     }
   }
 

@@ -1,10 +1,14 @@
 // Exhaustive schedule-space exploration of a ScenarioSpec.
 //
-// Stateless-search model checking in the Verisoft/Godefroid style: a
-// depth-first search over canonical Choice sequences (mc/execution.hpp),
-// re-executing prefixes from the initial state on backtrack instead of
-// snapshotting simulator state. Two reductions, both optional so the
-// naive-vs-reduced differential can be asserted in tests:
+// Model checking in the Verisoft/Godefroid style: a depth-first search
+// over canonical Choice sequences (mc/execution.hpp) on one McExecution.
+// Before a state's first transition fires, when it has more to take, the
+// search saves the execution's state in place (McExecution::save; at most
+// one saved state per depth, its buffers reused); on backtrack it restores
+// that state instead of rebuilding the deployment and firing the path
+// again from the initial state. Debug builds assert that each restored
+// state has the digest it was saved with. Two reductions, both optional
+// so the naive-vs-reduced differential can be asserted in tests:
 //
 //  * Sleep sets. After exploring transition t at state s, t is put to
 //    sleep for s's later subtrees; a child inherits the sleeping
@@ -56,10 +60,18 @@ struct McOptions {
   bool collect_state_digests{false};
 };
 
+/// Work counts of one search. They depend only on the search tree, not on
+/// how a backtrack re-establishes its prefix: `transitions` and `replays`
+/// count what a stateless search, which fires the prefix again from the
+/// initial state, would do.
 struct McStats {
   std::uint64_t executions{0};        ///< maximal/pruned paths completed
-  std::uint64_t transitions{0};       ///< choices fired (incl. replays)
-  std::uint64_t replays{0};           ///< prefix re-executions on backtrack
+  /// Choices fired, plus the length of each prefix a backtrack
+  /// re-established by a restore. Choices actually fired are
+  /// states_visited - 1: every arrival but the root follows one.
+  std::uint64_t transitions{0};
+  /// Backtracks that re-established a prefix, each by restoring a state.
+  std::uint64_t replays{0};
   std::uint64_t states_visited{0};    ///< state arrivals (with duplicates)
   std::uint64_t distinct_states{0};   ///< distinct digests (cache on)
   std::uint64_t sleep_pruned{0};      ///< subtrees cut by sleep sets

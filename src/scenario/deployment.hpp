@@ -41,10 +41,16 @@ class VisibilityRules {
 
   void apply(ProcessId client, ProcessSet reachable);
 
+  /// The installed rule ids per client. Saved and restored with the
+  /// network's state, which holds the rules they name.
+  using State = std::map<ProcessId, std::pair<std::size_t, std::size_t>>;
+  void save(State& s) const { s = installed_; }
+  void restore(const State& s) { installed_ = s; }
+
  private:
   sim::Network& net_;
   ProcessSet servers_;
-  std::map<ProcessId, std::pair<std::size_t, std::size_t>> installed_;
+  State installed_;
 };
 
 /// Installs the fault entries shared by both protocols. A kCrash whose

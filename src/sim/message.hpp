@@ -323,6 +323,9 @@ class MessagePtr {
   [[nodiscard]] const Message* operator->() const noexcept { return m_; }
   [[nodiscard]] explicit operator bool() const noexcept { return m_ != nullptr; }
 
+  /// Takes one more reference on a raw (detached) message.
+  static void retain(const Message* m) noexcept { ++m->refs_; }
+
   /// Drops one reference on a raw (detached) message.
   static void release(const Message* m) noexcept {
     assert(m->refs_ > 0);

@@ -90,6 +90,36 @@ std::size_t Network::fixed_delay(ProcessSet froms, ProcessSet tos, SimTime delay
   });
 }
 
+void Network::save(State& s) const {
+  s.rules_ = rules_;
+  s.next_rule_id_ = next_rule_id_;
+  s.default_delay_ = default_delay_;
+  s.loss_probability_ = loss_probability_;
+  s.loss_seed_ = loss_seed_;
+  s.dup_probability_ = dup_probability_;
+  s.dup_seed_ = dup_seed_;
+  s.link_ordinal_ = link_ordinal_;
+  s.sent_ = sent_;
+  s.dropped_ = dropped_;
+  s.duplicated_ = duplicated_;
+  s.sent_by_tag_ = sent_by_tag_;
+}
+
+void Network::restore(const State& s) {
+  rules_ = s.rules_;
+  next_rule_id_ = s.next_rule_id_;
+  default_delay_ = s.default_delay_;
+  loss_probability_ = s.loss_probability_;
+  loss_seed_ = s.loss_seed_;
+  dup_probability_ = s.dup_probability_;
+  dup_seed_ = s.dup_seed_;
+  link_ordinal_ = s.link_ordinal_;
+  sent_ = s.sent_;
+  dropped_ = s.dropped_;
+  duplicated_ = s.duplicated_;
+  sent_by_tag_ = s.sent_by_tag_;
+}
+
 void Network::set_loss(double probability, std::uint64_t seed) {
   loss_probability_ = probability;
   loss_seed_ = seed;

@@ -132,6 +132,34 @@ class Network {
     sent_by_tag_.clear();
   }
 
+  /// Everything of the network but the simulation it sends through, as
+  /// save() leaves it for restore(): the rules with their ids and the next
+  /// id, the default delay, the loss and duplication settings, the link
+  /// ordinals and the counters. The model checker saves it with the
+  /// simulation's state.
+  class State {
+   private:
+    friend class Network;
+
+    std::vector<std::pair<std::size_t, Rule>> rules_;
+    std::size_t next_rule_id_{0};
+    SimTime default_delay_{0};
+    double loss_probability_{0.0};
+    std::uint64_t loss_seed_{0};
+    double dup_probability_{0.0};
+    std::uint64_t dup_seed_{0};
+    std::vector<std::uint32_t> link_ordinal_;
+    std::uint64_t sent_{0};
+    std::uint64_t dropped_{0};
+    std::uint64_t duplicated_{0};
+    TagCounts sent_by_tag_;
+  };
+
+  /// Writes the current state into `s`, reusing its buffers.
+  void save(State& s) const;
+  /// Puts back the state save() wrote into `s`.
+  void restore(const State& s);
+
  private:
   [[nodiscard]] bool fast_path() const noexcept {
     return rules_.empty() && loss_probability_ <= 0.0 && dup_probability_ <= 0.0;

@@ -1,6 +1,7 @@
 // Base classes for simulated processes (the paper's deterministic automata).
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <new>
 #include <type_traits>
@@ -16,12 +17,16 @@ class ProcessOf;
 
 /// What the simulator sees of a process. Only ProcessOf may construct one,
 /// so every process names the messages it hears.
+///
+/// A copy of a process holds its state without being one: it keeps the
+/// wiring (the simulation, the id, and the owner and handler of each
+/// Timer) but is not registered, so no event reaches it. Assigning the
+/// copy back to the process it was taken from restores that state; the
+/// model checker backtracks this way. Assignment asserts that both sides
+/// are the same process and copies only state.
 class Process {
  public:
   virtual ~Process() = default;
-
-  Process(const Process&) = delete;
-  Process& operator=(const Process&) = delete;
 
   [[nodiscard]] ProcessId id() const noexcept { return id_; }
   [[nodiscard]] Simulation& sim() noexcept { return sim_; }
@@ -62,6 +67,11 @@ class Process {
   friend class ProcessOf;
 
   Process(Simulation& sim, ProcessId id);
+  Process(const Process&) = default;
+  Process& operator=([[maybe_unused]] const Process& o) noexcept {
+    assert(&o.sim_ == &sim_ && o.id_ == id_ && "state of another process");
+    return *this;
+  }
 
   Simulation& sim_;
   ProcessId id_;
@@ -93,16 +103,25 @@ class Reaction {
 /// One named timeout of a process, bound to the handler its expiry runs:
 /// the only way to queue an expiry, so every armed timer has a handler by
 /// construction. A member of its owner, built with the owner and the
-/// handler. The simulation keeps its address while an expiry is queued,
-/// so it neither copies nor moves. A crashed owner's timers freeze with
-/// it: the expiry is dropped unrun and armed() keeps its value.
+/// handler. The simulation keeps its address while an expiry is queued.
+/// A crashed owner's timers freeze with it: the expiry is dropped unrun
+/// and armed() keeps its value.
+///
+/// Copies follow their owner's (see Process): a copy keeps the owner and
+/// the handler and only holds the expiry id, so it must never be armed or
+/// cancelled. Assignment asserts that both sides belong to one owner and
+/// copies the id, including the stale one a crashed owner keeps.
 class Timer {
  public:
   Timer(Process& owner, Reaction on_expiry) noexcept
       : owner_(owner), on_expiry_(on_expiry) {}
 
-  Timer(const Timer&) = delete;
-  Timer& operator=(const Timer&) = delete;
+  Timer(const Timer&) noexcept = default;
+  Timer& operator=(const Timer& o) noexcept {
+    assert(&o.owner_ == &owner_ && "state of another owner's timer");
+    id_ = o.id_;
+    return *this;
+  }
 
   /// True from arm() until the expiry runs the handler or cancel().
   [[nodiscard]] bool armed() const noexcept { return id_ != 0; }
@@ -157,6 +176,8 @@ class ProcessOf : public Process {
 
  protected:
   ProcessOf(Simulation& sim, ProcessId id) : Process(sim, id) {}
+  ProcessOf(const ProcessOf&) = default;
+  ProcessOf& operator=(const ProcessOf&) = default;
 
  private:
   /// A message type no process can name, so only a catch-all on() — a

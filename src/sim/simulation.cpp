@@ -217,6 +217,67 @@ bool Simulation::fire_queued(std::size_t i) {
   return true;
 }
 
+void Simulation::State::release() noexcept {
+  for (const Event& ev : queue_) {
+    if (ev.kind() == Event::kDelivery) MessagePtr::release(ev.delivery.msg);
+  }
+  queue_.clear();
+}
+
+void Simulation::save(State& s) {
+  // Hard check, not an assert: a Release build would otherwise restore a
+  // queue whose callback events name slots that hold nothing.
+  if (callback_free_.size() != callbacks_.size()) {
+    throw std::logic_error(
+        "Simulation::save: a schedule_at callback is pending");
+  }
+  expand_fanouts();
+  s.release();
+  s.sim_ = this;
+  s.queue_ = queue_.raw();
+  for (const Event& ev : s.queue_) {
+    if (ev.kind() == Event::kDelivery) MessagePtr::retain(ev.delivery.msg);
+  }
+  s.now_ = now_;
+  s.next_seq_ = next_seq_;
+  s.messages_delivered_ = messages_delivered_;
+  s.crashed_ = crashed_;
+  s.timer_slots_ = timer_slots_;
+  s.timer_free_ = timer_free_;
+  s.timer_arms_ = timer_arms_;
+  s.fanout_slots_ = fanouts_.size();
+  s.fanout_free_ = fanout_free_;
+  s.callback_slots_ = callbacks_.size();
+  s.callback_free_ = callback_free_;
+}
+
+void Simulation::restore(const State& s) {
+  assert(s.sim_ == this && "restoring a state saved by another simulation");
+  // Take the saved queue's references before dropping the current ones: a
+  // message queued in both must not reach zero in between.
+  for (const Event& ev : s.queue_) {
+    if (ev.kind() == Event::kDelivery) MessagePtr::retain(ev.delivery.msg);
+  }
+  for (const Event& ev : queue_.raw()) {
+    if (ev.kind() == Event::kDelivery) MessagePtr::release(ev.delivery.msg);
+  }
+  queue_.assign(s.queue_);
+  now_ = s.now_;
+  next_seq_ = s.next_seq_;
+  messages_delivered_ = s.messages_delivered_;
+  crashed_ = s.crashed_;
+  timer_slots_ = s.timer_slots_;
+  timer_free_ = s.timer_free_;
+  timer_arms_ = s.timer_arms_;
+  // Every fan-out was expanded when the state was saved.
+  for (FanoutSlot& f : fanouts_) f.msg.reset();
+  fanouts_.resize(s.fanout_slots_);
+  fanout_free_ = s.fanout_free_;
+  for (std::function<void()>& fn : callbacks_) fn = nullptr;
+  callbacks_.resize(s.callback_slots_);
+  callback_free_ = s.callback_free_;
+}
+
 // rqs-hot-path
 void Simulation::dispatch(const Event& ev) {
   switch (ev.kind()) {

@@ -119,8 +119,9 @@ static_assert(std::is_trivially_copyable_v<Event>,
               "events with plain copies");
 static_assert(std::is_standard_layout_v<Event>);
 static_assert(std::is_trivially_destructible_v<Event>,
-              "Event owns its delivery message ref manually (dispatch / "
-              "~Simulation); a destructor would double-release");
+              "Event owns its delivery message ref manually (dispatch, "
+              "~Simulation, Simulation::State); a destructor would "
+              "double-release");
 static_assert(alignof(Event) == 8);
 
 /// Hand-rolled 4-ary min-heap over (at, key). A fanout of 4 halves the
@@ -133,8 +134,11 @@ class EventHeap {
   [[nodiscard]] bool empty() const noexcept { return v_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return v_.size(); }
   [[nodiscard]] const Event& top() const noexcept { return v_.front(); }
-  /// Every queued event, heap order (for destructor cleanup only).
+  /// Every queued event, heap order.
   [[nodiscard]] const std::vector<Event>& raw() const noexcept { return v_; }
+  /// Replaces the queue with `events`, a layout raw() returned (so already
+  /// a heap), keeping the buffer.
+  void assign(const std::vector<Event>& events) { v_ = events; }
 
   // rqs-hot-path
   void push(const Event& e) {
@@ -227,6 +231,11 @@ class EventHeap {
 };
 
 class Simulation {
+  struct TimerSlot {
+    std::uint32_t gen;  // bumped on free; never 0
+    Timer* timer;       // whose handler the expiry runs; null once cancelled
+  };
+
  public:
   explicit Simulation(SimTime delta = kDefaultDelta);
   ~Simulation();
@@ -323,6 +332,52 @@ class Simulation {
   /// at now(). Returns false if `i` is out of range.
   bool fire_queued(std::size_t i);
 
+  /// What firing events can change in the simulation, as save() leaves it
+  /// for restore(): the queue exactly as laid out (a model-checker choice
+  /// names its event by heap position), the clock, the sequence counter
+  /// (ties among payload-identical events go to the smallest key), the
+  /// delivery count, the crash flags and the timer slots with their
+  /// generations, free list and per-owner arm ordinals. It holds one
+  /// reference per queued message (payloads are immutable after send, so
+  /// sharing them is safe) and drops them when overwritten or destroyed:
+  /// destroy it before the simulation whose pool built those messages.
+  /// The network and the processes save their own state.
+  class State {
+   public:
+    State() = default;
+    State(State&&) noexcept = default;
+    State& operator=(State&&) = delete;
+    ~State() { release(); }
+
+   private:
+    friend class Simulation;
+
+    void release() noexcept;
+
+    const Simulation* sim_{nullptr};
+    std::vector<Event> queue_;
+    SimTime now_{0};
+    std::uint64_t next_seq_{0};
+    std::uint64_t messages_delivered_{0};
+    std::vector<std::uint8_t> crashed_;
+    std::vector<TimerSlot> timer_slots_;
+    std::vector<std::uint32_t> timer_free_;
+    std::vector<std::uint32_t> timer_arms_;
+    std::size_t fanout_slots_{0};
+    std::vector<std::uint32_t> fanout_free_;
+    std::size_t callback_slots_{0};
+    std::vector<std::uint32_t> callback_free_;
+  };
+
+  /// Writes the current state into `s`, reusing its buffers. Pending
+  /// fan-outs are expanded first, as queued_event() would. Throws
+  /// std::logic_error while a schedule_at() callback is pending: a closure
+  /// cannot be saved, and the model checker schedules none.
+  void save(State& s);
+  /// Puts back the state save() wrote into `s` from this simulation. The
+  /// current queue's messages are released, pending callbacks dropped.
+  void restore(const State& s);
+
   /// Statistics: total messages delivered so far.
   [[nodiscard]] std::uint64_t messages_delivered() const noexcept {
     return messages_delivered_;
@@ -361,11 +416,6 @@ class Simulation {
   // Phase bit of Event::key; see Event.
   static constexpr std::uint64_t kDeliveryPhase = 0;
   static constexpr std::uint64_t kTimerPhase = std::uint64_t{1} << 63;
-
-  struct TimerSlot {
-    std::uint32_t gen;  // bumped on free; never 0
-    Timer* timer;       // whose handler the expiry runs; null once cancelled
-  };
 
   /// Queues `timer`'s expiry at now()+delay (Timer::arm).
   TimerId arm_timer(Timer& timer, SimTime delay);

@@ -5,6 +5,21 @@
 
 namespace rqs::storage {
 
+namespace {
+
+/// Copies `live` into slot i of `copies`, the next slot on a first save:
+/// later saves assign, reusing the copy's buffers.
+template <class T>
+void save_copy(std::vector<T>& copies, std::size_t i, const T& live) {
+  if (i < copies.size()) {
+    copies[i] = live;
+  } else {
+    copies.push_back(live);
+  }
+}
+
+}  // namespace
+
 StorageCluster::StorageCluster(RefinedQuorumSystem rqs,
                                const StorageClusterConfig& cfg)
     : sim_(cfg.delta), rqs_(std::move(rqs)),
@@ -79,6 +94,44 @@ StorageCluster::ReadOutcome StorageCluster::blocking_read(ObjectId key,
   }
   return ReadOutcome{keys_[key].read_value[i],
                      keys_[key].readers[i]->last_read_rounds()};
+}
+
+void StorageCluster::save(State& s) {
+  sim_.save(s.sim_);
+  network().save(s.network_);
+  for (std::size_t i = 0; i < servers_obj_.size(); ++i) {
+    save_copy(s.servers_, i, *servers_obj_[i]);
+  }
+  for (std::size_t key = 0; key < keys_.size(); ++key) {
+    const KeyClients& kc = keys_[key];
+    save_copy(s.writers_, key, *kc.writer);
+    for (std::size_t i = 0; i < reader_count_; ++i) {
+      save_copy(s.readers_, key * reader_count_ + i, *kc.readers[i]);
+    }
+    save_copy(s.checkers_, key, kc.checker);
+    save_copy(s.read_values_, key, kc.read_value);
+  }
+  s.log_ = log_;
+  s.endpoints_ = endpoints_;
+}
+
+void StorageCluster::restore(const State& s) {
+  sim_.restore(s.sim_);
+  network().restore(s.network_);
+  for (std::size_t i = 0; i < servers_obj_.size(); ++i) {
+    *servers_obj_[i] = s.servers_[i];
+  }
+  for (std::size_t key = 0; key < keys_.size(); ++key) {
+    KeyClients& kc = keys_[key];
+    *kc.writer = s.writers_[key];
+    for (std::size_t i = 0; i < reader_count_; ++i) {
+      *kc.readers[i] = s.readers_[key * reader_count_ + i];
+    }
+    kc.checker = s.checkers_[key];
+    kc.read_value = s.read_values_[key];
+  }
+  log_ = s.log_;
+  endpoints_ = s.endpoints_;
 }
 
 void StorageCluster::async_write(ObjectId key, Value v) {

@@ -178,6 +178,35 @@ class StorageCluster {
   /// Invocations plus responses so far: the last ordinal handed out.
   [[nodiscard]] std::uint64_t endpoints() const noexcept { return endpoints_; }
 
+  /// What events and started operations can change in the cluster, as
+  /// save() leaves it for restore(): the simulation's and the network's
+  /// state, a copy of every server and client (see sim::Process), the
+  /// operation log with its endpoint count, and each key's checker and
+  /// read values. A Byzantine server's copy holds its RqsStorageServer
+  /// part: its forge strategy is fixed when it is built. Destroy it before
+  /// the cluster (see sim::Simulation::State).
+  class State {
+   private:
+    friend class StorageCluster;
+
+    sim::Simulation::State sim_;
+    sim::Network::State network_;
+    std::vector<RqsStorageServer> servers_;
+    std::vector<RqsWriter> writers_;  // one per key
+    std::vector<RqsReader> readers_;  // key-major
+    std::vector<Operation> log_;
+    std::uint64_t endpoints_{0};
+    std::vector<AtomicityChecker> checkers_;
+    std::vector<std::vector<Value>> read_values_;
+  };
+
+  /// Writes the current state into `s`, reusing its buffers: the first
+  /// save into `s` copies every process, later ones assign. Throws what
+  /// sim::Simulation::save throws.
+  void save(State& s);
+  /// Puts back the state save() wrote into `s` from this cluster.
+  void restore(const State& s);
+
  private:
   struct KeyClients {
     std::unique_ptr<RqsWriter> writer;

@@ -11,7 +11,7 @@ namespace rqs::storage {
 RqsReader::RqsReader(sim::Simulation& sim, ProcessId id,
                      const RefinedQuorumSystem& rqs, ProcessSet servers,
                      Mode mode, ObjectId key, RetryPolicy::Config retry)
-    : ProcessOf(sim, id), rqs_(rqs), servers_(servers), mode_(mode),
+    : ProcessOf(sim, id), rqs_(&rqs), servers_(servers), mode_(mode),
       key_(key),
       retx_(*this, retry, [this] { resend(); }, [this] { fail_over(); }),
       history_(rqs.universe_size()) {}
@@ -69,14 +69,14 @@ bool RqsReader::valid3(const TsValue& c, ProcessSet q) const {
   // P3b(Q2, Q, B) implies P3b(Q2, Q, miss)). Conversely b = miss is a
   // valid witness. So: valid3 iff miss in B and P3b(Q2, Q, miss) — no
   // enumeration of adversary elements.
-  return rqs_.any_quorum(QuorumClass::Class2, [&](QuorumId q2id) {
-    const ProcessSet q2 = rqs_.quorum_set(q2id);
+  return rqs_->any_quorum(QuorumClass::Class2, [&](QuorumId q2id) {
+    const ProcessSet q2 = rqs_->quorum_set(q2id);
     ProcessSet miss;
     for (const ProcessId i : q2 & q) {
       const HistorySlot& s = slot(i, c.ts, 1);
       if (s.pair != c || !s.sets.contains(q2id)) miss.insert(i);
     }
-    return rqs_.adversary().contains(miss) && rqs_.p3b(q2, q, miss);
+    return rqs_->adversary().contains(miss) && rqs_->p3b(q2, q, miss);
   });
 }
 
@@ -90,11 +90,11 @@ bool RqsReader::invalid(const TsValue& c) const {
   const ProcessSet s1 = responded_holders(c, 1);
   std::optional<ProcessSet> s2;
   for (const QuorumId qid : responded_) {
-    const ProcessSet q = rqs_.quorum_set(qid);
+    const ProcessSet q = rqs_->quorum_set(qid);
     // Line 3, valid1: some T subset of Q, T not in B, reports c in slot 1.
     // The maximal such T is Q n S1; B downward closed makes checking it
     // alone sound and complete.
-    if (rqs_.adversary().is_basic(q & s1)) continue;
+    if (rqs_->adversary().is_basic(q & s1)) continue;
     // Line 4, valid2: some server of Q reports c in slot 2.
     if (!s2) s2 = responded_holders(c, 2);
     if (q.intersects(*s2)) continue;
@@ -108,7 +108,7 @@ bool RqsReader::safe(const TsValue& c) const {
   for (const ProcessId i : servers_) {
     if (read_pred(c, i)) holders.insert(i);
   }
-  return rqs_.adversary().is_basic(holders);
+  return rqs_->adversary().is_basic(holders);
 }
 
 std::vector<TsValue> RqsReader::candidate_pairs() const {
@@ -127,10 +127,10 @@ bool RqsReader::bcd1(const TsValue& c, RoundNumber r) const {
   // line 1: exists Q1 in QC1, QR in QC_R, a common Set, with
   // Q1 n QR subset of {s_i : history[i, c.ts, R] = <c, Set>} and
   // (R != 2 or QR in Set).
-  return rqs_.any_quorum(QuorumClass::Class1, [&](QuorumId q1id) {
-    const ProcessSet q1 = rqs_.quorum_set(q1id);
-    return rqs_.any_quorum(static_cast<QuorumClass>(r), [&](QuorumId qrid) {
-      const ProcessSet inter = q1 & rqs_.quorum_set(qrid);
+  return rqs_->any_quorum(QuorumClass::Class1, [&](QuorumId q1id) {
+    const ProcessSet q1 = rqs_->quorum_set(q1id);
+    return rqs_->any_quorum(static_cast<QuorumClass>(r), [&](QuorumId qrid) {
+      const ProcessSet inter = q1 & rqs_->quorum_set(qrid);
       if (inter.empty()) return false;
       // All members must hold slot <c, Set> for one common Set.
       const HistorySlot& first = slot(inter.first(), c.ts, r);
@@ -149,9 +149,9 @@ QuorumIdSet RqsReader::bcd2(const TsValue& c, RoundNumber r) const {
   // QR satisfies QR n Q2 subset of {s_i : history[i, c.ts, R].pair = c}.
   QuorumIdSet out;
   for (const QuorumId q2id : qc2_prime_) {
-    const ProcessSet q2 = rqs_.quorum_set(q2id);
-    const bool covered = rqs_.any_quorum(static_cast<QuorumClass>(r), [&](QuorumId qrid) {
-      const ProcessSet inter = q2 & rqs_.quorum_set(qrid);
+    const ProcessSet q2 = rqs_->quorum_set(q2id);
+    const bool covered = rqs_->any_quorum(static_cast<QuorumClass>(r), [&](QuorumId qrid) {
+      const ProcessSet inter = q2 & rqs_->quorum_set(qrid);
       return std::all_of(inter.begin(), inter.end(), [&](ProcessId i) {
         return slot(i, c.ts, r).pair == c;
       });
@@ -215,10 +215,10 @@ void RqsReader::on(ProcessId from, const RdAck& ack) {
   responded_servers_.insert(from);
   // Lines 52-53: extend Responded with fully-acked quorums. Only quorums
   // containing `from` can newly become complete.
-  if (from < rqs_.universe_size()) {
-    for (const QuorumId qid : rqs_.quorums_containing(from)) {
+  if (from < rqs_->universe_size()) {
+    for (const QuorumId qid : rqs_->quorums_containing(from)) {
       if (!responded_.contains(qid) &&
-          rqs_.quorum_set(qid).subset_of(responded_servers_)) {
+          rqs_->quorum_set(qid).subset_of(responded_servers_)) {
         responded_.insert(qid);
       }
     }
@@ -281,7 +281,7 @@ void RqsReader::maybe_finish_collect_round() {
   // Line 26: acks of this round from some quorum; line 28: in round 1,
   // additionally the 2*Delta timer.
   if (gate_.armed()) return;
-  if (!rqs_.has_quorum_in(round_acks_)) return;
+  if (!rqs_->has_quorum_in(round_acks_)) return;
   end_collect_round();
 }
 
@@ -300,8 +300,8 @@ void RqsReader::end_collect_round() {
     }
     // Lines 30-31: QC'2 = class 2 quorums that acked round 1.
     qc2_prime_.clear();
-    rqs_.any_quorum(QuorumClass::Class2, [&](QuorumId q2) {
-      if (rqs_.quorum_set(q2).subset_of(round_acks_)) qc2_prime_.insert(q2);
+    rqs_->any_quorum(QuorumClass::Class2, [&](QuorumId q2) {
+      if (rqs_->quorum_set(q2).subset_of(round_acks_)) qc2_prime_.insert(q2);
       return false;
     });
   }
@@ -397,7 +397,7 @@ void RqsReader::start_writeback(RoundNumber wb_round, const QuorumIdSet& set,
 
 void RqsReader::maybe_finish_writeback() {
   // Line 61: acks from some quorum.
-  if (!rqs_.has_quorum_in(wb_acks_)) return;
+  if (!rqs_->has_quorum_in(wb_acks_)) return;
 
   switch (phase_) {
     case Phase::kWriteback2:
@@ -407,7 +407,7 @@ void RqsReader::maybe_finish_writeback() {
       // Line 45: also wait for the timer before the line 46 check.
       if (gate_.armed()) return;
       // Line 46: acks from some quorum of X => the read completes.
-      if (rqs_.has_quorum_in(wb_acks_, wb_target_)) {
+      if (rqs_->has_quorum_in(wb_acks_, wb_target_)) {
         finish(csel_.val);
         return;
       }

@@ -119,7 +119,9 @@ class RqsReader final
   void resend();
   void fail_over();
 
-  const RefinedQuorumSystem& rqs_;
+  // A pointer, not a reference, so the process can be assigned (see
+  // sim::Process): never null.
+  const RefinedQuorumSystem* rqs_;
   ProcessSet servers_;
   Mode mode_;
   ObjectId key_;

@@ -10,7 +10,7 @@ RqsWriter::RqsWriter(sim::Simulation& sim, ProcessId id,
                      const RefinedQuorumSystem& rqs, ProcessSet servers,
                      ObjectId key, std::uint32_t rank,
                      RetryPolicy::Config retry)
-    : ProcessOf(sim, id), rqs_(rqs), servers_(servers), key_(key),
+    : ProcessOf(sim, id), rqs_(&rqs), servers_(servers), key_(key),
       rank_(rank),
       retx_(*this, retry, [this] { resend(); }, [this] { fail_over(); }),
       ts_(0, rank) {}
@@ -81,19 +81,19 @@ void RqsWriter::fail_over() {
 void RqsWriter::maybe_finish_round() {
   // Line 12: wait for acks from some quorum AND timeout expiration.
   if (gate_.armed()) return;
-  if (!rqs_.has_quorum_in(acked_)) return;
+  if (!rqs_->has_quorum_in(acked_)) return;
 
   switch (round_) {
     case 1: {
       // Line 3: a class 1 quorum acked => single-round write.
-      if (rqs_.has_quorum_in(acked_, QuorumClass::Class1)) {
+      if (rqs_->has_quorum_in(acked_, QuorumClass::Class1)) {
         complete();
         return;
       }
       // Lines 4-5: remember the class 2 quorums that acked round 1.
       qc2_prime_.clear();
-      rqs_.any_quorum(QuorumClass::Class2, [&](QuorumId q2) {
-        if (rqs_.quorum_set(q2).subset_of(acked_)) qc2_prime_.insert(q2);
+      rqs_->any_quorum(QuorumClass::Class2, [&](QuorumId q2) {
+        if (rqs_->quorum_set(q2).subset_of(acked_)) qc2_prime_.insert(q2);
         return false;
       });
       round_ = 2;
@@ -102,7 +102,7 @@ void RqsWriter::maybe_finish_round() {
     }
     case 2: {
       // Line 7: acks from some quorum of QC'2 => two-round write.
-      if (rqs_.has_quorum_in(acked_, qc2_prime_)) {
+      if (rqs_->has_quorum_in(acked_, qc2_prime_)) {
         complete();
         return;
       }

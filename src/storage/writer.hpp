@@ -74,7 +74,9 @@ class RqsWriter final
   void maybe_finish_round();
   void complete();
 
-  const RefinedQuorumSystem& rqs_;
+  // A pointer, not a reference, so the process can be assigned (see
+  // sim::Process): never null.
+  const RefinedQuorumSystem* rqs_;
   ProcessSet servers_;
   ObjectId key_;
   std::uint32_t rank_;

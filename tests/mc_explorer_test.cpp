@@ -2,13 +2,16 @@
 // differential (equal violation sets and equal state sets, with the
 // reduction factor the acceptance bar demands), zero-violation
 // certificates for valid deployments, Byzantine role branching, schedule
-// replay of discovered counterexamples, and the queue position each
-// choice carries, which fire() and the explorer's backtrack replays use.
+// replay of discovered counterexamples, the queue position each choice
+// carries, and the saved states the explorer restores on backtrack.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mc/explorer.hpp"
@@ -77,6 +80,54 @@ ScenarioSpec anchor4() {
   s.reader_count = 1;
   s.schedule = {write_entry(7, ProcessSet{{0, 1}}),
                 read_entry(0, ProcessSet{{0, 1}})};
+  return s;
+}
+
+ScenarioSpec fig1(SystemFamily family) {
+  ScenarioSpec s;
+  s.family = family;
+  s.reader_count = 2;
+  s.schedule = {write_entry(1, ProcessSet{{2}}),
+                read_entry(0, ProcessSet{{2, 3, 4}}),
+                read_entry(1, ProcessSet{{0, 1, 3}})};
+  return s;
+}
+
+/// The writer and server 0 cut off from servers 1 and 2 forever, while the
+/// write may be in flight.
+ScenarioSpec tiny3_partitioned() {
+  ScenarioSpec s;
+  s.family = SystemFamily::kTiny3;
+  s.reader_count = 1;
+  ScheduleEntry cut;
+  cut.kind = ScheduleEntry::Kind::kPartition;
+  cut.side_a = ProcessSet{{0, storage::kWriterId}};
+  cut.side_b = ProcessSet{{1, 2}};
+  cut.until = ScheduleEntry::kForever;
+  s.schedule = {write_entry(7), cut, read_entry(0)};
+  return s;
+}
+
+/// Two registers, a write and a read on each.
+ScenarioSpec tiny3_two_keys() {
+  ScenarioSpec s;
+  s.family = SystemFamily::kTiny3;
+  s.reader_count = 1;
+  s.key_count = 2;
+  ScheduleEntry w1 = write_entry(8);
+  w1.key = 1;
+  ScheduleEntry r1 = read_entry(0);
+  r1.key = 1;
+  s.schedule = {write_entry(7), w1, read_entry(0), r1};
+  return s;
+}
+
+/// Server 0 crashes while the write may be in flight.
+ScenarioSpec tiny3_crash_mid_write() {
+  ScenarioSpec s;
+  s.family = SystemFamily::kTiny3;
+  s.reader_count = 1;
+  s.schedule = {write_entry(7), crash_entry(0), read_entry(0)};
   return s;
 }
 
@@ -252,7 +303,7 @@ TEST(McReplayTest, ViolationSchedulesReplayToTheSameSignature) {
     joined += s;
   }
   EXPECT_EQ(joined, v.signature);
-  // The explorer's backtrack replays the path on a fresh execution.
+  // A fresh execution fired along the schedule meets the same states.
   expect_replay_matches(tiny3_byzantine(), steps);
 }
 
@@ -283,6 +334,136 @@ TEST(McReplayTest, PayloadIdenticalTwinsCollapseToTheSmallestKey) {
     exec.enabled(enabled);
   }
   EXPECT_GT(twins, 0u);
+}
+
+/// What an execution shows of its state: the explorer's view (digest,
+/// enabled choices with their positions, violations), the queue as laid
+/// out (keys and timer ids) and the cluster's log and counters.
+struct Observed {
+  std::uint64_t digest{0};
+  std::vector<Choice> enabled;
+  std::vector<std::uint32_t> positions;
+  std::vector<std::string> violations;
+  std::vector<std::pair<std::uint64_t, sim::TimerId>> queue;
+  std::vector<std::tuple<bool, ObjectId, std::size_t, sim::SimTime,
+                         std::uint64_t, std::uint64_t, Value>>
+      operations;
+  std::uint64_t endpoints{0};
+  std::uint64_t delivered{0};
+  std::uint64_t sent{0};
+  std::vector<std::pair<std::string_view, std::uint64_t>> sent_by_tag;
+};
+
+Observed observe(McExecution& exec) {
+  Observed o;
+  o.digest = exec.digest();
+  exec.enabled(o.enabled);
+  o.positions = positions(o.enabled);
+  exec.violations(o.violations);
+  storage::StorageCluster& cluster = exec.cluster();
+  sim::Simulation& sim = cluster.sim();
+  for (std::size_t i = 0; i < sim.queued_count(); ++i) {
+    const sim::Event& ev = sim.queued_event(i);
+    o.queue.emplace_back(
+        ev.key, ev.kind() == sim::Event::kTimer ? ev.timer.id : 0);
+  }
+  for (const auto& op : cluster.operations()) {
+    o.operations.emplace_back(op.is_write, op.key, op.reader, op.invoked_at,
+                              op.invoked, op.responded, op.value);
+  }
+  o.endpoints = cluster.endpoints();
+  o.delivered = sim.messages_delivered();
+  o.sent = cluster.network().messages_sent();
+  o.sent_by_tag.assign(cluster.network().sent_by_tag().begin(),
+                       cluster.network().sent_by_tag().end());
+  return o;
+}
+
+void expect_same(const Observed& got, const Observed& want) {
+  EXPECT_EQ(got.digest, want.digest);
+  EXPECT_EQ(got.enabled, want.enabled);
+  EXPECT_EQ(got.positions, want.positions);
+  EXPECT_EQ(got.violations, want.violations);
+  EXPECT_EQ(got.queue, want.queue);
+  EXPECT_EQ(got.operations, want.operations);
+  EXPECT_EQ(got.endpoints, want.endpoints);
+  EXPECT_EQ(got.delivered, want.delivered);
+  EXPECT_EQ(got.sent, want.sent);
+  EXPECT_EQ(got.sent_by_tag, want.sent_by_tag);
+}
+
+/// Fires up to `steps` random choices, stopping early at a terminal state,
+/// and appends them to `fired` when it is given.
+void walk(McExecution& exec, std::mt19937_64& rng, std::size_t steps,
+          std::vector<Choice>* fired) {
+  std::vector<Choice> enabled;
+  for (std::size_t i = 0; i < steps; ++i) {
+    exec.enabled(enabled);
+    if (enabled.empty()) return;
+    const Choice c = enabled[rng() % enabled.size()];
+    exec.fire(c);
+    if (fired != nullptr) fired->push_back(c);
+  }
+}
+
+McExecution& fire_all(McExecution& exec, const std::vector<Choice>& path) {
+  for (const Choice& c : path) exec.fire(c);
+  return exec;
+}
+
+/// Seeded walks that twice save at a random depth, walk a random suffix and
+/// restore, the second save overwriting the first in the same State, and
+/// compare the execution with a fresh one fired along the same prefix.
+/// Then both continue along one random suffix, compared at every step.
+void expect_restores_match_replays(const ScenarioSpec& spec,
+                                   std::uint64_t seed, int walks) {
+  std::mt19937_64 rng(seed);
+  std::size_t suffix_steps = 0;
+  for (int w = 0; w < walks; ++w) {
+    McExecution exec(spec);
+    ASSERT_TRUE(exec.unsupported().empty()) << exec.unsupported();
+    McExecution::State saved;  // destroyed before exec, as it must be
+    std::vector<Choice> prefix;
+    for (int round = 0; round < 2; ++round) {
+      const std::size_t depth = rng() % 12;
+      walk(exec, rng, depth, &prefix);
+      exec.save(saved);
+      std::vector<Choice> suffix;
+      walk(exec, rng, 1 + rng() % 40, &suffix);
+      suffix_steps += suffix.size();
+      exec.restore(saved);
+      McExecution fresh(spec);
+      SCOPED_TRACE("walk " + std::to_string(w) + ", restore " +
+                   std::to_string(round) + " at depth " +
+                   std::to_string(prefix.size()));
+      expect_same(observe(exec), observe(fire_all(fresh, prefix)));
+    }
+    McExecution fresh(spec);
+    fire_all(fresh, prefix);
+    std::vector<Choice> enabled;
+    for (std::size_t step = 0;; ++step) {
+      SCOPED_TRACE("walk " + std::to_string(w) + ", step " +
+                   std::to_string(step) + " after the restores");
+      const Observed got = observe(exec);
+      expect_same(got, observe(fresh));
+      if (got.enabled.empty() || ::testing::Test::HasFailure()) break;
+      const Choice c = got.enabled[rng() % got.enabled.size()];
+      exec.fire(c);
+      fresh.fire(c);
+    }
+  }
+  EXPECT_GT(suffix_steps, static_cast<std::size_t>(walks));  // restores undid work
+}
+
+TEST(McRestoreTest, RestoredStatesEqualReplayedOnes) {
+  std::uint64_t seed = 11;
+  for (const ScenarioSpec& spec :
+       {tiny3_benign(), tiny3_byzantine(), anchor4(),
+        fig1(SystemFamily::kFig1Broken5), fig1(SystemFamily::kFast5),
+        tiny3_partitioned(), tiny3_two_keys(), tiny3_crash_mid_write()}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_restores_match_replays(spec, seed++, 20);
+  }
 }
 
 TEST(McFragmentTest, UnsupportedSpecsAreRejectedNotMischecked) {

@@ -50,7 +50,7 @@ ScenarioSpec fig1_spec(SystemFamily family) {
 }
 
 /// The reduced broken-5 search, explored once and shared by the tests that
-/// read it (each search replays 105,542 arrivals).
+/// read it (each search makes 105,542 arrivals).
 const McResult& broken5() {
   static const McResult result =
       explore(fig1_spec(SystemFamily::kFig1Broken5));
@@ -111,7 +111,7 @@ TEST(McFig1Test, McViolationReplaysCanonically) {
   const std::vector<std::string>& viols = steps.back().violations;
   ASSERT_EQ(viols.size(), 1u);
   EXPECT_EQ(viols[0], r.violations[0].signature);
-  // The explorer's backtrack replays the path on a fresh execution.
+  // A fresh execution fired along the schedule meets the same states.
   expect_replay_matches(spec, steps);
 }
 

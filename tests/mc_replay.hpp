@@ -1,15 +1,14 @@
 // Replay of fired choices, and the queue positions choices carry.
 //
 // Each choice enabled() lists records the queue position of the event it
-// names, and fire() dispatches that position. On backtrack the explorer
-// builds a fresh execution and fires the path's choices again: a replay of
-// the same prefix from the initial state meets the same queue at every
-// step. These helpers fire a schedule on one execution and record the
-// state each step reached, then fire the same choices on a fresh execution
-// and compare the digest, the enabled set (positions included, which
-// Choice's == ignores) and the violations at every step. A reference scan
-// of the whole queue checks the positions themselves at every recorded
-// step.
+// names, and fire() dispatches that position. A counterexample schedule
+// replays on a fresh execution: the same prefix from the initial state
+// meets the same queue at every step. These helpers fire a schedule on one
+// execution and record the state each step reached, then fire the same
+// choices on a fresh execution and compare the digest, the enabled set
+// (positions included, which Choice's == ignores) and the violations at
+// every step. A reference scan of the whole queue checks the positions
+// themselves at every recorded step.
 #pragma once
 
 #include <gtest/gtest.h>

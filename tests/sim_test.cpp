@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/network.hpp"
 #include "sim/process.hpp"
@@ -304,6 +306,210 @@ TEST(SimTest, SecondProcessUnderATakenIdThrowsAndNamesTheId) {
     EXPECT_NE(std::string(e.what()).find("45"), std::string::npos) << e.what();
   }
   EXPECT_EQ(sim.process(45), &first);
+}
+
+// --- Save and restore (the model checker's backtrack) ---
+
+/// A message owning heap memory: a reference never dropped leaks it, which
+/// the leak checker of a sanitized build reports.
+struct BulkMsg final : TypedMessage<BulkMsg, MessageList<BulkMsg>, 64> {
+  std::vector<int> words;
+  [[nodiscard]] std::string_view tag() const override { return "BULK"; }
+};
+
+/// Three timers of one owner, each recording its expiry.
+class Sleeper final : public ProcessOf<Sleeper, MessageList<>> {
+ public:
+  Sleeper(Simulation& sim, ProcessId id) : ProcessOf(sim, id) {}
+  std::vector<std::pair<int, SimTime>> fired;
+  Timer a{*this, [this] { fired.emplace_back(1, now()); }};
+  Timer b{*this, [this] { fired.emplace_back(2, now()); }};
+  Timer c{*this, [this] { fired.emplace_back(3, now()); }};
+};
+
+using Expiries = std::vector<std::pair<int, SimTime>>;
+
+TEST(SimSaveTest, TimersComeBackArmedCancelledAndFiredAsSaved) {
+  Simulation sim(10);
+  Sleeper p(sim, 0);
+  p.a.arm(10);
+  p.b.arm(20);
+  p.c.arm(30);
+  p.b.cancel();
+  ASSERT_TRUE(sim.step());  // a fires; b's cancelled expiry stays queued
+  Simulation::State saved;
+  sim.save(saved);
+  const Sleeper copy = p;
+
+  sim.run();
+  const Expiries future = p.fired;
+  EXPECT_EQ(future, (Expiries{{1, 10}, {3, 30}}));
+  p.a.arm(5);
+  const TimerId rearmed = p.a.id();
+  p.b.arm(7);
+  sim.run();
+
+  sim.restore(saved);
+  p = copy;
+  EXPECT_EQ(sim.now(), 10);
+  EXPECT_FALSE(p.a.armed());
+  EXPECT_FALSE(p.b.armed());
+  EXPECT_TRUE(p.c.armed());
+  EXPECT_EQ(p.fired, (Expiries{{1, 10}}));
+  sim.run();
+  EXPECT_EQ(p.fired, future);
+  // Slot generations and the free list came back too: the same arm after
+  // the same run takes the same id.
+  p.a.arm(5);
+  EXPECT_EQ(p.a.id(), rearmed);
+}
+
+TEST(SimSaveTest, ACrashedOwnersStaleTimerSurvivesARoundTrip) {
+  Simulation sim(10);
+  Sleeper p(sim, 0);
+  p.a.arm(10);
+  Simulation::State live;
+  sim.save(live);
+  const Sleeper live_copy = p;
+
+  sim.crash(0);
+  sim.run();  // the expiry is dropped unrun: a keeps its stale id
+  ASSERT_TRUE(p.a.armed());
+  const TimerId stale = p.a.id();
+  Simulation::State crashed;
+  sim.save(crashed);
+  const Sleeper crashed_copy = p;
+
+  sim.restore(live);
+  p = live_copy;
+  EXPECT_FALSE(sim.crashed(0));
+  EXPECT_EQ(p.a.id(), stale);  // the same expiry, still queued
+  sim.run();
+  EXPECT_EQ(p.fired, (Expiries{{1, 10}}));
+  EXPECT_FALSE(p.a.armed());
+
+  sim.restore(crashed);
+  p = crashed_copy;
+  EXPECT_TRUE(sim.crashed(0));
+  EXPECT_TRUE(p.a.armed());
+  EXPECT_EQ(p.a.id(), stale);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_TRUE(p.fired.empty());
+}
+
+TEST(SimSaveTest, SaveExpandsAPendingFanOut) {
+  Simulation sim(10);
+  Recorder a(sim, 0), b(sim, 1), c(sim, 2), d(sim, 3);
+  auto msg = sim.msg_pool().make<PingMsg>();
+  msg->payload = 9;
+  a.send_all(ProcessSet{{1, 2, 3}}, std::move(msg));
+  ASSERT_EQ(sim.fanout_slot_capacity(), 1u);
+  Simulation::State saved;
+  sim.save(saved);  // the restored queue holds the three deliveries
+  const Recorder b0 = b, c0 = c, d0 = d;
+  sim.run();
+  b = b0;
+  c = c0;
+  d = d0;
+  sim.restore(saved);
+  EXPECT_EQ(sim.queued_count(), 3u);
+  EXPECT_EQ(sim.messages_delivered(), 0u);
+  // In ascending id order, as the fan-out would have delivered them.
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(b.received.size(), 1u);
+  EXPECT_TRUE(c.received.empty());
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(c.received.size(), 1u);
+  EXPECT_TRUE(d.received.empty());
+  ASSERT_TRUE(sim.step());
+  EXPECT_TRUE(sim.idle());
+  for (const Recorder* r : {&b, &c, &d}) {
+    ASSERT_EQ(r->received.size(), 1u);
+    EXPECT_EQ(r->received[0].payload, 9);
+    EXPECT_EQ(r->received[0].at, 10);
+  }
+  EXPECT_EQ(sim.messages_delivered(), 3u);
+}
+
+TEST(SimSaveTest, RestoredRulesKeepTheirIdsAndCounters) {
+  Simulation sim(10);
+  Recorder a(sim, 0), b(sim, 1), c(sim, 2);
+  Network& net = sim.network();
+  const std::size_t to_b = net.block(ProcessSet{{0}}, ProcessSet{{1}});
+  const std::size_t to_c = net.block(ProcessSet{{0}}, ProcessSet{{2}});
+  a.send(1, sim.msg_pool().make<PingMsg>());
+  Simulation::State sim_saved;
+  Network::State saved;
+  sim.save(sim_saved);
+  net.save(saved);
+
+  net.remove_rule(to_b);
+  const std::size_t later = net.fixed_delay(ProcessSet{{0}}, ProcessSet{{1}}, 3);
+  a.send(1, sim.msg_pool().make<PingMsg>());
+  a.send(2, sim.msg_pool().make<PingMsg>());
+
+  sim.restore(sim_saved);
+  net.restore(saved);
+  EXPECT_EQ(net.messages_sent(), 1u);
+  EXPECT_EQ(net.messages_dropped(), 1u);
+  EXPECT_EQ(net.sent_by_tag().at("PING"), 1u);
+  // The next id is handed out again, and an id names the rule it named at
+  // the save: removing to_c unblocks c and leaves b blocked.
+  EXPECT_EQ(net.block(ProcessSet{{5}}, ProcessSet{{6}}), later);
+  net.remove_rule(to_c);
+  a.send(1, sim.msg_pool().make<PingMsg>());
+  a.send(2, sim.msg_pool().make<PingMsg>());
+  sim.run();
+  EXPECT_TRUE(b.received.empty());
+  EXPECT_EQ(c.received.size(), 1u);
+}
+
+TEST(SimSaveTest, SavedStatesGiveBackEveryMessageReference) {
+  Simulation sim(10);
+  Recorder a(sim, 0), b(sim, 1);
+  MessagePool& pool = sim.msg_pool();
+  const auto send_bulk = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      auto msg = pool.make<BulkMsg>();
+      msg->words.assign(100, i);
+      a.send(1, std::move(msg));
+    }
+  };
+  send_bulk(3);
+  const std::size_t blocks = pool.reserved_bytes() / 64;
+  ASSERT_EQ(pool.free_blocks(), blocks - 3);
+  {
+    Simulation::State saved;
+    sim.save(saved);
+    sim.run();  // delivered, but the saved state still holds all three
+    EXPECT_EQ(pool.free_blocks(), blocks - 3);
+    sim.restore(saved);
+    sim.save(saved);  // overwriting drops the old references first
+    sim.restore(saved);
+    EXPECT_EQ(pool.free_blocks(), blocks - 3);
+  }
+  EXPECT_EQ(pool.free_blocks(), blocks - 3);  // the queue's own references
+  sim.run();
+  EXPECT_EQ(pool.free_blocks(), blocks);
+
+  // A state destroyed while the simulation still queues its messages: the
+  // simulation's destructor releases the rest.
+  send_bulk(2);
+  Simulation::State saved;
+  sim.save(saved);
+  sim.restore(saved);
+  EXPECT_EQ(pool.free_blocks(), blocks - 2);
+}
+
+TEST(SimSaveTest, SaveRefusesAPendingCallback) {
+  Simulation sim(10);
+  bool ran = false;
+  sim.schedule_at(5, [&] { ran = true; });
+  Simulation::State saved;
+  EXPECT_THROW(sim.save(saved), std::logic_error);
+  sim.run();
+  EXPECT_TRUE(ran);
+  EXPECT_NO_THROW(sim.save(saved));
 }
 
 // --- Signatures ---
